@@ -15,9 +15,8 @@ from math import comb
 import numpy as np
 
 from .field import rank
-from .groebner import Ideal, normal_form
-from .hilbert import hilbert_function, is_artinian, socle_degree, standard_monomials
-from .ring import Poly
+from .groebner import Ideal
+from .hilbert import GradedQuotient, hilbert_function, is_artinian, socle_degree
 
 
 @dataclass
@@ -47,104 +46,37 @@ class BettiTable:
         return {"betti": cells, "truncated": self.truncated, "max_degree": self.max_degree}
 
 
-class _QuotientSlices:
-    """Standard-monomial bases of R/I per degree and the variable
-    multiplication matrices between consecutive degrees."""
-
-    def __init__(self, I: Ideal):
-        self.I = I
-        self.ring = I.ring
-        self.gb = I.groebner()
-        self._nf_memo: dict = {}
-        self._mult: dict = {}
-
-    def basis(self, d: int) -> list:
-        return standard_monomials(self.I, d) if d >= 0 else []
-
-    def _nf_monomial(self, e) -> dict:
-        got = self._nf_memo.get(e)
-        if got is None:
-            f = Poly(self.ring, {e: self.ring.field.one})
-            got = normal_form(f, self.gb).terms if self.gb else dict(f.terms)
-            self._nf_memo[e] = got
-        return got
-
-    def mult_matrix(self, var: int, d: int):
-        """Matrix of x_var: (R/I)_d -> (R/I)_{d+1} over the standard bases,
-        shape (len basis(d+1), len basis(d))."""
-        key = (var, d)
-        got = self._mult.get(key)
-        if got is not None:
-            return got
-        src = self.basis(d)
-        dst = self.basis(d + 1)
-        index = {e: i for i, e in enumerate(dst)}
-        fld = self.ring.field
-        cols = []
-        for e in src:
-            shifted = list(e)
-            shifted[var] += 1
-            nf = self._nf_monomial(tuple(shifted))
-            col = [fld.zero] * len(dst)
-            for m, c in nf.items():
-                col[index[m]] = c
-            cols.append(col)
-        if fld.kind == "prime":
-            M = np.zeros((len(dst), len(src)), dtype=np.int64)
-            for ci, col in enumerate(cols):
-                for ri, v in enumerate(col):
-                    if v:
-                        M[ri, ci] = v
-            got = M
-        else:
-            got = [[cols[ci][ri] for ci in range(len(src))] for ri in range(len(dst))]
-        self._mult[key] = got
-        return got
-
-
-def _koszul_rank(slices: _QuotientSlices, i: int, j: int) -> int:
-    """Rank of the Koszul differential (K_i ox M)_j -> (K_{i-1} ox M)_j."""
-    m = slices.ring.nvars
+def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
+    """Rank of the Koszul differential (K_i ox M)_j -> (K_{i-1} ox M)_j;
+    blocks[d][v] is multiplication by x_v from degree d."""
+    m = Q.ring.nvars
     if i < 1 or i > m:
         return 0
     src_sets = list(combinations(range(m), i))
     dst_sets = list(combinations(range(m), i - 1))
-    src_basis = slices.basis(j - i)
-    dst_basis = slices.basis(j - i + 1)
+    src_basis = Q.basis(j - i)
+    dst_basis = Q.basis(j - i + 1)
     if not src_basis or not dst_basis:
         return 0
     dst_pos = {S: k for k, S in enumerate(dst_sets)}
     rows = len(dst_sets) * len(dst_basis)
     cols = len(src_sets) * len(src_basis)
-    fld = slices.ring.field
-    if fld.kind == "prime":
-        D = np.zeros((rows, cols), dtype=np.int64)
-        for sk, S in enumerate(src_sets):
-            c0 = sk * len(src_basis)
-            for r, v in enumerate(S):
-                T = S[:r] + S[r + 1:]
-                r0 = dst_pos[T] * len(dst_basis)
-                block = slices.mult_matrix(v, j - i)
-                if r % 2 == 0:
-                    D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] += block
-                else:
-                    D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] -= block
-        return rank(fld, (D % fld.p).tolist())
-    D = [[fld.zero] * cols for _ in range(rows)]
+    fld = Q.ring.field
+    # over Q an object array keeps the Fractions exact and takes the same block updates
+    D = np.zeros((rows, cols), dtype=np.int64 if fld.kind == "prime" else object)
     for sk, S in enumerate(src_sets):
         c0 = sk * len(src_basis)
         for r, v in enumerate(S):
             T = S[:r] + S[r + 1:]
             r0 = dst_pos[T] * len(dst_basis)
-            block = slices.mult_matrix(v, j - i)
-            sign = 1 if r % 2 == 0 else -1
-            for a in range(len(dst_basis)):
-                for b in range(len(src_basis)):
-                    D[r0 + a][c0 + b] = fld.add(
-                        D[r0 + a][c0 + b],
-                        block[a][b] if sign > 0 else fld.neg(block[a][b]),
-                    )
-    return rank(fld, D)
+            block = blocks[j - i][v]
+            if r % 2 == 0:
+                D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] += block
+            else:
+                D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] -= block
+    if fld.kind == "prime":
+        D %= fld.p
+    return rank(fld, D.tolist())
 
 
 def default_max_degree(I: Ideal) -> int:
@@ -173,12 +105,13 @@ def graded_betti(I: Ideal, max_degree: int | None = None) -> BettiTable:
         complete_bound = socle_degree(I).socle_degree + m
     if max_degree is None:
         max_degree = complete_bound if complete_bound is not None else default_max_degree(I)
-    slices = _QuotientSlices(I)
+    Q = I.quotient()
+    blocks = {d: [Q.mult(I.ring.variable(v), d) for v in range(m)] for d in range(max_degree)}
     table = BettiTable(nvars=m, max_degree=max_degree)
     for j in range(max_degree + 1):
-        ranks = [_koszul_rank(slices, i, j) for i in range(m + 2)]
+        ranks = [_koszul_rank(Q, blocks, i, j) for i in range(m + 2)]
         for i in range(m + 1):
-            dim = comb(m, i) * len(slices.basis(j - i))
+            dim = comb(m, i) * len(Q.basis(j - i))
             beta = dim - ranks[i] - ranks[i + 1]
             if beta:
                 table.entries[(i, j)] = beta

@@ -224,9 +224,10 @@ def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None)
 
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
-    one per term order actually used."""
+    one per term order actually used, each with its prepared form, and the
+    graded quotient R/I built on first use."""
 
-    __slots__ = ("ring", "generators", "_gb", "hf_cache", "std_cache")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -241,8 +242,8 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb: dict[str, list[Poly]] = {}
-        self.hf_cache: dict[int, int] = {}
-        self.std_cache: dict[int, list[Exponents]] = {}
+        self._prepared: dict[str, list] = {}
+        self._quotient = None
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
         order = order or self.ring.order
@@ -253,19 +254,35 @@ class Ideal:
             self._gb[key] = gb
         return gb
 
-    def leading_monomials(self, order: TermOrder | None = None) -> list[Exponents]:
+    def prepared(self, order: TermOrder | None = None) -> list:
+        """The reduced GB as [(lead_exps, terms_dict), ...], the form
+        `_nf_terms` divides by; the reduced GB is already monic."""
         order = order or self.ring.order
-        return [g.leading(order)[0] for g in self.groebner(order)]
+        key = order.name()
+        got = self._prepared.get(key)
+        if got is None:
+            got = [(g.leading(order)[0], g.terms) for g in self.groebner(order)]
+            self._prepared[key] = got
+        return got
+
+    def quotient(self):
+        """The GradedQuotient R/I in the ring's order; it lives as long as I."""
+        if self._quotient is None:
+            from .hilbert import GradedQuotient  # hilbert imports this module
+            self._quotient = GradedQuotient(self)
+        return self._quotient
+
+    def leading_monomials(self, order: TermOrder | None = None) -> list[Exponents]:
+        return [lead for lead, _ in self.prepared(order)]
 
     def contains(self, f: Poly, order: TermOrder | None = None) -> bool:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if f.is_zero():
             return True
-        gb = self.groebner(order)
-        if not gb:
-            return False
-        return normal_form(f, gb, order or self.ring.order).is_zero()
+        order = order or self.ring.order
+        basis = self.prepared(order)
+        return bool(basis) and not _nf_terms(f.terms, basis, order, self.ring.field)
 
     def min_generator_degree(self) -> int:
         """Smallest degree among reduced-GB elements (the initial degree)."""

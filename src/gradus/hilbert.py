@@ -1,7 +1,7 @@
 """Hilbert functions and polynomials, Artinian detection, socle degree.
 
-HF(R/I)_d is the number of degree-d standard monomials: monomials divisible
-by no leading monomial of the reduced Groebner basis. The Hilbert polynomial
+HF(R/I)_d is the number of degree-d standard monomials, the basis of the
+GradedQuotient that also serves Betti and Hom. The Hilbert polynomial
 is recovered by exact interpolation on a sliding window of degrees.
 """
 from __future__ import annotations
@@ -9,33 +9,99 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import GradusError
 from .field import rank
-from .groebner import Ideal
-from .ring import mono_divides, monomials_of_degree
+from .groebner import Ideal, _nf_terms
+from .ring import Exponents, Poly, mono_divides, monomials_of_degree
+
+
+class _NormalForms(dict):
+    """Monomial of one degree -> coordinates of its normal form over that
+    degree's standard basis: an int64 array over F_p, a list over Q. Each
+    monomial is reduced on its first lookup and kept."""
+
+    def __init__(self, degree: int, basis: list, gb: list, order, field):
+        super().__init__()
+        self.degree, self.gb, self.order, self.field = degree, gb, order, field
+        self.index = {e: k for k, e in enumerate(basis)}
+
+    def __missing__(self, e: Exponents):
+        fld = self.field
+        vec = [fld.zero] * len(self.index)
+        for m, c in _nf_terms({e: fld.one}, self.gb, self.order, fld).items():
+            vec[self.index[m]] = c
+        if fld.kind == "prime":
+            vec = np.array(vec, dtype=np.int64)
+        self[e] = vec
+        return vec
+
+
+class GradedQuotient:
+    """R/I degree by degree over its standard monomials; built by
+    `Ideal.quotient` and alive as long as I. Coordinates come from the
+    normal forms of single monomials, each reduced once against I's prepared
+    GB; a normal form modulo a GB is unique, so they equal `normal_form`
+    followed by a scatter. The memo `nf` keeps one degree, since every call
+    works in one degree: an ideal that outlives its work (a PointSet's
+    vanishing ideal) keeps one degree's normal forms, not all it ever used.
+    """
+
+    def __init__(self, I: Ideal):
+        self.ring = I.ring
+        self._gb = I.prepared()
+        self._basis: dict[int, list[Exponents]] = {}
+        self.nf = _NormalForms(-1, [], self._gb, I.ring.order, I.ring.field)
+
+    def basis(self, d: int) -> list[Exponents]:
+        """Degree-d monomials outside the leading-term ideal, descending in
+        the order; empty for d < 0."""
+        got = self._basis.get(d)
+        if got is None:
+            monos = monomials_of_degree(self.ring.nvars, d, self.ring.order) if d >= 0 else []
+            got = [e for e in monos if not any(mono_divides(le, e) for le, _ in self._gb)]
+            self._basis[d] = got
+        return got
+
+    def coords(self, f: Poly, d: int):
+        """Coordinates over basis(d) of the degree-d form f modulo I: an
+        int64 array over F_p, a list over Q."""
+        if self.nf.degree != d:
+            self.nf = _NormalForms(d, self.basis(d), self._gb, self.ring.order, self.ring.field)
+        fld, n = self.ring.field, len(self.nf.index)
+        vecs = [self.nf[e] for e in f.terms]
+        if fld.kind == "prime":
+            c = np.fromiter(f.terms.values(), dtype=np.int64, count=len(vecs))
+            V = np.array(vecs, dtype=np.int64).reshape(len(vecs), n)
+            # residue products stay below 2^62; reduce each before summing
+            return (c[:, None] * V % fld.p).sum(axis=0) % fld.p
+        return [sum((c * v[k] for c, v in zip(f.terms.values(), vecs)), fld.zero)
+                for k in range(n)]
+
+    def mult(self, form: Poly, d: int):
+        """Multiplication by `form`: (R/I)_d -> (R/I)_{d + deg form}, shape
+        (len basis(d + deg form), len basis(d)); column k is the image of
+        basis(d)[k]. An int64 ndarray over F_p, row lists over Q."""
+        top = d + form.degree()
+        one = self.ring.field.one
+        cols = [self.coords(form.mul_term(b, one), top) for b in self.basis(d)]
+        rows = len(self.basis(top))
+        if self.ring.field.kind == "prime":
+            return np.array(cols, dtype=np.int64).reshape(len(cols), rows).T
+        return [list(r) for r in zip(*cols)] if cols else [[] for _ in range(rows)]
 
 
 def standard_monomials(I: Ideal, d: int) -> list:
     """Degree-d monomials outside the leading-term ideal of I."""
-    cached = I.std_cache.get(d)
-    if cached is not None:
-        return cached
-    leads = I.leading_monomials()
-    monos = monomials_of_degree(I.ring.nvars, d, I.ring.order)
-    std = [e for e in monos if not any(mono_divides(le, e) for le in leads)]
-    I.std_cache[d] = std
-    return std
+    return I.quotient().basis(d)
 
 
 def hilbert_function(I: Ideal, d: int) -> int:
     """dim_k (R/I)_d."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    v = I.hf_cache.get(d)
-    if v is None:
-        v = len(standard_monomials(I, d))
-        I.hf_cache[d] = v
-    return v
+    return len(standard_monomials(I, d))
 
 
 def hilbert_values(I: Ideal, dmax: int) -> list[int]:

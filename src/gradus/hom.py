@@ -11,8 +11,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import GradusError
 from .field import rank, row_space_basis
-from .groebner import Ideal, ideal_quotient, ideal_sum, normal_form
-from .hilbert import hilbert_function, standard_monomials
+from .groebner import Ideal, ideal_quotient, ideal_sum
+from .hilbert import hilbert_function
 from .points import PointSet, is_nonzerodivisor, vanishing_ideal
 from .ring import Poly, monomials_of_degree, poly_to_str
 
@@ -102,42 +102,13 @@ def _subspace_rows(I_X: Ideal, sub: Ideal, t: int) -> list[list]:
     """Coordinate rows, over the degree-t standard monomials of R/I_X, of the
     image of sub_t in (R_X)_t."""
     ring = I_X.ring
-    fld = ring.field
-    std = standard_monomials(I_X, t)
-    index = {e: k for k, e in enumerate(std)}
-    gb_ix = I_X.groebner()
-    rows = []
-    for c in sub.groebner():
-        dc = c.degree()
-        if dc > t:
-            continue
-        for m in monomials_of_degree(ring.nvars, t - dc, ring.order):
-            shifted = c.mul_term(m, fld.one)
-            nf = normal_form(shifted, gb_ix) if gb_ix else shifted
-            row = [fld.zero] * len(std)
-            for e, cf in nf.terms.items():
-                row[index[e]] = cf
-            rows.append(row)
-    return row_space_basis(fld, rows, len(std))
-
-
-def _mult_matrix(I_X: Ideal, g: Poly, t: int) -> list[list]:
-    """Multiplication by g: (R_X)_t -> (R_X)_{t + deg g} over standard bases."""
-    ring = I_X.ring
-    fld = ring.field
-    src = standard_monomials(I_X, t)
-    dst = standard_monomials(I_X, t + g.degree())
-    index = {e: k for k, e in enumerate(dst)}
-    gb = I_X.groebner()
-    cols = []
-    for b in src:
-        prod = g.mul_term(b, fld.one)
-        nf = normal_form(prod, gb) if gb else prod
-        col = [fld.zero] * len(dst)
-        for e, cf in nf.terms.items():
-            col[index[e]] = cf
-        cols.append(col)
-    return [[cols[c][r] for c in range(len(src))] for r in range(len(dst))]
+    Q = I_X.quotient()
+    rows = [
+        Q.coords(c.mul_term(m, ring.field.one), t)
+        for c in sub.groebner() if c.degree() <= t
+        for m in monomials_of_degree(ring.nvars, t - c.degree(), ring.order)
+    ]
+    return row_space_basis(ring.field, rows, len(Q.basis(t)))
 
 
 def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
@@ -172,16 +143,8 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
         if hom_dim == 0 or g.is_zero():
             out[i] = hom_dim  # zero map: everything is kernel
             continue
-        M = _mult_matrix(I_X, g, t)
-        # rows of `restricted` are the images under g of a basis of the subspace
-        restricted = [[_dot(fld, M[r], v) for r in range(len(M))] for v in hom_rows]
-        out[i] = hom_dim - rank(fld, restricted)
+        Q = I_X.quotient()
+        # the images under g of a basis of the subspace, one form per row
+        images = [g * Poly(I_X.ring, dict(zip(Q.basis(t), v))) for v in hom_rows]
+        out[i] = hom_dim - rank(fld, [Q.coords(h, t + g.degree()) for h in images])
     return out
-
-
-def _dot(fld, row, v):
-    acc = fld.zero
-    for a, b in zip(row, v):
-        if not fld.is_zero(a) and not fld.is_zero(b):
-            acc = fld.add(acc, fld.mul(a, b))
-    return acc

@@ -2,9 +2,10 @@
 
 A point is a coordinate tuple normalized so its first nonzero entry is 1;
 a PointSet certifies general position by checking that every degree-d
-evaluation matrix has rank min(C(n+d, n), s). The vanishing ideal comes
-from evaluation-matrix kernels, with an independent oracle that intersects
-single-point ideals instead.
+evaluation matrix has rank min(C(n+d, n), s), up to the first degree where
+C(n+d, n) reaches s. The vanishing ideal comes from evaluation-matrix
+kernels, with an independent oracle that intersects single-point ideals
+instead.
 """
 from __future__ import annotations
 
@@ -83,11 +84,21 @@ class PointSet:
         return r
 
     def is_general_position(self, up_to: int | None = None) -> bool:
-        """Check rank = min(C(n+d, n), s) for every degree d <= up_to (default s)."""
+        """Check rank = min(C(n+d, n), s) for every degree d <= up_to (default s).
+
+        Stopping at d* = min{d : C(n+d, n) >= s} is exact. The rank at d is
+        HF_X(d), capped at s, and HF_X is non-decreasing: over an infinite
+        extension field some linear form vanishes at no point and so is a
+        non-zero divisor on R_X, and rank does not change under field
+        extension, so this holds over F_p too. Rank s at d* gives rank s above.
+        """
         top = self.s if up_to is None else up_to
         for d in range(1, top + 1):
-            if self.rank_at(d) != min(comb(self.n + d, self.n), self.s):
+            full = comb(self.n + d, self.n)
+            if self.rank_at(d) != min(full, self.s):
                 return False
+            if full >= self.s:
+                break
         return True
 
     def delta(self) -> int:

@@ -162,3 +162,58 @@ def test_rational_mode_cross_check():
     for d in range(5):
         assert hilbert_function(I, d) == min(comb(2 + d, 2), 3)
     assert equal_ideals(I, vanishing_ideal_oracle(X))
+
+
+def _general_by_full_check(X):
+    """The check before the early stop: rank = min(C(n+d, n), s) for all d <= s."""
+    return all(
+        rank(X.field, X.evaluation_rows(d)) == min(comb(X.n + d, X.n), X.s)
+        for d in range(1, X.s + 1)
+    )
+
+
+def _projective_plane(p):
+    """Every point of P^2(F_p), first nonzero coordinate 1."""
+    return ([(1, a, b) for a in range(p) for b in range(p)]
+            + [(0, 1, b) for b in range(p)] + [(0, 0, 1)])
+
+
+def test_general_position_early_stop_matches_full_check(monkeypatch):
+    rng = random.Random(31)
+    sets = []
+    for p in (3, 5, 7, 32003):
+        fld = PrimeField(p)
+        for n in (1, 2, 3):
+            for s in range(1, 9):
+                vecs = ([fld.random(rng) for _ in range(n + 1)] for _ in range(s))
+                pts = {normalize_point(fld, v) for v in vecs if any(v)}
+                if pts:
+                    sets.append(PointSet(n, fld, sorted(pts)))
+        line = [(1, t, 0) for t in range(min(p, 6))]  # collinear: on x2 = 0
+        for s in range(3, len(line) + 1):
+            sets.append(PointSet(2, fld, line[:s]))
+    F3, F5 = PrimeField(3), PrimeField(5)
+    sets.append(PointSet(2, F3, _projective_plane(3)))  # all 13 points of P^2(F_3)
+    sets.append(PointSet(2, F5, _projective_plane(5)[:30]))
+    outcomes = set()
+    for X in sets:
+        got = X.is_general_position()
+        assert got == _general_by_full_check(X), X.points
+        outcomes.add(got)
+        d_star = next(d for d in range(1, X.s + 1) if comb(X.n + d, X.n) >= X.s)
+        assert max(X._ranks, default=0) <= d_star
+    assert outcomes == {True, False}
+    # every set the F_5 sampler draws before it gives up
+    checked = []
+    early = PointSet.is_general_position
+
+    def compare(self, up_to=None):
+        got = early(self, up_to)
+        assert got == _general_by_full_check(self)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(PointSet, "is_general_position", compare)
+    with pytest.raises(GeneralPositionError):
+        random_general_points(30, 2, seed=0, field=F5, max_tries=3)
+    assert checked == [False] * 3
