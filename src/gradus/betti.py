@@ -5,10 +5,16 @@ the variables. Each internal degree j needs only the graded pieces of R/I
 in degrees j-i, realized by standard monomials, and the multiplication-by-
 variable maps between them; every entry is one or two rank computations
 over the coefficient field.
+
+The ranks run on the smallest ring with the same table: while x_last is a
+non-zero divisor, R/I is replaced by its hyperplane section x_last = 0 in
+one variable fewer, which has the same Betti numbers (Eisenbud, The
+Geometry of Syzygies, ch. 4). The table is computed up to a proven bound
+above which every beta vanishes, and records which rule gave that bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
@@ -16,7 +22,26 @@ import numpy as np
 
 from .field import rank
 from .groebner import Ideal
-from .hilbert import GradedQuotient, hilbert_function, is_artinian, socle_degree
+from .hilbert import GradedQuotient, is_artinian, socle_degree
+from .ring import GREVLEX, Poly, RingSpec, mono_lcm
+
+
+@dataclass(frozen=True)
+class BettiCertificate:
+    """Proof that beta_{i,j}(R/I) = 0 for every j > bound.
+
+    rule "artinian": R/I is Artinian, so j <= socle degree + nvars.
+    rule "section": after `sections` hyperplane sections the quotient is
+    Artinian, and the same bound holds there.
+    rule "taylor": x_last is a zero divisor or the order is not grevlex;
+    beta_{i,j}(R/I) <= beta_{i,j}(R/in(I)) by upper semicontinuity, and the
+    Taylor resolution of in(I) ends at the degree of the lcm of its minimal
+    generators.
+    """
+
+    rule: str
+    bound: int
+    sections: int
 
 
 @dataclass
@@ -27,6 +52,7 @@ class BettiTable:
     nvars: int = 0
     max_degree: int = 0
     truncated: bool = False
+    certificate: BettiCertificate | None = None
 
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -43,7 +69,9 @@ class BettiTable:
             {"i": i, "j": j, "value": v}
             for (i, j), v in sorted(self.entries.items())
         ]
-        return {"betti": cells, "truncated": self.truncated, "max_degree": self.max_degree}
+        cert = asdict(self.certificate) if self.certificate else None
+        return {"betti": cells, "truncated": self.truncated, "max_degree": self.max_degree,
+                "certificate": cert}
 
 
 def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
@@ -79,46 +107,67 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
     return rank(fld, D.tolist())
 
 
-def default_max_degree(I: Ideal) -> int:
-    """Artinian quotients are complete by socle + nvars. For ideals with a
-    stabilizing Hilbert function (points) use twice (stabilization + 2);
-    otherwise fall back to max GB degree + nvars + 2."""
+def _section(I: Ideal) -> Ideal | None:
+    """(I + x_last)/(x_last) in one variable fewer when x_last is a non-zero
+    divisor on R/I, else None.
+
+    In grevlex, x_last is a non-zero divisor on R/I iff no lead of the
+    reduced GB involves it (Bayer-Stillman), and then setting x_last = 0 in
+    that GB keeps every lead and gives the reduced GB of the section, which
+    is preset so no Buchberger runs.
+    """
+    ring = I.ring
+    if ring.order.kind != GREVLEX or ring.nvars < 2:
+        return None
+    if any(lead[-1] for lead in I.leading_monomials()):
+        return None
+    sub = RingSpec(ring.nvars - 1, ring.field, ring.order)
+    gb = [Poly(sub, {e[:-1]: c for e, c in g.terms.items() if not e[-1]})
+          for g in I.groebner()]
+    J = Ideal(sub, gb, check=False)
+    J._gb[sub.order.name()] = gb
+    return J
+
+
+def _certified(I: Ideal) -> tuple[Ideal, BettiCertificate]:
+    """The last of the repeated hyperplane sections of I, whose Betti table
+    over its own ring is that of R/I, and the proven bound for it."""
+    sections = 0
+    while (J := _section(I)) is not None:
+        I, sections = J, sections + 1
     if is_artinian(I):
-        return socle_degree(I).socle_degree + I.ring.nvars
-    top = max((g.degree() for g in I.groebner()), default=0) + I.ring.nvars + 2
-    d, repeats = 0, 0
-    while repeats < 3 and d < top:
-        d += 1
-        repeats = repeats + 1 if hilbert_function(I, d) == hilbert_function(I, d - 1) else 0
-    if repeats >= 3:
-        return 2 * (d - repeats + 2)
-    return top
+        bound = socle_degree(I).socle_degree + I.ring.nvars
+        return I, BettiCertificate("section" if sections else "artinian", bound, sections)
+    lcm = (0,) * I.ring.nvars
+    for lead in I.leading_monomials():
+        lcm = mono_lcm(lcm, lead)
+    return I, BettiCertificate("taylor", sum(lcm), sections)
 
 
 def graded_betti(I: Ideal, max_degree: int | None = None) -> BettiTable:
-    """All beta_{i,j}(R/I) with j <= max_degree."""
+    """All beta_{i,j}(R/I) with j <= max_degree, by default up to the proven
+    bound of the table's certificate; truncated iff max_degree < bound, that
+    is, iff the table is not proven complete (it may still be)."""
     if I.contains(I.ring.one()):
         raise ValueError("graded_betti needs a proper ideal")
-    m = I.ring.nvars
-    complete_bound = None
-    if is_artinian(I):
-        complete_bound = socle_degree(I).socle_degree + m
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    J, cert = _certified(I)
     if max_degree is None:
-        max_degree = complete_bound if complete_bound is not None else default_max_degree(I)
-    Q = I.quotient()
-    blocks = {d: [Q.mult(I.ring.variable(v), d) for v in range(m)] for d in range(max_degree)}
-    table = BettiTable(nvars=m, max_degree=max_degree)
-    for j in range(max_degree + 1):
+        max_degree = cert.bound
+    top = min(max_degree, cert.bound)  # every beta above the bound is zero
+    m = J.ring.nvars
+    Q = J.quotient()
+    blocks = {d: [Q.mult(J.ring.variable(v), d) for v in range(m)] for d in range(top)}
+    table = BettiTable(nvars=I.ring.nvars, max_degree=max_degree,
+                       truncated=max_degree < cert.bound, certificate=cert)
+    for j in range(top + 1):
         ranks = [_koszul_rank(Q, blocks, i, j) for i in range(m + 2)]
         for i in range(m + 1):
             dim = comb(m, i) * len(Q.basis(j - i))
             beta = dim - ranks[i] - ranks[i + 1]
             if beta:
                 table.entries[(i, j)] = beta
-    if complete_bound is not None and max_degree >= complete_bound:
-        table.truncated = False  # Koszul slices above socle + nvars are zero
-    else:
-        table.truncated = any(j == max_degree for _, j in table.entries)
     return table
 
 

@@ -135,6 +135,12 @@ def _cmd_artinian(args) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> range:
     try:
         lo, hi = text.split(":")
@@ -230,14 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function and polynomial of R/I")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_non_negative, default=12)
     p.add_argument("--probe-limit", type=int, default=40)
     common(p, field=False)
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("betti", help="graded Betti diagram of R/I")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_non_negative, default=None,
+                   help="compute beta_{i,j} for j up to this degree (default: the "
+                        "proven bound above which every entry is zero); below that "
+                        "bound the table is flagged truncated, as it is not proven "
+                        "complete")
     p.add_argument("--format", choices=["text", "json"], default="text")
     common(p, field=False)
     p.set_defaults(func=_cmd_betti)
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("artinian", help="Artinian test with a Hilbert-function head")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_non_negative, default=12)
     common(p, field=False)
     p.set_defaults(func=_cmd_artinian)
 

@@ -171,6 +171,24 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["betti", "hilbert", "artinian"])
+def test_negative_max_degree_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--ideal", str(GOLDEN_DIR / "ideal_2pts.json"),
+                  "--max-degree", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_betti_json_certificate(capsys):
+    code, out, _ = run(capsys, "betti", "--ideal", str(GOLDEN_DIR / "ideal_2pts.json"),
+                       "--format", "json", "--max-degree", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["certificate"] == {"rule": "section", "bound": 3, "sections": 1}
+    assert data["truncated"] is True and data["max_degree"] == 2
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

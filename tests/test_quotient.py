@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gradus.betti as betti
 import gradus.groebner as groebner
 import gradus.hilbert as hilbert
 from gradus.betti import graded_betti
@@ -99,14 +100,31 @@ def test_quotient_and_memo_die_with_their_ideal():
     ring = RingSpec(3)
     gens = vanishing_ideal(random_general_points(6, 2, seed=3)).generators
     I = Ideal(ring, gens)
-    graded_betti(I)
     Q = I.quotient()
-    assert Q.nf, "the Betti pass should have filled the memo"
+    Q.mult(ring.variable(0), 2)
+    assert Q.nf, "the multiplication map should have filled the memo"
     assert {sum(e) for e in Q.nf} == {Q.nf.degree}  # one degree is kept, not all
     refs = [weakref.ref(Q), weakref.ref(Q.nf)]
     del I, Q
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_betti_koszul_matrices_stay_small_on_fifty_points(monkeypatch):
+    # the full-ring Koszul complex out to the old degree guess took 540,180 cells
+    X = random_general_points(50, 2, seed=1)
+    I = vanishing_ideal(X)
+    cells = []
+    rank = betti.rank
+
+    def counting_rank(fld, rows, *args, **kwargs):
+        cells.append(len(rows) * len(rows[0]) if rows else 0)
+        return rank(fld, rows, *args, **kwargs)
+
+    monkeypatch.setattr(betti, "rank", counting_rank)
+    T = graded_betti(I)
+    assert T.certificate.rule == "section"
+    assert cells and sum(cells) < 5000
 
 
 def test_betti_reduces_each_monomial_once_and_never_remonics(monkeypatch):
