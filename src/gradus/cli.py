@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function and polynomial of R/I")
     p.add_argument("--ideal", required=True)
     p.add_argument("--max-degree", type=_non_negative, default=12)
-    p.add_argument("--probe-limit", type=int, default=40)
+    p.add_argument("--probe-limit", type=_non_negative, default=40)
     common(p, field=False)
     p.set_defaults(func=_cmd_hilbert)
 

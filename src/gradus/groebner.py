@@ -13,6 +13,7 @@ greatest variable under a block order.
 from __future__ import annotations
 
 import heapq
+from operator import add, itemgetter, le, neg, sub
 
 from .ring import (
     ELIM,
@@ -30,56 +31,58 @@ from .ring import (
 )
 
 
-def _neg_key(order: TermOrder, e: Exponents):
+def _heap_key(order: TermOrder):
     """Order-reversing key, so heapq's min-heap pops the largest monomial."""
     if order.kind == GREVLEX:
-        return (-sum(e), tuple(reversed(e)))
+        return lambda e: (-sum(e), e[::-1])
     if order.kind == ELIM:
-        return (-sum(e[: order.block]), -sum(e), tuple(reversed(e)))
-    return tuple(-x for x in e)
+        block = order.block
+        return lambda e: (-sum(e[:block]), -sum(e), e[::-1])
+    return lambda e: tuple(map(neg, e))
 
 
 def _nf_terms(terms: dict, basis: list, order: TermOrder, field, quotients=None):
     """Normal form of a term dict against basis = [(lead_exps, terms_dict), ...].
 
     Basis polynomials must be monic with `lead_exps` maximal under `order`.
-    If `quotients` is a list of dicts it accumulates the cofactors.
+    If `quotients` is a list of dicts it accumulates the cofactors. The
+    remainder's keys come out in descending order, so its first key is its
+    lead. Over F_p the working coefficients are left unreduced until popped.
     """
+    key = _heap_key(order)
+    p = field.p if field.kind == "prime" else 0
+    leads = [lead for lead, _ in basis]
     work = dict(terms)
-    heap = [(_neg_key(order, e), e) for e in work]
+    heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
     remainder: dict = {}
-    nbasis = len(basis)
     while heap:
-        _, e = heapq.heappop(heap)
-        c = work.pop(e, None)
-        if c is None or field.is_zero(c):
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e)
+        if p:
+            c %= p
+        if not c:
             continue
-        hit = -1
-        for i in range(nbasis):
-            if mono_divides(basis[i][0], e):
-                hit = i
+        for hit, lead in enumerate(leads):
+            if all(map(le, lead, e)):
                 break
-        if hit < 0:
+        else:
             remainder[e] = c
             continue
-        lead, gterms = basis[hit]
-        q = mono_div(e, lead)
+        q = tuple(map(sub, e, lead))
         if quotients is not None:
             qd = quotients[hit]
             qd[q] = field.add(qd.get(q, field.zero), c)
-        for me, mc in gterms.items():
+        for me, mc in basis[hit][1].items():
             if me == lead:
                 continue
-            x = mono_mul(q, me)
-            delta = field.mul(c, mc)
+            x = tuple(map(add, q, me))
             cur = work.get(x)
             if cur is None:
-                if not field.is_zero(delta):
-                    work[x] = field.neg(delta)
-                    heapq.heappush(heap, (_neg_key(order, x), x))
+                work[x] = -c * mc
+                heapq.heappush(heap, (key(x), x))
             else:
-                work[x] = field.sub(cur, delta)
+                work[x] = cur - c * mc
     return remainder
 
 
@@ -145,13 +148,14 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     field = ring.field
     G = [g.monic(order) for g in live]
     basis = [(g.leading(order)[0], g.terms) for g in G]
+    leads = [lead for lead, _ in basis]
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(basis[i][0], basis[j][0])
-        heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
+        lcm = tuple(map(max, leads[i], leads[j]))
+        heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j, lcm))
         pending.add((i, j))
 
     for j in range(len(G)):
@@ -159,15 +163,13 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
             push_pair(i, j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        li, lj = basis[i][0], basis[j][0]
-        lcm = mono_lcm(li, lj)
-        if lcm == mono_mul(li, lj):  # coprime leads: S-pair reduces to 0
+        if lcm == tuple(map(add, leads[i], leads[j])):  # coprime leads: S-pair reduces to 0
             continue
         chain = False
-        for k in range(len(G)):
-            if k in (i, j) or not mono_divides(basis[k][0], lcm):
+        for k, lk in enumerate(leads):
+            if k == i or k == j or not all(map(le, lk, lcm)):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -180,9 +182,12 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
         rem = _nf_terms(s_terms, basis, order, field)
         if not rem:
             continue
-        r = Poly(ring, rem).monic(order)
+        lead = next(iter(rem))  # the remainder comes out in descending order
+        inv = field.inv(rem[lead])
+        r = Poly(ring, {e: field.mul(inv, c) for e, c in rem.items()})
         G.append(r)
-        basis.append((r.leading(order)[0], r.terms))
+        basis.append((lead, r.terms))
+        leads.append(lead)
         new = len(G) - 1
         for k in range(new):
             push_pair(k, new)
@@ -196,25 +201,30 @@ def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     ring = G[0].ring
     order = order or ring.order
     field = ring.field
-    by_lead = sorted((g.monic(order) for g in G if not g.is_zero()),
-                     key=lambda g: order.key(g.leading(order)[0]))
-    kept: list[Poly] = []
-    kept_leads: list[Exponents] = []
-    for g in by_lead:
-        lead = g.leading(order)[0]
-        if any(mono_divides(le, lead) for le in kept_leads):
+    one = field.one
+    by_lead = []
+    for g in G:
+        if g.is_zero():
             continue
-        kept.append(g)
-        kept_leads.append(lead)
-    basis = [(g.leading(order)[0], g.terms) for g in kept]
+        lead = max(g.terms, key=order.key)
+        inv = field.inv(g.terms[lead])
+        terms = g.terms if inv == one else {e: field.mul(inv, c) for e, c in g.terms.items()}
+        by_lead.append((order.key(lead), lead, terms))
+    by_lead.sort(key=itemgetter(0))
+    # a lead divisible by another comes after it, so the kept leads are the
+    # minimal ones, ascending
+    kept: list = []
+    for _, lead, terms in by_lead:
+        if not any(mono_divides(m, lead) for m, _ in kept):
+            kept.append((lead, terms))
     reduced = []
-    for lead in kept_leads:
+    for lead, _ in kept:
         # canonical form: lead minus the normal form of the lead monomial
-        rem = _nf_terms({lead: field.one}, basis, order, field)
-        terms = {e: field.neg(c) for e, c in rem.items()}
-        terms[lead] = field.add(terms.get(lead, field.zero), field.one)
+        rem = _nf_terms({lead: one}, kept, order, field)
+        terms = {lead: one}
+        for e, c in rem.items():
+            terms[e] = field.neg(c)
         reduced.append(Poly(ring, terms))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return reduced
 
 
@@ -225,9 +235,10 @@ def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None)
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
     one per term order actually used, each with its prepared form, and the
-    graded quotient R/I built on first use."""
+    graded quotient R/I built on first use. A sum made by `ideal_sum` keeps
+    its summands until its first Groebner basis is computed."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_summands")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -244,15 +255,35 @@ class Ideal:
         self._gb: dict[str, list[Poly]] = {}
         self._prepared: dict[str, list] = {}
         self._quotient = None
+        self._summands: tuple[Ideal, ...] = ()
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
         order = order or self.ring.order
         key = order.name()
         gb = self._gb.get(key)
         if gb is None:
-            gb = reduced_groebner_from_gens(list(self.generators), order)
+            gb = reduced_groebner_from_gens(self._seeds(key), order)
             self._gb[key] = gb
+            self._summands = ()
         return gb
+
+    def _seeds(self, key: str) -> list[Poly]:
+        """Polynomials generating I to start Buchberger from in the order
+        named `key`: the reduced GB of each summand that already holds one in
+        that order (none is computed here), the seeds of a summand that is a
+        sum without one, and the generators of any other summand."""
+        seeds: list[Poly] = []
+        todo = [self]
+        while todo:
+            S = todo.pop()
+            gb = S._gb.get(key)
+            if gb is not None:
+                seeds.extend(gb)
+            elif S._summands:
+                todo.extend(reversed(S._summands))
+            else:
+                seeds.extend(S.generators)
+        return seeds
 
     def prepared(self, order: TermOrder | None = None) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form
@@ -325,9 +356,13 @@ def equal_ideals(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
+    """I + J with the generators of I followed by those of J; its first
+    Groebner basis starts from the summands' bases where they hold one."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
-    return Ideal(I.ring, I.generators + J.generators, check=False)
+    S = Ideal(I.ring, I.generators + J.generators, check=False)
+    S._summands = (I, J)
+    return S
 
 
 def _extend_ring(ring: RingSpec) -> RingSpec:

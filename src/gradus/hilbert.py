@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GradusError
 from .field import rank
 from .groebner import Ideal, _nf_terms
-from .ring import Exponents, Poly, mono_divides, monomials_of_degree
+from .ring import Exponents, Poly, monomials_of_degree
 
 
 class _NormalForms(dict):
@@ -56,13 +56,41 @@ class GradedQuotient:
 
     def basis(self, d: int) -> list[Exponents]:
         """Degree-d monomials outside the leading-term ideal, descending in
-        the order; empty for d < 0."""
-        got = self._basis.get(d)
-        if got is None:
-            monos = monomials_of_degree(self.ring.nvars, d, self.ring.order) if d >= 0 else []
-            got = [e for e in monos if not any(mono_divides(le, e) for le, _ in self._gb)]
-            self._basis[d] = got
-        return got
+        the order; empty for d < 0.
+
+        The standard monomials form an order ideal: e is standard iff it is
+        no lead and every e/x_v is standard (a lead dividing e properly
+        divides some e/x_v). So each degree is built from the one below.
+        """
+        if d < 0:
+            return []
+        if d not in self._basis:
+            leads = {lead for lead, _ in self._gb}
+            for k in range(d + 1):
+                if k not in self._basis:
+                    self._basis[k] = self._next_basis(k, leads)
+        return self._basis[d]
+
+    def _next_basis(self, k: int, leads: set) -> list[Exponents]:
+        """basis(k), given basis(k - 1) and the set of leads."""
+        n = self.ring.nvars
+        below = self._basis[k - 1] if k else []
+        prev = set(below)
+        standard = {(0,) * n} - leads if k == 0 else set()
+        for b in below:
+            # e = b * x_v with v >= the last variable of b reaches each e once
+            top = max((v for v in range(n) if b[v]), default=0)
+            for v in range(top, n):
+                e = b[:v] + (b[v] + 1,) + b[v + 1:]
+                if e in leads:
+                    continue
+                if all(e[:u] + (e[u] - 1,) + e[u + 1:] in prev for u in range(v) if e[u]):
+                    standard.add(e)
+        if not standard:
+            return []
+        # the shared, sorted monomials give the order and the tuples to keep:
+        # an ideal that outlives its work holds no monomials of its own
+        return [e for e in monomials_of_degree(n, k, self.ring.order) if e in standard]
 
     def coords(self, f: Poly, d: int):
         """Coordinates over basis(d) of the degree-d form f modulo I: an
@@ -273,13 +301,14 @@ class SocleReport:
 
 def socle_degree(I: Ideal) -> SocleReport:
     """Top nonzero degree of the Hilbert function of an Artinian quotient,
-    together with the initial degree of the defining ideal."""
+    together with the initial degree of the defining ideal. The zero ring
+    R/(1) has no nonzero degree, so its socle degree is None."""
     initial = I.min_generator_degree()
     powers = _pure_power_exponents(I)
     if powers is None:
         return SocleReport(False, None, initial)
     bound = sum(k - 1 for k in powers)
-    omega = max((d for d in range(bound + 1) if hilbert_function(I, d) != 0), default=0)
+    omega = max((d for d in range(bound + 1) if hilbert_function(I, d) != 0), default=None)
     return SocleReport(True, omega, initial)
 
 

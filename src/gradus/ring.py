@@ -11,6 +11,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, le, neg, sub
 
 from .errors import ParseError
 from .field import DEFAULT_PRIME, Field, PrimeField, field_from_string
@@ -42,10 +43,10 @@ class TermOrder:
 
     def key(self, e: Exponents):
         if self.kind == GREVLEX:
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e), tuple(map(neg, e[::-1])))
         if self.kind == LEX:
             return e
-        return (sum(e[: self.block]), sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e[: self.block]), sum(e), tuple(map(neg, e[::-1])))
 
     def name(self) -> str:
         return self.kind if self.kind != ELIM else f"elim{self.block}"
@@ -83,20 +84,20 @@ def compare_monomials(a: Exponents, b: Exponents, order: TermOrder) -> int:
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(e: Exponents) -> int:

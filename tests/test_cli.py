@@ -104,6 +104,20 @@ def test_socle_golden(capsys):
                     "config": {"schema": 1}}
 
 
+def test_socle_of_the_unit_ideal_is_null(tmp_path, capsys):
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps({
+        "ring": {"nvars": 3, "field": "32003", "order": "grevlex"},
+        "generators": ["x0", "1"],
+    }))
+    code, out, _ = run(capsys, "socle", "--ideal", str(unit))
+    assert code == 0
+    data = json.loads(out)
+    assert data == {"artinian": True, "socle_degree": None, "initial_degree": 0,
+                    "config": {"schema": 1}}
+    assert '"socle_degree": null' in out
+
+
 def test_artinian_subcommand(capsys):
     code, out, _ = run(capsys, "artinian", "--ideal", str(GOLDEN_DIR / "ideal_m2sq.json"),
                        "--max-degree", "4")
@@ -176,6 +190,15 @@ def test_negative_max_degree_exits_2(capsys, command):
     with pytest.raises(SystemExit) as exc:
         dispatch([command, "--ideal", str(GOLDEN_DIR / "ideal_2pts.json"),
                   "--max-degree", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_bad_probe_limit_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["hilbert", "--ideal", str(GOLDEN_DIR / "ideal_2pts.json"),
+                  "--probe-limit", value])
     assert exc.value.code == 2
     assert "non-negative" in capsys.readouterr().err
 

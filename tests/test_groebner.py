@@ -1,10 +1,15 @@
+import heapq
+import itertools
 import random
 
 import pytest
 
-from gradus.field import RationalField
+import gradus.groebner as groebner
+from gradus.field import PrimeField, RationalField
 from gradus.groebner import (
     Ideal,
+    _nf_terms,
+    buchberger,
     equal_ideals,
     ideal_intersection,
     ideal_membership,
@@ -13,11 +18,14 @@ from gradus.groebner import (
     is_groebner_basis,
     leading_term_ideal,
     normal_form,
+    reduce_basis,
     reduced_groebner,
+    reduced_groebner_from_gens,
     s_polynomial,
 )
 from gradus.hilbert import hilbert_function
-from gradus.ring import RingSpec, parse_poly
+from gradus.points import random_general_points, vanishing_ideal
+from gradus.ring import ELIM, GREVLEX, LEX, Poly, RingSpec, TermOrder, parse_poly
 
 R = RingSpec(3)
 
@@ -210,3 +218,196 @@ def test_rational_field_gb():
     gb = A.groebner()
     assert is_groebner_basis(gb)
     assert all(g.leading()[1] == 1 for g in gb)
+
+
+# -- the division kernel, the Buchberger loop and summand seeding against the
+# -- slow paths they replace ----------------------------------------------
+
+FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1), RationalField()]
+ORDERS = [TermOrder(GREVLEX), TermOrder(LEX), TermOrder(ELIM, 1), TermOrder(ELIM, 2)]
+
+
+def _reference_nf_terms(terms, basis, order, field, quotients=None):
+    """Reference reducer: first divisor by index, a lazy max-heap, every
+    coefficient reduced as it is formed through the field's methods."""
+    def neg_key(e):
+        if order.kind == GREVLEX:
+            return (-sum(e), tuple(reversed(e)))
+        if order.kind == ELIM:
+            return (-sum(e[: order.block]), -sum(e), tuple(reversed(e)))
+        return tuple(-x for x in e)
+
+    work = dict(terms)
+    heap = [(neg_key(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = work.pop(e, None)
+        if c is None or field.is_zero(c):
+            continue
+        hit = next((i for i, (lead, _) in enumerate(basis)
+                    if all(x <= y for x, y in zip(lead, e))), -1)
+        if hit < 0:
+            remainder[e] = c
+            continue
+        lead, gterms = basis[hit]
+        q = tuple(x - y for x, y in zip(e, lead))
+        if quotients is not None:
+            quotients[hit][q] = field.add(quotients[hit].get(q, field.zero), c)
+        for me, mc in gterms.items():
+            if me == lead:
+                continue
+            x = tuple(a + b for a, b in zip(q, me))
+            delta = field.mul(c, mc)
+            cur = work.get(x)
+            if cur is None:
+                work[x] = field.neg(delta)
+                heapq.heappush(heap, (neg_key(x), x))
+            else:
+                work[x] = field.sub(cur, delta)
+    return remainder
+
+
+def _random_poly(ring, rng, nterms, max_deg):
+    """Sparse, not necessarily homogeneous: the kernel also divides the
+    (1 - t) generators of the elimination route."""
+    fld = ring.field
+    terms = {}
+    for _ in range(nterms):
+        d = rng.randrange(max_deg + 1)
+        cut = sorted(rng.randrange(d + 1) for _ in range(ring.nvars - 1))
+        e = tuple(b - a for a, b in zip([0] + cut, cut + [d]))
+        terms[e] = fld.random(rng)
+    return Poly(ring, terms)
+
+
+def _monic_basis(ring, order, rng, size):
+    basis = []
+    while len(basis) < size:
+        g = _random_poly(ring, rng, rng.randrange(1, 5), 3)
+        if not g.is_zero():
+            g = g.monic(order)
+            basis.append((g.leading(order)[0], g.terms))
+    return basis
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name())
+def test_nf_terms_matches_reference_reducer(fld, order):
+    rng = random.Random(f"{fld.spec_string()}/{order.name()}")
+    for nvars in (3, 4):
+        ring = RingSpec(nvars, fld, order)
+        for _ in range(12):
+            basis = _monic_basis(ring, order, rng, rng.randrange(1, 5))
+            f = _random_poly(ring, rng, rng.randrange(1, 12), 6)
+            terms = dict(f.terms)
+            terms[(0,) * nvars] = fld.zero  # a zero entry, as S-polynomials have
+            assert _nf_terms(terms, basis, order, fld) == \
+                _reference_nf_terms(terms, basis, order, fld)
+            got_q, want_q = [{} for _ in basis], [{} for _ in basis]
+            rem = _nf_terms(terms, basis, order, fld, got_q)
+            assert rem == _reference_nf_terms(terms, basis, order, fld, want_q)
+            assert got_q == want_q
+            keys = [order.key(e) for e in rem]
+            assert keys == sorted(keys, reverse=True), "remainder not descending"
+            assert all(not fld.is_zero(c) and c == fld.normalize(c) for c in rem.values())
+
+
+def test_buchberger_monics_each_input_once_and_no_new_element(monkeypatch):
+    ring = RingSpec(3)
+    gens = [P("3*x0^2-x1*x2"), P("5*x1^2-x0*x2"), P("7*x0*x1-x2^2"), ring.zero()]
+    calls = []
+    monic = Poly.monic
+
+    def counting_monic(self, *args, **kwargs):
+        calls.append(self)
+        return monic(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "monic", counting_monic)
+    G = buchberger(gens)
+    assert len(G) > 3, "the instance should produce new basis elements"
+    assert calls == gens[:3]
+    calls.clear()
+    reduce_basis(G)
+    assert calls == []
+
+
+def test_reduce_basis_on_non_monic_redundant_input_with_zeros():
+    rng = random.Random(11)
+    for fld in FIELDS:
+        for order in (TermOrder(GREVLEX), TermOrder(LEX)):
+            ring = RingSpec(3, fld, order)
+            gens = [ring.random_form(rng.randrange(1, 4), rng) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            want = reduced_groebner_from_gens(gens, order)
+            G = buchberger(gens, order)
+            messy = [g.scale(fld.random(rng) or fld.one) for g in G]  # not monic
+            messy += [G[0] * ring.random_form(1, rng), G[-1], ring.zero()]  # redundant
+            messy.insert(1, ring.zero())
+            rng.shuffle(messy)
+            got = reduce_basis(messy, order)
+            assert got == want
+            leads = [g.leading(order) for g in got]
+            assert all(c == fld.one for _, c in leads)
+            assert [order.key(e) for e, _ in leads] == sorted(order.key(e) for e, _ in leads)
+    assert reduce_basis([]) == []
+    assert reduce_basis([R.zero()]) == []
+
+
+def _sum_cases(ring, rng):
+    """Pairs (A, B) of ideals with assorted cached bases and nesting."""
+    def form():
+        return ring.random_form(rng.randrange(1, 3), rng)
+    A = Ideal(ring, [g for g in (form(), form()) if not g.is_zero()])
+    B = Ideal(ring, [g for g in (form(),) if not g.is_zero()])
+    C = Ideal(ring, [g for g in (form(), form()) if not g.is_zero()])
+    yield A, B
+    yield ideal_sum(A, B), C
+    yield A, ideal_sum(B, ideal_sum(C, A))
+    yield Ideal(ring, []), A
+    yield A, A
+
+
+@pytest.mark.parametrize("order", [TermOrder(GREVLEX), TermOrder(LEX)], ids=lambda o: o.name())
+def test_ideal_sum_groebner_matches_raw_generators(order):
+    rng = random.Random(17)
+    for fld in (PrimeField(32003), RationalField()):
+        ring = RingSpec(3, fld)
+        for cached in itertools.product((False, True), repeat=2):
+            for A, B in _sum_cases(ring, rng):
+                for S, want_cached in zip((A, B), cached):
+                    if want_cached:
+                        S.groebner(order)
+                held = [dict(S._gb) for S in (A, B)]
+                total = ideal_sum(A, B)
+                assert total.generators == A.generators + B.generators
+                want = reduced_groebner_from_gens(list(total.generators), order)
+                assert total.groebner(order) == want
+                # the sum reads its summands' bases, it never computes them
+                assert [dict(S._gb) for S in (A, B)] == held
+        # a sum keeps its summands only until its first basis exists
+        total = ideal_sum(A, B)
+        total.groebner(order)
+        assert total._summands == ()
+
+
+def test_sum_seeded_from_cached_basis_reduces_fewer_s_polynomials(monkeypatch):
+    X = random_general_points(12, 2, seed=4)
+    I_X = vanishing_ideal(X)  # its HF check leaves the reduced GB cached
+    ring = X.ring()
+    J = Ideal(ring, [ring.random_form(3, random.Random(5)), ring.random_form(4, random.Random(6))])
+    calls = []
+    nf_terms = groebner._nf_terms
+
+    def counting_nf(*args, **kwargs):
+        calls.append(1)
+        return nf_terms(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_nf_terms", counting_nf)
+    seeded = ideal_sum(I_X, J).groebner()
+    seeded_calls = len(calls)
+    calls.clear()
+    raw = ideal_sum(Ideal(ring, I_X.generators), Ideal(ring, J.generators)).groebner()
+    assert seeded == raw
+    assert seeded_calls < len(calls)

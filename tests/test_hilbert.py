@@ -131,6 +131,15 @@ def test_socle_examples():
     assert non_art.socle_degree is None
 
 
+def test_socle_degree_of_the_zero_ring_is_none():
+    # R/(1) = 0 has no nonzero degree; 0 would claim (R/I)_0 != 0
+    for gens in (["1"], ["x0", "1"], ["x0^2", "x1", "3"]):
+        unit = Ideal(R, [P(g) for g in gens])
+        rep = socle_degree(unit)
+        assert (rep.artinian, rep.socle_degree, rep.initial_degree) == (True, None, 0)
+        assert hilbert_function(unit, 0) == 0
+
+
 def test_delta_examples():
     assert delta_X(random_general_points(1, 2, seed=1)) == 0
     assert delta_X(random_general_points(4, 2, seed=1)) == 2

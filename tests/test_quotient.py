@@ -3,6 +3,7 @@ of the whole form, then a scatter into the standard basis."""
 import gc
 import random
 import weakref
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from gradus.betti import graded_betti
 from gradus.field import PrimeField, RationalField
 from gradus.groebner import Ideal, normal_form
 from gradus.points import PointSet, random_general_points, vanishing_ideal, vanishing_ideal_oracle
-from gradus.ring import GREVLEX, LEX, Poly, RingSpec, TermOrder
+from gradus.hilbert import GradedQuotient
+from gradus.ring import ELIM, GREVLEX, LEX, Poly, RingSpec, TermOrder, monomials_of_degree
 
 FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1), RationalField()]
 
@@ -151,3 +153,86 @@ def test_betti_reduces_each_monomial_once_and_never_remonics(monkeypatch):
     assert reduced, "the Koszul blocks need normal forms"
     assert len(reduced) == len(set(reduced))
     assert monic_calls == []
+
+
+# -- standard monomials as an order ideal, against the brute-force filter --
+
+
+def _brute_basis(I, d):
+    """Every degree-d monomial no lead divides, descending in the order."""
+    leads = I.leading_monomials()
+    return [e for e in monomials_of_degree(I.ring.nvars, d, I.ring.order)
+            if not any(all(a <= b for a, b in zip(le, e)) for le in leads)]
+
+
+def _taylor_bound(I):
+    """deg lcm of the leads; HF(R/I) = HF(R/in(I)) is polynomial past the
+    regularity of R/in(I), which the Taylor complex puts at most here."""
+    lcm = [0] * I.ring.nvars
+    for lead in I.leading_monomials():
+        lcm = [max(a, b) for a, b in zip(lcm, lead)]
+    return sum(lcm)
+
+
+def _basis_cases():
+    rng = random.Random(23)
+    orders = (TermOrder(GREVLEX), TermOrder(LEX), TermOrder(ELIM, 1))
+    for nvars in (1, 2, 3, 4):
+        for order in orders:
+            if order.kind == ELIM and nvars < 2:
+                continue
+            ring = RingSpec(nvars, PrimeField(32003), order)
+            yield Ideal(ring, [])
+            yield Ideal(ring, [ring.one()])
+            for _ in range(3):
+                gens = [ring.random_form(rng.randrange(1, 4), rng)
+                        for _ in range(rng.randrange(1, nvars + 2))]
+                yield Ideal(ring, [g for g in gens if not g.is_zero()])
+            for _ in range(4):
+                # monomial ideals: the leads are whatever monomials were drawn
+                monos = [tuple(rng.randrange(3) for _ in range(nvars)) for _ in range(4)]
+                yield Ideal(ring, [Poly(ring, {e: 1}) for e in monos if any(e)])
+    ring = RingSpec(3, PrimeField(3))
+    yield Ideal(ring, [ring.random_form(2, rng), ring.variable(0) * ring.variable(1)])
+    yield vanishing_ideal(random_general_points(7, 2, seed=9))
+
+
+def test_basis_matches_brute_force_filter():
+    for I in _basis_cases():
+        Q = I.quotient()
+        top = _taylor_bound(I) + 2
+        assert Q.basis(-1) == []
+        for d in range(top + 1):
+            assert Q.basis(d) == _brute_basis(I, d), (I, d)
+        # a degree asked for first, with the ones below it not built yet
+        fresh = GradedQuotient(I)
+        assert fresh.basis(top) == _brute_basis(I, top)
+
+
+class _CountingSet(set):
+    def __init__(self, items, hits):
+        super().__init__(items)
+        self.hits = hits
+
+    def __contains__(self, e):
+        self.hits.append(e)
+        return super().__contains__(e)
+
+
+def test_basis_builds_each_degree_from_the_one_below(monkeypatch):
+    # 6 points in P^2: basis(d) has 6 monomials for d >= 2, against the
+    # C(d+2, 2) monomials a filter over all of degree d would test
+    I = vanishing_ideal(random_general_points(6, 2, seed=3))
+    hits = []
+    next_basis = GradedQuotient._next_basis
+
+    def counting_next_basis(self, k, leads):
+        return next_basis(self, k, _CountingSet(leads, hits))
+
+    monkeypatch.setattr(GradedQuotient, "_next_basis", counting_next_basis)
+    Q = GradedQuotient(I)
+    assert Q.basis(0) == [(0, 0, 0)]
+    for d in range(1, 25):
+        hits.clear()
+        assert len(Q.basis(d)) == min(comb(d + 2, 2), 6)
+        assert 0 < len(hits) <= 3 * len(Q.basis(d - 1))
