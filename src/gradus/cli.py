@@ -143,10 +143,12 @@ def _non_negative(text: str) -> int:
 
 def _parse_range(text: str) -> range:
     try:
-        lo, hi = text.split(":")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise ParseError(f"bad range {text!r}; expected like 0:6") from None
+    if hi < lo:
+        raise ParseError(f"bad range {text!r}; lo must not exceed hi")
+    return range(lo, hi + 1)
 
 
 def _cmd_hom(args) -> int:

@@ -1,20 +1,31 @@
-"""Graded dimensions of Hom(J, R_X) through the colon-ideal route.
+"""Graded dimensions of Hom(J, R_X), computed on the values at the points.
 
-For a non-zero-divisor g in J, evaluation at g embeds Hom(J, R_X) into R_X
-as the colon ((I_X + (g)) : J), shifted by deg g. Graded dimensions and the
-per-degree kernel of evaluation-at-g maps then reduce to Hilbert-function
-differences and rank computations on multiplication matrices.
+Points are normalised (first non-zero coordinate 1), so evaluation
+ev_u: R_u -> k^s, f -> (f(P_1), ..., f(P_s)), has kernel exactly (I_X)_u:
+it identifies (R_X)_u with V_u, the span of the degree-u monomials' value
+vectors, and it multiplies pointwise, ev(ab) = ev(a) * ev(b). V_u is 0 for
+u < 0 and all of k^s from delta_X on.
+
+For a non-zero divisor g in J, evaluation at g embeds Hom(J, R_X) into R_X
+as the colon ((I_X + (g)) : J), shifted by deg g. As g vanishes at no
+point, (I_X + (g))_u is the preimage of g * V_{u - deg g}, so in degree
+t = i + deg g the colon modulo I_X is
+
+    {f in V_t : (j/g) * f in V_{t + deg j - deg g} for every generator j of J},
+
+the kernel of one small matrix: the annihilator rows of V_t and of each
+target, the latter scaled by j/g. Membership in I_X + J is a span test in
+the same way. No Groebner basis is computed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 from .errors import GradusError
-from .field import rank, row_space_basis
-from .groebner import Ideal, ideal_quotient, ideal_sum
-from .hilbert import hilbert_function
-from .points import PointSet, is_nonzerodivisor, vanishing_ideal
-from .ring import Poly, monomials_of_degree, poly_to_str
+from .field import kernel_basis, rank, row_space_basis
+from .groebner import Ideal
+from .points import PointSet, is_nonzerodivisor
+from .ring import Poly, poly_to_str
 
 
 @dataclass
@@ -51,21 +62,78 @@ def find_nzd_generator(J: Ideal, X: PointSet) -> Poly:
     )
 
 
-def _check_witness(g: Poly, J: Ideal, X: PointSet):
-    """An explicit witness must be a non-zero divisor lying in J."""
-    if not is_nonzerodivisor(g, X):
+class _Values:
+    """R_X as value vectors at the points of X, with J's generators' values.
+
+    `space(u)` is (rows spanning V_u, rows spanning its annihilator): w lies
+    in V_u iff y . w = 0 for every annihilator row y. Both are kept per
+    degree for the life of one call.
+    """
+
+    __slots__ = ("X", "field", "full", "gens", "_spaces")
+
+    def __init__(self, J: Ideal, X: PointSet):
+        if J.ring != X.ring():
+            raise ValueError("J and the points live in different rings")
+        self.X = X
+        self.field = X.field
+        self.full = X.delta()
+        self.gens = [(self.of(j), j.degree()) for j in J.generators]
+        self._spaces: dict[int, tuple[list, list]] = {}
+
+    def of(self, f: Poly) -> list:
+        return [f.evaluate(p) for p in self.X.points]
+
+    def times(self, a: list, b: list) -> list:
+        return list(map(self.field.mul, a, b))
+
+    def space(self, u: int) -> tuple[list, list]:
+        got = self._spaces.get(u)
+        if got is None:
+            fld, s = self.field, self.X.s
+            if 0 <= u < self.full:
+                span = row_space_basis(fld, list(zip(*self.X.evaluation_rows(u))), s)
+                got = (span, kernel_basis(fld, span, s))
+            else:
+                unit = [[fld.one if k == m else fld.zero for m in range(s)] for k in range(s)]
+                got = (unit, []) if u >= 0 else ([], unit)
+            self._spaces[u] = got
+        return got
+
+    def contains(self, g: Poly) -> bool:
+        """g in I_X + J, for a homogeneous g: ev(g) lies in the span of
+        ev(j) * V_{deg g - deg j} over the generators j of J."""
+        if g.ring != self.X.ring():
+            raise ValueError("polynomial from a different ring")
+        d, s = g.degree(), self.X.s
+        rows = [self.times(v, b) for v, dj in self.gens for b in self.space(d - dj)[0]]
+        return rank(self.field, rows + [self.of(g)], s) == rank(self.field, rows, s)
+
+    def ratios(self, g: Poly) -> list[tuple[list, int]]:
+        """(ev(j) / ev(g), deg j - deg g) per generator j, for a witness g
+        that vanishes at no point."""
+        inv = [self.field.inv(a) for a in self.of(g)]
+        return [(self.times(v, inv), dj - g.degree()) for v, dj in self.gens]
+
+    def colon_rows(self, ratios: list, t: int) -> list[list]:
+        """Rows whose common kernel in k^s is ((I_X + (g)) : J)_t modulo I_X,
+        given `ratios` = `self.ratios(g)`."""
+        rows = list(self.space(t)[1])
+        for ratio, shift in ratios:
+            rows.extend(self.times(y, ratio) for y in self.space(t + shift)[1])
+        return rows
+
+
+def _witness(V: _Values, J: Ideal, X: PointSet, witness: Poly | None) -> Poly:
+    """The supplied witness, checked to be a non-zero divisor lying in J,
+    or else the first generator of J that is a non-zero divisor."""
+    if witness is None:
+        return find_nzd_generator(J, X)
+    if not is_nonzerodivisor(witness, X):
         raise GradusError("supplied witness is a zero divisor on R_X")
-    if not ideal_sum(vanishing_ideal(X), J).contains(g):
+    if not V.contains(witness):
         raise GradusError("supplied witness does not lie in J")
-
-
-def _colon_for_witness(X: PointSet, J: Ideal, g: Poly) -> tuple[Ideal, Ideal]:
-    """(I_X, ((I_X + (g)) : (I_X + J))) for the chosen witness g."""
-    I_X = vanishing_ideal(X)
-    ring = I_X.ring
-    G = ideal_sum(I_X, Ideal(ring, [g]))
-    J_R = ideal_sum(I_X, J)
-    return I_X, ideal_quotient(G, J_R)
+    return witness
 
 
 def hom_graded_dims(J: Ideal, X: PointSet, degrees, witness: Poly | None = None) -> HomProfile:
@@ -76,19 +144,16 @@ def hom_graded_dims(J: Ideal, X: PointSet, degrees, witness: Poly | None = None)
     """
     if not J.generators:
         raise ValueError("Hom needs a nonzero ideal J")
-    if witness is not None:
-        _check_witness(witness, J, X)
-        g = witness
-    else:
-        g = find_nzd_generator(J, X)
-    I_X, colon = _colon_for_witness(X, J, g)
+    V = _Values(J, X)
+    g = _witness(V, J, X, witness)
+    ratios = V.ratios(g)
     dg = g.degree()
     dims = {}
     for i in degrees:
         t = i + dg
         if t < 0:
             continue
-        dims[i] = hilbert_function(I_X, t) - hilbert_function(colon, t)
+        dims[i] = X.s - rank(X.field, V.colon_rows(ratios, t), X.s)
     return HomProfile(
         dims=dims,
         witness=poly_to_str(g),
@@ -98,19 +163,6 @@ def hom_graded_dims(J: Ideal, X: PointSet, degrees, witness: Poly | None = None)
     )
 
 
-def _subspace_rows(I_X: Ideal, sub: Ideal, t: int) -> list[list]:
-    """Coordinate rows, over the degree-t standard monomials of R/I_X, of the
-    image of sub_t in (R_X)_t."""
-    ring = I_X.ring
-    Q = I_X.quotient()
-    rows = [
-        Q.coords(c.mul_term(m, ring.field.one), t)
-        for c in sub.groebner() if c.degree() <= t
-        for m in monomials_of_degree(ring.nvars, t - c.degree(), ring.order)
-    ]
-    return row_space_basis(ring.field, rows, len(Q.basis(t)))
-
-
 def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
                       witness: Poly | None = None) -> dict[int, int]:
     """Per-degree kernel dimension of evaluation-at-g on Hom_{R_X}(J, R_X).
@@ -118,33 +170,25 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
     All-zero over the probed range is injectivity evidence; a non-zero
     divisor g gives an injective map, a zero divisor does not.
     """
-    I_X = vanishing_ideal(X)
-    J_R = ideal_sum(I_X, J)
-    if not J_R.contains(g):
+    if not g.is_homogeneous():
+        raise ValueError("theta_kernel_dims needs a homogeneous form g")
+    V = _Values(J, X)
+    if not V.contains(g):
         raise GradusError("theta needs g in J")
-    if witness is not None:
-        _check_witness(witness, J, X)
-        g0 = witness
-    else:
-        g0 = find_nzd_generator(J, X)
-    _, colon = _colon_for_witness(X, J, g0)
-    fld = I_X.ring.field
+    g0 = _witness(V, J, X, witness)
+    ratios = V.ratios(g0)
     d0 = g0.degree()
+    fld, s = X.field, X.s
+    at_g0, at_g = V.of(g0), V.of(g)
     out = {}
     for i in degrees:
         t = i + d0
         if t < 0:
             continue
-        hom_rows = _subspace_rows(I_X, colon, t)
-        hom_dim = len(hom_rows)
-        expect = hilbert_function(I_X, t) - hilbert_function(colon, t)
-        if hom_dim != expect:
-            raise GradusError("colon subspace dimension mismatch; this is a bug")
-        if hom_dim == 0 or g.is_zero():
-            out[i] = hom_dim  # zero map: everything is kernel
-            continue
-        Q = I_X.quotient()
-        # the images under g of a basis of the subspace, one form per row
-        images = [g * Poly(I_X.ring, dict(zip(Q.basis(t), v))) for v in hom_rows]
-        out[i] = hom_dim - rank(fld, [Q.coords(h, t + g.degree()) for h in images])
+        hom = kernel_basis(fld, V.colon_rows(ratios, t), s)
+        # the colon holds (I_X + (g0))_t, which is g0 * V_{t - deg g0} modulo I_X
+        sub = [V.times(at_g0, b) for b in V.space(t - d0)[0]]
+        if rank(fld, hom + sub, s) != len(hom):
+            raise GradusError("Hom subspace misses (I_X + (g))_t; this is a bug")
+        out[i] = len(hom) - rank(fld, [V.times(at_g, h) for h in hom], s)
     return out

@@ -30,7 +30,7 @@ def normalize_point(field: Field, coords) -> tuple:
 class PointSet:
     """Distinct points of P^n in general position (certified, not assumed)."""
 
-    __slots__ = ("n", "field", "points", "seed", "_ranks", "_ring", "_ideal")
+    __slots__ = ("n", "field", "points", "seed", "_ranks", "_ring")
 
     def __init__(self, n: int, field: Field, points, seed: int | None = None):
         self.n = n
@@ -45,7 +45,6 @@ class PointSet:
         self.seed = seed
         self._ranks: dict[int, int] = {}
         self._ring: RingSpec | None = None
-        self._ideal: Ideal | None = None
 
     @property
     def s(self) -> int:
@@ -185,11 +184,10 @@ def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
 
 def vanishing_ideal(X: PointSet) -> Ideal:
     """I_X from evaluation kernels in degrees <= delta_X + 1, then verified:
-    HF(R/I_X)_d must be min(C(n+d, n), s) through delta_X + 3."""
+    HF(R/I_X)_d must be min(C(n+d, n), s) through delta_X + 3. Each call
+    builds it afresh; X does not keep it."""
     from .hilbert import hilbert_function  # local import to avoid a cycle
 
-    if X._ideal is not None:
-        return X._ideal
     ring = X.ring()
     delta = X.delta()
     D = delta + 1
@@ -204,7 +202,6 @@ def vanishing_ideal(X: PointSet) -> Ideal:
             for d in range(D + 3)
         )
         if ok:
-            X._ideal = I
             return I
         D += 1  # generator degree bound was short; widen and retry
     raise VerificationError("vanishing ideal failed its Hilbert-function check")

@@ -137,6 +137,23 @@ def test_hom_golden(capsys):
     assert data["dims"]["2"] == 4  # = s at delta
 
 
+def test_hom_reversed_range_exits_2(capsys):
+    code, out, err = run(capsys, "hom", "--points", str(GOLDEN_DIR / "points_s4.json"),
+                         "--ideal", str(GOLDEN_DIR / "J_lin.json"), "--range", "3:1")
+    assert code == 2 and out == ""
+    assert err.startswith("gradus: parse error:")
+
+
+def test_hom_negative_range_start(capsys):
+    code, out, _ = run(capsys, "hom", "--points", str(GOLDEN_DIR / "points_s4.json"),
+                       "--ideal", str(GOLDEN_DIR / "J_lin.json"), "--range=-3:1")
+    assert code == 0
+    data = json.loads(out)
+    # J is linear: Hom_{-1} is the constants, degrees below have t < 0
+    assert data["dims"] == {"-1": 1, "0": 3, "1": 4}
+    assert data["config"]["range"] == [-3, 1]
+
+
 def test_parse_check_golden(capsys):
     code, out, _ = run(capsys, "parse-check", "--poly", "x0^2+x1*x2-3*x2^2")
     assert code == 0

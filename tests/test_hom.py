@@ -1,12 +1,18 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+import gradus.groebner
 from gradus.errors import GradusError
-from gradus.groebner import Ideal
-from gradus.hilbert import hilbert_values
-from gradus.hom import find_nzd_generator, hom_graded_dims, theta_kernel_dims
+from gradus.experiments import build_scan_J
+from gradus.field import PrimeField, RationalField, rank, row_space_basis
+from gradus.groebner import Ideal, ideal_quotient, ideal_sum
+from gradus.hilbert import hilbert_function, hilbert_values
+from gradus.hom import _Values, find_nzd_generator, hom_graded_dims, theta_kernel_dims
 from gradus.points import PointSet, is_nonzerodivisor, random_general_points, vanishing_ideal
+from gradus.ring import Poly, monomials_of_degree
 
 
 def _separator(X, k=0):
@@ -127,3 +133,169 @@ def test_profile_json():
     data = hom_graded_dims(J, X, range(0, 4)).to_json()
     assert set(data) == {"dims", "witness", "witness_degree", "delta", "s", "convention"}
     assert data["s"] == 3
+
+
+def test_theta_rejects_a_non_homogeneous_g():
+    X = random_general_points(5, 2, seed=59)
+    ring = X.ring()
+    rng = random.Random(9)
+    q, c = ring.random_form(2, rng), ring.random_form(3, rng)
+    with pytest.raises(ValueError, match="homogeneous"):
+        theta_kernel_dims(Ideal(ring, [q, c]), q + c, X, range(0, 4))
+
+
+# -- the colon route, rebuilt here as the reference ---------------------------
+
+
+def _colon_route(J, X, g0, g, degrees):
+    """(Hom dims, theta_g kernel dims) from the colon ((I_X + (g0)) : (I_X + J))
+    by Groebner bases: Hilbert-function differences, and the rank of g times
+    a basis of the colon's degree-t part in R/I_X."""
+    I_X = vanishing_ideal(X)
+    ring, fld = I_X.ring, I_X.ring.field
+    colon = ideal_quotient(ideal_sum(I_X, Ideal(ring, [g0])), ideal_sum(I_X, J))
+    Q = I_X.quotient()
+    dims, theta = {}, {}
+    for i in degrees:
+        t = i + g0.degree()
+        if t < 0:
+            continue
+        dims[i] = hilbert_function(I_X, t) - hilbert_function(colon, t)
+        rows = [Q.coords(c.mul_term(m, fld.one), t)
+                for c in colon.groebner() if c.degree() <= t
+                for m in monomials_of_degree(ring.nvars, t - c.degree(), ring.order)]
+        sub = row_space_basis(fld, rows, len(Q.basis(t)))
+        assert len(sub) == dims[i]
+        images = [g * Poly(ring, dict(zip(Q.basis(t), v))) for v in sub]
+        theta[i] = len(sub) - (rank(fld, [Q.coords(h, t + g.degree()) for h in images])
+                               if images and not g.is_zero() else 0)
+    return dims, theta
+
+
+def _assert_matches_colon(J, X, g0, g, degrees):
+    dims, theta = _colon_route(J, X, g0, g, degrees)
+    assert hom_graded_dims(J, X, degrees, witness=g0).dims == dims
+    assert theta_kernel_dims(J, g, X, degrees, witness=g0) == theta
+    return dims, theta
+
+
+def _nzd_draw(X, degs, rng, tries=40):
+    """J from random forms of the given degrees, redrawn until its first
+    generator is a non-zero divisor; None when no draw gives one."""
+    ring = X.ring()
+    for _ in range(tries):
+        J = Ideal(ring, [f for f in (ring.random_form(d, rng) for d in degs) if not f.is_zero()])
+        if len(J.generators) == len(degs) and is_nonzerodivisor(J.generators[0], X):
+            return J
+    return None
+
+
+@pytest.mark.parametrize("s", range(2, 26))
+def test_values_route_matches_colon_on_scan_instances(s):
+    X = random_general_points(s, 2, seed=400 + s)
+    rng = random.Random(500 + s)
+    J = build_scan_J(X.ring(), s, rng)
+    while not is_nonzerodivisor(J.generators[0], X):
+        J = build_scan_J(X.ring(), s, rng)
+    g0, g = J.generators
+    degrees = range(-2, X.delta() + 3)
+    dims, _ = _assert_matches_colon(J, X, g0, g, degrees)
+    assert hom_graded_dims(J, X, degrees).dims == dims
+
+
+@pytest.mark.parametrize("field, n, s, seed", [
+    (RationalField(), 2, 4, 1), (RationalField(), 2, 7, 2),
+    (PrimeField(32003), 3, 6, 3), (PrimeField(32003), 3, 11, 4),
+    (PrimeField(3), 2, 4, 5), (PrimeField(5), 2, 6, 6), (PrimeField(7), 2, 8, 7),
+    (PrimeField(7), 3, 6, 8),
+])
+def test_values_route_matches_colon_over_other_fields_and_P3(field, n, s, seed):
+    X = random_general_points(s, n, seed=seed, field=field)
+    rng = random.Random(seed)
+    checked = 0
+    for degs in ((1, 2), (2, 2), (2, 3)):
+        J = _nzd_draw(X, degs, rng)
+        if J is None:
+            continue  # every draw had a zero-divisor first generator
+        g0, g = J.generators
+        _assert_matches_colon(J, X, g0, g, range(-1, X.delta() + 3))
+        checked += 1
+    assert checked
+
+
+def test_values_route_matches_colon_with_a_zero_divisor_generator():
+    X = random_general_points(7, 2, seed=60)
+    ring = X.ring()
+    q = ring.random_form(2, random.Random(10))
+    sep = _separator(X, 2)
+    J = Ideal(ring, [q, sep])
+    _, theta = _assert_matches_colon(J, X, q, sep, range(-1, X.delta() + 3))
+    assert any(theta.values())
+    _assert_matches_colon(J, X, q, q, range(0, X.delta() + 3))
+
+
+def test_values_route_matches_colon_on_the_theta_acceptance_trials():
+    # the 20 trials of acceptance criterion 8, with the same seeds
+    for trial in range(20):
+        X = random_general_points(3 + trial % 6, 2, seed=701 + trial)
+        ring = X.ring()
+        rng = random.Random(7000 + trial)
+        while True:
+            g0 = ring.random_form(2, rng)
+            if not g0.is_zero() and is_nonzerodivisor(g0, X):
+                break
+        if trial % 2 == 0:
+            g = ring.random_form(1 + trial % 2, rng)
+        else:
+            g = _separator(X)
+        _assert_matches_colon(Ideal(ring, [g0, g]), X, g0, g, range(0, X.delta() + 4))
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), RationalField()])
+def test_values_membership_matches_groebner_membership(field):
+    X = random_general_points(8, 2, seed=62, field=field)
+    ring = X.ring()
+    rng = random.Random(11)
+    j1, j2 = ring.random_form(2, rng), ring.random_form(3, rng)
+    J = Ideal(ring, [j1, j2])
+    I_X = vanishing_ideal(X)
+    slow = ideal_sum(I_X, J)
+    fast = _Values(J, X)
+    h = I_X.generators[0]
+    cases = [(ring.zero(), True), (h, True), (h * ring.random_form(1, rng), True)]
+    for d in (3, 4, 5):
+        member = (ring.random_form(d - 2, rng) * j1 + ring.random_form(d - 3, rng) * j2
+                  + ring.random_form(d - h.degree(), rng) * h)
+        cases.append((member, True))
+    for d in (1, 2, 3):
+        cases.append((ring.random_form(d, rng), False))
+    cases.append((j1 + ring.random_form(2, rng), False))
+    for f, expected in cases:
+        assert slow.contains(f) == expected
+        assert fast.contains(f) == expected, f
+
+
+def test_hom_and_theta_compute_no_groebner_basis(monkeypatch):
+    X = random_general_points(20, 2, seed=63)
+    ring = X.ring()
+    rng = random.Random(12)
+    J = build_scan_J(ring, 20, rng)
+    while not all(is_nonzerodivisor(j, X) for j in J.generators):
+        J = build_scan_J(ring, 20, rng)
+    calls = Counter()
+    for name in ("buchberger", "ideal_quotient", "ideal_intersection"):
+        original = getattr(gradus.groebner, name)
+
+        def counted(*args, _name=name, _f=original, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("gradus") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    degrees = range(0, X.delta() + 4)
+    g0, g1 = J.generators
+    hom_graded_dims(J, X, degrees)
+    hom_graded_dims(J, X, degrees, witness=g1)
+    theta_kernel_dims(J, g0, X, degrees)
+    assert calls == Counter()
