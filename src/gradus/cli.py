@@ -308,9 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _glue_range(argv: list[str]) -> list[str]:
+    """`--range LO:HI` as the one token `--range=LO:HI`: argparse reads a
+    value that starts with '-' (a negative LO) as an option."""
+    out, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        out.append(f"--range={rest.pop(0)}" if arg == "--range" and rest else arg)
+    return out
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_range(argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,10 +1,8 @@
 """Graded dimensions of Hom(J, R_X), computed on the values at the points.
 
-Points are normalised (first non-zero coordinate 1), so evaluation
-ev_u: R_u -> k^s, f -> (f(P_1), ..., f(P_s)), has kernel exactly (I_X)_u:
-it identifies (R_X)_u with V_u, the span of the degree-u monomials' value
-vectors, and it multiplies pointwise, ev(ab) = ev(a) * ev(b). V_u is 0 for
-u < 0 and all of k^s from delta_X on.
+Evaluation at the normalised points identifies (R_X)_u with a subspace
+V_u of k^s and multiplies pointwise (`gradus.points.PointValues`). V_u is
+0 for u < 0 and all of k^s from delta_X on.
 
 For a non-zero divisor g in J, evaluation at g embeds Hom(J, R_X) into R_X
 as the colon ((I_X + (g)) : J), shifted by deg g. As g vanishes at no
@@ -22,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import GradusError
-from .field import kernel_basis, rank, row_space_basis
+# row_space_basis is unused here but stays importable from gradus.hom, which
+# perfbench's tracer tests read
+from .field import kernel_basis, rank, row_space_basis  # noqa: F401
 from .groebner import Ideal
-from .points import PointSet, is_nonzerodivisor
+from .points import PointSet, PointValues, is_nonzerodivisor, values_of
 from .ring import Poly, poly_to_str
 
 
@@ -62,69 +62,23 @@ def find_nzd_generator(J: Ideal, X: PointSet) -> Poly:
     )
 
 
-class _Values:
-    """R_X as value vectors at the points of X, with J's generators' values.
-
-    `space(u)` is (rows spanning V_u, rows spanning its annihilator): w lies
-    in V_u iff y . w = 0 for every annihilator row y. Both are kept per
-    degree for the life of one call.
-    """
-
-    __slots__ = ("X", "field", "full", "gens", "_spaces")
-
-    def __init__(self, J: Ideal, X: PointSet):
-        if J.ring != X.ring():
-            raise ValueError("J and the points live in different rings")
-        self.X = X
-        self.field = X.field
-        self.full = X.delta()
-        self.gens = [(self.of(j), j.degree()) for j in J.generators]
-        self._spaces: dict[int, tuple[list, list]] = {}
-
-    def of(self, f: Poly) -> list:
-        return [f.evaluate(p) for p in self.X.points]
-
-    def times(self, a: list, b: list) -> list:
-        return list(map(self.field.mul, a, b))
-
-    def space(self, u: int) -> tuple[list, list]:
-        got = self._spaces.get(u)
-        if got is None:
-            fld, s = self.field, self.X.s
-            if 0 <= u < self.full:
-                span = row_space_basis(fld, list(zip(*self.X.evaluation_rows(u))), s)
-                got = (span, kernel_basis(fld, span, s))
-            else:
-                unit = [[fld.one if k == m else fld.zero for m in range(s)] for k in range(s)]
-                got = (unit, []) if u >= 0 else ([], unit)
-            self._spaces[u] = got
-        return got
-
-    def contains(self, g: Poly) -> bool:
-        """g in I_X + J, for a homogeneous g: ev(g) lies in the span of
-        ev(j) * V_{deg g - deg j} over the generators j of J."""
-        if g.ring != self.X.ring():
-            raise ValueError("polynomial from a different ring")
-        d, s = g.degree(), self.X.s
-        rows = [self.times(v, b) for v, dj in self.gens for b in self.space(d - dj)[0]]
-        return rank(self.field, rows + [self.of(g)], s) == rank(self.field, rows, s)
-
-    def ratios(self, g: Poly) -> list[tuple[list, int]]:
-        """(ev(j) / ev(g), deg j - deg g) per generator j, for a witness g
-        that vanishes at no point."""
-        inv = [self.field.inv(a) for a in self.of(g)]
-        return [(self.times(v, inv), dj - g.degree()) for v, dj in self.gens]
-
-    def colon_rows(self, ratios: list, t: int) -> list[list]:
-        """Rows whose common kernel in k^s is ((I_X + (g)) : J)_t modulo I_X,
-        given `ratios` = `self.ratios(g)`."""
-        rows = list(self.space(t)[1])
-        for ratio, shift in ratios:
-            rows.extend(self.times(y, ratio) for y in self.space(t + shift)[1])
-        return rows
+def _ratios(V: PointValues, g: Poly) -> list[tuple[list, int]]:
+    """(ev(j) / ev(g), deg j - deg g) per generator j, for a witness g
+    that vanishes at no point."""
+    inv = [V.field.inv(a) for a in values_of(g, V.X)]
+    return [(V.times(v, inv), dj - g.degree()) for v, dj in V.gens]
 
 
-def _witness(V: _Values, J: Ideal, X: PointSet, witness: Poly | None) -> Poly:
+def _colon_rows(V: PointValues, ratios: list, t: int) -> list[list]:
+    """Rows whose common kernel in k^s is ((I_X + (g)) : J)_t modulo I_X,
+    given `ratios` = `_ratios(V, g)`."""
+    rows = list(V.annihilator(t))
+    for ratio, shift in ratios:
+        rows.extend(V.times(y, ratio) for y in V.annihilator(t + shift))
+    return rows
+
+
+def _witness(V: PointValues, J: Ideal, X: PointSet, witness: Poly | None) -> Poly:
     """The supplied witness, checked to be a non-zero divisor lying in J,
     or else the first generator of J that is a non-zero divisor."""
     if witness is None:
@@ -144,16 +98,16 @@ def hom_graded_dims(J: Ideal, X: PointSet, degrees, witness: Poly | None = None)
     """
     if not J.generators:
         raise ValueError("Hom needs a nonzero ideal J")
-    V = _Values(J, X)
+    V = PointValues(X, J)
     g = _witness(V, J, X, witness)
-    ratios = V.ratios(g)
+    ratios = _ratios(V, g)
     dg = g.degree()
     dims = {}
     for i in degrees:
         t = i + dg
         if t < 0:
             continue
-        dims[i] = X.s - rank(X.field, V.colon_rows(ratios, t), X.s)
+        dims[i] = X.s - rank(X.field, _colon_rows(V, ratios, t), X.s)
     return HomProfile(
         dims=dims,
         witness=poly_to_str(g),
@@ -172,22 +126,22 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
     """
     if not g.is_homogeneous():
         raise ValueError("theta_kernel_dims needs a homogeneous form g")
-    V = _Values(J, X)
+    V = PointValues(X, J)
     if not V.contains(g):
         raise GradusError("theta needs g in J")
     g0 = _witness(V, J, X, witness)
-    ratios = V.ratios(g0)
+    ratios = _ratios(V, g0)
     d0 = g0.degree()
     fld, s = X.field, X.s
-    at_g0, at_g = V.of(g0), V.of(g)
+    at_g0, at_g = values_of(g0, X), values_of(g, X)
     out = {}
     for i in degrees:
         t = i + d0
         if t < 0:
             continue
-        hom = kernel_basis(fld, V.colon_rows(ratios, t), s)
+        hom = kernel_basis(fld, _colon_rows(V, ratios, t), s)
         # the colon holds (I_X + (g0))_t, which is g0 * V_{t - deg g0} modulo I_X
-        sub = [V.times(at_g0, b) for b in V.space(t - d0)[0]]
+        sub = [V.times(at_g0, b) for b in V.span(t - d0)]
         if rank(fld, hom + sub, s) != len(hom):
             raise GradusError("Hom subspace misses (I_X + (g))_t; this is a bug")
         out[i] = len(hom) - rank(fld, [V.times(at_g, h) for h in hom], s)

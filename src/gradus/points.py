@@ -1,20 +1,27 @@
-"""Projective point sets, general-position sampling, and vanishing ideals.
+"""Projective point sets, general-position sampling, vanishing ideals, and
+R_X on the points' values.
 
 A point is a coordinate tuple normalized so its first nonzero entry is 1;
 a PointSet certifies general position by checking that every degree-d
 evaluation matrix has rank min(C(n+d, n), s), up to the first degree where
 C(n+d, n) reaches s. The vanishing ideal comes from evaluation-matrix
 kernels, with an independent oracle that intersects single-point ideals
-instead.
+instead. `PointValues` computes in R_X and R_X / J R_X by linear algebra in
+k^s, with no Groebner basis.
 """
 from __future__ import annotations
 
 import random
 from math import comb
 
-from .errors import GeneralPositionError, VerificationError
-from .field import DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank
+import numpy as np
+
+from .errors import GeneralPositionError, GradusError, VerificationError
+from .field import (
+    DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, row_space_basis,
+)
 from .groebner import Ideal, ideal_intersection
+from .hilbert import SocleReport, hilbert_function
 from .ring import Poly, RingSpec, monomials_of_degree
 
 
@@ -56,9 +63,26 @@ class PointSet:
         return self._ring
 
     def evaluation_rows(self, d: int) -> list[list]:
-        """s x C(n+d, n) matrix: monomials of degree d evaluated at the points."""
+        """s x C(n+d, n) matrix: monomials of degree d evaluated at the points.
+
+        Over F_p it is read off one power table, pw[k] = P^k entrywise, with
+        one product per variable over the monomials' exponents; residues stay
+        below p < 2^31, so every product fits in int64.
+        """
         monos = monomials_of_degree(self.n + 1, d, self.ring().order)
         f = self.field
+        if f.kind == "prime":
+            p = f.p
+            P = np.array(self.points, dtype=np.int64)
+            pw = np.empty((d + 1,) + P.shape, dtype=np.int64)
+            pw[0] = 1
+            for k in range(1, d + 1):
+                pw[k] = pw[k - 1] * P % p
+            E = np.array(monos, dtype=np.intp)
+            vals = pw[E[:, 0], :, 0]
+            for v in range(1, self.n + 1):
+                vals = vals * pw[E[:, v], :, v] % p
+            return vals.T.tolist()
         rows = []
         for p in self.points:
             pows = [[f.one] for _ in range(self.n + 1)]
@@ -186,8 +210,6 @@ def vanishing_ideal(X: PointSet) -> Ideal:
     """I_X from evaluation kernels in degrees <= delta_X + 1, then verified:
     HF(R/I_X)_d must be min(C(n+d, n), s) through delta_X + 3. Each call
     builds it afresh; X does not keep it."""
-    from .hilbert import hilbert_function  # local import to avoid a cycle
-
     ring = X.ring()
     delta = X.delta()
     D = delta + 1
@@ -219,6 +241,11 @@ def vanishing_ideal_oracle(X: PointSet) -> Ideal:
     return result
 
 
+def values_of(f: Poly, X: PointSet) -> list:
+    """(f(P_1), ..., f(P_s)) at the normalised points of X."""
+    return [f.evaluate(p) for p in X.points]
+
+
 def is_nonzerodivisor(g: Poly, X: PointSet) -> bool:
     """On the reduced coordinate ring of X, g is a non-zero divisor exactly
     when it vanishes at no point; g = 0 is a zero divisor."""
@@ -226,4 +253,115 @@ def is_nonzerodivisor(g: Poly, X: PointSet) -> bool:
         return False
     if not g.is_homogeneous():
         raise ValueError("is_nonzerodivisor needs a homogeneous form")
-    return all(not X.field.is_zero(g.evaluate(p)) for p in X.points)
+    return not any(map(X.field.is_zero, values_of(g, X)))
+
+
+class PointValues:
+    """R_X and R_X / J R_X, for a J given by homogeneous lifts, as value
+    vectors at the points of X.
+
+    Points are normalised, so evaluation ev_u: R_u -> k^s has kernel exactly
+    (I_X)_u: it identifies (R_X)_u with V_u, the span of the degree-u
+    monomials' value vectors, and it multiplies pointwise,
+    ev(ab) = ev(a) * ev(b). V_u is 0 for u < 0 and all of k^s from delta_X
+    on. The image of (I_X + J)_d is W_d = sum_j ev(j) * V_{d - deg j} over
+    the generators j of J, so (R/(I_X + J))_d is V_d / W_d.
+
+    `span(u)` and `annihilator(u)` are rows spanning V_u and its
+    annihilator (w lies in V_u iff y . w = 0 for every annihilator row y);
+    both are kept per degree for the life of this object, and X keeps none.
+    """
+
+    __slots__ = ("X", "field", "full", "gens", "_spans", "_annihilators")
+
+    def __init__(self, X: PointSet, J: Ideal):
+        if J.ring != X.ring():
+            raise ValueError("J and the points live in different rings")
+        if not all(j.is_homogeneous() for j in J.generators):
+            raise ValueError("J must be given by homogeneous generators")
+        self.X = X
+        self.field = X.field
+        self.full = X.delta()
+        self.gens = [(values_of(j, X), j.degree()) for j in J.generators]
+        self._spans: dict[int, list] = {}
+        self._annihilators: dict[int, list] = {}
+
+    def times(self, a: list, b: list) -> list:
+        return list(map(self.field.mul, a, b))
+
+    def _unit(self) -> list[list]:
+        fld, s = self.field, self.X.s
+        return [[fld.one if k == m else fld.zero for m in range(s)] for k in range(s)]
+
+    def span(self, u: int) -> list[list]:
+        """A basis of V_u."""
+        got = self._spans.get(u)
+        if got is None:
+            if u < 0:
+                got = []
+            elif u >= self.full:
+                got = self._unit()
+            else:
+                got = row_space_basis(self.field, list(zip(*self.X.evaluation_rows(u))), self.X.s)
+            self._spans[u] = got
+        return got
+
+    def annihilator(self, u: int) -> list[list]:
+        """A basis of the annihilator of V_u in k^s."""
+        got = self._annihilators.get(u)
+        if got is None:
+            if u < 0:
+                got = self._unit()
+            elif u >= self.full:
+                got = []
+            else:
+                got = kernel_basis(self.field, self.span(u), self.X.s)
+            self._annihilators[u] = got
+        return got
+
+    def image_rows(self, d: int) -> list[list]:
+        """Rows spanning W_d, the values of (I_X + J)_d."""
+        return [self.times(v, b) for v, dj in self.gens for b in self.span(d - dj)]
+
+    def contains(self, g: Poly) -> bool:
+        """g in I_X + J, for a homogeneous g: ev(g) lies in W_{deg g}."""
+        if g.ring != self.X.ring():
+            raise ValueError("polynomial from a different ring")
+        rows, s = self.image_rows(g.degree()), self.X.s
+        return rank(self.field, rows + [values_of(g, self.X)], s) == rank(self.field, rows, s)
+
+    def hilbert_function(self, d: int) -> int:
+        """HF(R/(I_X + J))_d = dim V_d - dim W_d."""
+        if d < 0:
+            raise ValueError("degree must be non-negative")
+        return len(self.span(d)) - rank(self.field, self.image_rows(d), self.X.s)
+
+    def socle(self) -> SocleReport:
+        """Artinian flag, socle degree and initial degree of R/(I_X + J),
+        equal to `socle_degree(ideal_sum(vanishing_ideal(X), J))`.
+
+        - Artinian: V(I_X + J) is the set of points of X where every
+          generator of J vanishes, as X is k-rational; so the quotient is
+          Artinian iff every point has a generator not vanishing there.
+        - Socle degree: then W_d = k^s once d >= delta_X + max deg j, since
+          V_{d - deg j} = k^s for every j, so HF vanishes there. R/(I_X + J)
+          is generated in degree 0, so HF is zero from its first zero on,
+          and the socle degree is the degree just below it (None if HF(0)=0).
+        - Initial degree: the least d with HF(d) < C(n+d, n); for n >= 1 it
+          is at most s, as C(n+s, n) > s >= dim V_s.
+        """
+        n, s = self.X.n, self.X.s
+        artinian = all(any(not self.field.is_zero(v[k]) for v, _ in self.gens)
+                       for k in range(s))
+        stop = self.full + max(dj for _, dj in self.gens) if artinian else s
+        hf = []
+        for d in range(stop + 1):
+            hf.append(self.hilbert_function(d))
+            if hf[-1] < comb(n + d, n) and (hf[-1] == 0 or not artinian):
+                break
+        else:
+            raise GradusError("Hilbert function on values missed its proven stop; this is a bug")
+        initial = next(d for d, h in enumerate(hf) if h < comb(n + d, n))
+        if not artinian:
+            return SocleReport(False, None, initial)
+        return SocleReport(True, len(hf) - 2 if len(hf) > 1 else None, initial)

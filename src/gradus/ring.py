@@ -289,15 +289,24 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def evaluate(self, coords: tuple) -> object:
-        """Evaluate at affine coordinates (one scalar per variable)."""
+        """Evaluate at affine coordinates (one scalar per variable), with one
+        power per variable of each term."""
         f = self.ring.field
+        if f.kind == "prime":
+            p = f.p
+            total = 0
+            for e, c in self.terms.items():
+                for x, k in zip(coords, e):
+                    if k:
+                        c = c * pow(x, k, p) % p
+                total += c
+            return total % p
         total = f.zero
         for e, c in self.terms.items():
-            v = c
             for x, k in zip(coords, e):
-                for _ in range(k):
-                    v = f.mul(v, x)
-            total = f.add(total, v)
+                if k:
+                    c = c * x**k
+            total += c
         return total
 
     def __eq__(self, other):

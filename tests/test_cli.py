@@ -154,6 +154,27 @@ def test_hom_negative_range_start(capsys):
     assert data["config"]["range"] == [-3, 1]
 
 
+def test_hom_negative_range_start_as_a_separate_argument(capsys):
+    common = ("hom", "--points", str(GOLDEN_DIR / "points_s4.json"),
+              "--ideal", str(GOLDEN_DIR / "J_lin.json"))
+    code, out, _ = run(capsys, *common, "--range", "-3:1")
+    assert code == 0
+    _, glued, _ = run(capsys, *common, "--range=-3:1")
+    assert out == glued
+    assert json.loads(out)["dims"] == {"-1": 1, "0": 3, "1": 4}
+    for reversed_range in ("3:1", "-1:-3"):
+        code, out, err = run(capsys, *common, "--range", reversed_range)
+        assert code == 2 and out == ""
+        assert err.startswith("gradus: parse error:")
+
+
+def test_socle_groups_golden(capsys):
+    code, out, _ = run(capsys, "experiment", "socle-groups", "--max-s", "25",
+                       "--trials", "3", "--seed", "7", "--format", "json")
+    assert code == 0
+    check_golden("socle_groups_out.json", out)
+
+
 def test_parse_check_golden(capsys):
     code, out, _ = run(capsys, "parse-check", "--poly", "x0^2+x1*x2-3*x2^2")
     assert code == 0

@@ -10,8 +10,10 @@ from gradus.experiments import build_scan_J
 from gradus.field import PrimeField, RationalField, rank, row_space_basis
 from gradus.groebner import Ideal, ideal_quotient, ideal_sum
 from gradus.hilbert import hilbert_function, hilbert_values
-from gradus.hom import _Values, find_nzd_generator, hom_graded_dims, theta_kernel_dims
-from gradus.points import PointSet, is_nonzerodivisor, random_general_points, vanishing_ideal
+from gradus.hom import find_nzd_generator, hom_graded_dims, theta_kernel_dims
+from gradus.points import (
+    PointSet, PointValues, is_nonzerodivisor, random_general_points, vanishing_ideal,
+)
 from gradus.ring import Poly, monomials_of_degree
 
 
@@ -260,7 +262,7 @@ def test_values_membership_matches_groebner_membership(field):
     J = Ideal(ring, [j1, j2])
     I_X = vanishing_ideal(X)
     slow = ideal_sum(I_X, J)
-    fast = _Values(J, X)
+    fast = PointValues(X, J)
     h = I_X.generators[0]
     cases = [(ring.zero(), True), (h, True), (h * ring.random_form(1, rng), True)]
     for d in (3, 4, 5):

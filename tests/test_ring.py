@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradus.errors import ParseError
-from gradus.field import RationalField
+from gradus.field import PrimeField, RationalField
 from gradus.ring import (
+    Poly,
     RingSpec,
     TermOrder,
     compare_monomials,
@@ -157,6 +158,34 @@ def test_parse_collects_repeated_factors():
     assert P("x0*x0*x1") == P("x0^2*x1")
     assert P("2*x0*3*x1") == P("6*x0*x1")
     assert P("x0-x0").is_zero()
+
+
+def _evaluate_by_repeated_mul(f, coords):
+    fld = f.ring.field
+    total = fld.zero
+    for e, c in f.terms.items():
+        for x, k in zip(coords, e):
+            for _ in range(k):
+                c = fld.mul(c, x)
+        total = fld.add(total, c)
+    return total
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1),
+                                   RationalField()])
+def test_evaluate_matches_repeated_multiplication(field):
+    rng = random.Random(field.spec_string())
+    ring = RingSpec(3, field)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randrange(1, 8)):
+            e = tuple(rng.randrange(6) for _ in range(3))
+            terms[e] = field.random(rng)
+        f = Poly(ring, terms)
+        coords = tuple(field.random(rng) if rng.random() < 0.6 else field.zero for _ in range(3))
+        value = f.evaluate(coords)
+        assert value == _evaluate_by_repeated_mul(f, coords)
+        assert type(value) is type(field.one)
 
 
 def test_evaluate():
