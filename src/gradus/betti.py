@@ -90,8 +90,7 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
     rows = len(dst_sets) * len(dst_basis)
     cols = len(src_sets) * len(src_basis)
     fld = Q.ring.field
-    # over Q an object array keeps the Fractions exact and takes the same block updates
-    D = np.zeros((rows, cols), dtype=np.int64 if fld.kind == "prime" else object)
+    D = fld.array(np.zeros((rows, cols), dtype=np.int64))
     for sk, S in enumerate(src_sets):
         c0 = sk * len(src_basis)
         for r, v in enumerate(S):
@@ -102,9 +101,7 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
                 D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] += block
             else:
                 D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] -= block
-    if fld.kind == "prime":
-        D %= fld.p
-    return rank(fld, D.tolist())
+    return rank(fld, fld.reduce(D))
 
 
 def _section(I: Ideal) -> Ideal | None:

@@ -3,9 +3,16 @@
 Two field kinds are supported: a prime field F_p (default p = 32003) and
 arbitrary-precision rationals. Field elements are stored in canonical form
 as plain ints (residues in [0, p)) or `fractions.Fraction` values; the field
-object carries the arithmetic. Matrices over a prime field are row-reduced
-with a vectorized numpy backend; rational matrices use plain Fraction
-elimination, which is only ever used at cross-check sizes.
+object carries the arithmetic.
+
+The field also owns the one matrix format: `array(rows)` gives int64
+residues in [0, p) over F_p and an object array of Fractions over Q, and
+`reduce(A)` brings entries back to canonical form after array arithmetic
+(A % p over F_p, nothing over Q). Callers build, add and multiply matrices
+in that format without asking which field they hold. One Gauss-Jordan
+routine, `_echelon`, row-reduces both; `rank`, `rref`, `kernel_basis` and
+`row_space_basis` accept lists or arrays and return an int or lists of
+canonical field elements.
 """
 from __future__ import annotations
 
@@ -82,10 +89,18 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, -1, self.p)
+        return pow(int(a), -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p
+
+    def array(self, rows) -> np.ndarray:
+        """Rows (lists or an array) as a fresh int64 array of residues."""
+        return np.array(rows, dtype=np.int64) % self.p
+
+    def reduce(self, A: np.ndarray) -> np.ndarray:
+        """Residues of an int64 array whose entries lie in (-2^63, 2^63)."""
+        return A % self.p
 
     def from_fraction(self, q: Fraction | int) -> int:
         if isinstance(q, Fraction):
@@ -120,6 +135,9 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
 class RationalField:
@@ -158,6 +176,14 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return Fraction(a) / b
+
+    def array(self, rows) -> np.ndarray:
+        """Rows (lists or an array) as a fresh object array of Fractions."""
+        return _fractions(np.array(rows, dtype=object))
+
+    def reduce(self, A: np.ndarray) -> np.ndarray:
+        """Fraction arithmetic is exact already: A itself."""
+        return A
 
     def from_fraction(self, q):
         return Fraction(q)
@@ -256,15 +282,27 @@ def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Dense Gaussian elimination: rank / rref / kernel over either field kind.
-# First-nonzero pivoting; prime fields run on int64 numpy rows (p < 2^31, so
-# products stay below 2^62), rationals on Fraction lists.
+# Dense Gauss-Jordan elimination: rank / rref / kernel over either field kind,
+# on the field's matrix format, with first-nonzero pivoting.
 # ---------------------------------------------------------------------------
 
 
-def _rref_modp(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    A = np.array(A, dtype=np.int64) % p
+def _matrix(field: Field, rows, ncols: int | None) -> np.ndarray:
+    """The rows (lists or an array) as a fresh 2-D array in the field's format."""
+    A = field.array(rows)
+    return A if A.ndim == 2 else A.reshape(0, ncols or 0)  # no rows
+
+
+def _echelon(A: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of A (overwritten) and its pivot columns.
+
+    Each pivot clears its column with one rank-1 update. On int64 residues
+    the update is vectorised over every row, products staying below
+    p^2 < 2^62; on Fractions, where every product costs, only the rows with
+    a non-zero entry in the pivot column are touched.
+    """
     m, n = A.shape
+    exact = A.dtype == object
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -276,34 +314,14 @@ def _rref_modp(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        A[r] = field.reduce(A[r] * field.inv(A[r, c]))
         col = A[:, c].copy()
         col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
-def _rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
-    A = [list(row) for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if not field.is_zero(A[i][c])), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(inv, v) for v in A[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(A[i][c]):
-                f = A[i][c]
-                A[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(A[i], A[r])]
+        if exact:
+            hit = np.nonzero(col)[0]
+            A[hit] -= np.outer(col[hit], A[r])
+        else:
+            A = field.reduce(A - np.outer(col, A[r]))
         pivots.append(c)
         r += 1
     return A, pivots
@@ -311,26 +329,12 @@ def _rref_exact(rows: list[list], field) -> tuple[list[list], list[int]]:
 
 def rref(field: Field, rows, ncols: int | None = None):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    if ncols is None:
-        ncols = len(rows[0])
-    if ncols == 0:
-        return [[] for _ in rows], []
-    if field.kind == "prime":
-        R, pivots = _rref_modp(np.array(rows, dtype=np.int64), field.p)
-        return [[int(v) for v in row] for row in R], pivots
-    return _rref_exact(rows, field)
+    A, pivots = _echelon(_matrix(field, rows, ncols), field)
+    return A.tolist(), pivots
 
 
 def rank(field: Field, rows, ncols: int | None = None) -> int:
-    rows = [list(r) for r in rows]
-    if not rows or (ncols is None and not rows[0]):
-        return 0
-    if field.kind == "prime":
-        return len(_rref_modp(np.array(rows, dtype=np.int64), field.p)[1])
-    return len(_rref_exact(rows, field)[1])
+    return len(_echelon(_matrix(field, rows, ncols), field)[1])
 
 
 def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
@@ -338,12 +342,11 @@ def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
 
     An empty row list (with ncols given) has the full space as kernel.
     """
-    rows = [list(r) for r in rows]
     if ncols is None:
-        if not rows:
+        if not len(rows):
             raise ValueError("kernel_basis needs ncols when the matrix has no rows")
         ncols = len(rows[0])
-    if not rows:
+    if not len(rows):
         R, pivots = [], []
     else:
         R, pivots = rref(field, rows, ncols)
@@ -361,7 +364,7 @@ def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
 
 def row_space_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
     """Basis (in rref form) of the span of the given rows."""
-    if not rows:
+    if not len(rows):
         return []
     R, pivots = rref(field, rows, ncols)
-    return [R[i] for i in range(len(pivots))]
+    return R[:len(pivots)]

@@ -235,10 +235,9 @@ def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None)
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
     one per term order actually used, each with its prepared form, and the
-    graded quotient R/I built on first use. A sum made by `ideal_sum` keeps
-    its summands until its first Groebner basis is computed."""
+    graded quotient R/I built on first use."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_summands")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -255,35 +254,15 @@ class Ideal:
         self._gb: dict[str, list[Poly]] = {}
         self._prepared: dict[str, list] = {}
         self._quotient = None
-        self._summands: tuple[Ideal, ...] = ()
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
         order = order or self.ring.order
         key = order.name()
         gb = self._gb.get(key)
         if gb is None:
-            gb = reduced_groebner_from_gens(self._seeds(key), order)
+            gb = reduced_groebner_from_gens(list(self.generators), order)
             self._gb[key] = gb
-            self._summands = ()
         return gb
-
-    def _seeds(self, key: str) -> list[Poly]:
-        """Polynomials generating I to start Buchberger from in the order
-        named `key`: the reduced GB of each summand that already holds one in
-        that order (none is computed here), the seeds of a summand that is a
-        sum without one, and the generators of any other summand."""
-        seeds: list[Poly] = []
-        todo = [self]
-        while todo:
-            S = todo.pop()
-            gb = S._gb.get(key)
-            if gb is not None:
-                seeds.extend(gb)
-            elif S._summands:
-                todo.extend(reversed(S._summands))
-            else:
-                seeds.extend(S.generators)
-        return seeds
 
     def prepared(self, order: TermOrder | None = None) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form
@@ -356,13 +335,10 @@ def equal_ideals(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """I + J with the generators of I followed by those of J; its first
-    Groebner basis starts from the summands' bases where they hold one."""
+    """I + J with the generators of I followed by those of J."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
-    S = Ideal(I.ring, I.generators + J.generators, check=False)
-    S._summands = (I, J)
-    return S
+    return Ideal(I.ring, I.generators + J.generators, check=False)
 
 
 def _extend_ring(ring: RingSpec) -> RingSpec:

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import GradusError
 from .field import rank
 from .groebner import Ideal, _nf_terms
@@ -19,7 +17,7 @@ from .ring import Exponents, Poly, monomials_of_degree
 
 class _NormalForms(dict):
     """Monomial of one degree -> coordinates of its normal form over that
-    degree's standard basis: an int64 array over F_p, a list over Q. Each
+    degree's standard basis, as an array in the field's format. Each
     monomial is reduced on its first lookup and kept."""
 
     def __init__(self, degree: int, basis: list, gb: list, order, field):
@@ -32,8 +30,7 @@ class _NormalForms(dict):
         vec = [fld.zero] * len(self.index)
         for m, c in _nf_terms({e: fld.one}, self.gb, self.order, fld).items():
             vec[self.index[m]] = c
-        if fld.kind == "prime":
-            vec = np.array(vec, dtype=np.int64)
+        vec = fld.array(vec)
         self[e] = vec
         return vec
 
@@ -93,31 +90,25 @@ class GradedQuotient:
         return [e for e in monomials_of_degree(n, k, self.ring.order) if e in standard]
 
     def coords(self, f: Poly, d: int):
-        """Coordinates over basis(d) of the degree-d form f modulo I: an
-        int64 array over F_p, a list over Q."""
+        """Coordinates over basis(d) of the degree-d form f modulo I, as an
+        array in the field's format."""
         if self.nf.degree != d:
             self.nf = _NormalForms(d, self.basis(d), self._gb, self.ring.order, self.ring.field)
-        fld, n = self.ring.field, len(self.nf.index)
-        vecs = [self.nf[e] for e in f.terms]
-        if fld.kind == "prime":
-            c = np.fromiter(f.terms.values(), dtype=np.int64, count=len(vecs))
-            V = np.array(vecs, dtype=np.int64).reshape(len(vecs), n)
-            # residue products stay below 2^62; reduce each before summing
-            return (c[:, None] * V % fld.p).sum(axis=0) % fld.p
-        return [sum((c * v[k] for c, v in zip(f.terms.values(), vecs)), fld.zero)
-                for k in range(n)]
+        fld = self.ring.field
+        out = fld.array([fld.zero] * len(self.nf.index))
+        for e, c in f.terms.items():
+            # a product of residues stays below 2^62; reduce it before summing
+            out += fld.reduce(c * self.nf[e])
+        return fld.reduce(out)
 
     def mult(self, form: Poly, d: int):
         """Multiplication by `form`: (R/I)_d -> (R/I)_{d + deg form}, shape
-        (len basis(d + deg form), len basis(d)); column k is the image of
-        basis(d)[k]. An int64 ndarray over F_p, row lists over Q."""
+        (len basis(d + deg form), len basis(d)), in the field's matrix
+        format; column k is the image of basis(d)[k]."""
         top = d + form.degree()
         one = self.ring.field.one
         cols = [self.coords(form.mul_term(b, one), top) for b in self.basis(d)]
-        rows = len(self.basis(top))
-        if self.ring.field.kind == "prime":
-            return np.array(cols, dtype=np.int64).reshape(len(cols), rows).T
-        return [list(r) for r in zip(*cols)] if cols else [[] for _ in range(rows)]
+        return self.ring.field.array(cols).reshape(len(cols), len(self.basis(top))).T
 
 
 def standard_monomials(I: Ideal, d: int) -> list:

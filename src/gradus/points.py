@@ -65,39 +65,23 @@ class PointSet:
     def evaluation_rows(self, d: int) -> list[list]:
         """s x C(n+d, n) matrix: monomials of degree d evaluated at the points.
 
-        Over F_p it is read off one power table, pw[k] = P^k entrywise, with
-        one product per variable over the monomials' exponents; residues stay
-        below p < 2^31, so every product fits in int64.
+        It is read off one power table in the field's matrix format,
+        pw[k] = P^k entrywise, with one product per variable over the
+        monomials' exponents; over F_p residues stay below p < 2^31, so every
+        product fits in int64.
         """
         monos = monomials_of_degree(self.n + 1, d, self.ring().order)
         f = self.field
-        if f.kind == "prime":
-            p = f.p
-            P = np.array(self.points, dtype=np.int64)
-            pw = np.empty((d + 1,) + P.shape, dtype=np.int64)
-            pw[0] = 1
-            for k in range(1, d + 1):
-                pw[k] = pw[k - 1] * P % p
-            E = np.array(monos, dtype=np.intp)
-            vals = pw[E[:, 0], :, 0]
-            for v in range(1, self.n + 1):
-                vals = vals * pw[E[:, v], :, v] % p
-            return vals.T.tolist()
-        rows = []
-        for p in self.points:
-            pows = [[f.one] for _ in range(self.n + 1)]
-            for v in range(self.n + 1):
-                for _ in range(d):
-                    pows[v].append(f.mul(pows[v][-1], p[v]))
-            row = []
-            for e in monos:
-                val = f.one
-                for v, k in enumerate(e):
-                    if k:
-                        val = f.mul(val, pows[v][k])
-                row.append(val)
-            rows.append(row)
-        return rows
+        P = f.array(self.points)
+        pw = np.empty((d + 1,) + P.shape, dtype=P.dtype)
+        pw[0] = f.one
+        for k in range(1, d + 1):
+            pw[k] = f.reduce(pw[k - 1] * P)
+        E = np.array(monos, dtype=np.intp)
+        vals = pw[E[:, 0], :, 0]
+        for v in range(1, self.n + 1):
+            vals = f.reduce(vals * pw[E[:, v], :, v])
+        return vals.T.tolist()
 
     def rank_at(self, d: int) -> int:
         r = self._ranks.get(d)
@@ -208,22 +192,23 @@ def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
 
 def vanishing_ideal(X: PointSet) -> Ideal:
     """I_X from evaluation kernels in degrees <= delta_X + 1, then verified:
-    HF(R/I_X)_d must be min(C(n+d, n), s) through delta_X + 3. Each call
+    HF(R/I_X)_d must equal HF_X(d) through delta_X + 3. A kernel is taken in
+    every degree where HF_X(d) < C(n+d, n), so points off general position
+    (collinear ones, say) get their low-degree generators too. Each call
     builds it afresh; X does not keep it."""
     ring = X.ring()
-    delta = X.delta()
+    hf = [X.rank_at(0)]  # HF_X(d) is the evaluation rank, and s from delta_X on
+    while hf[-1] < X.s:
+        hf.append(X.rank_at(len(hf)))
+    delta = len(hf) - 1
     D = delta + 1
     for _ in range(3):
         gens: list[Poly] = []
         for d in range(1, D + 1):
-            if comb(X.n + d, X.n) > X.s:
+            if hf[min(d, delta)] < comb(X.n + d, X.n):
                 gens.extend(_kernel_polys(X, d))
         I = Ideal(ring, gens)
-        ok = all(
-            hilbert_function(I, d) == min(comb(X.n + d, X.n), X.s)
-            for d in range(D + 3)
-        )
-        if ok:
+        if all(hilbert_function(I, d) == hf[min(d, delta)] for d in range(D + 3)):
             return I
         D += 1  # generator degree bound was short; widen and retry
     raise VerificationError("vanishing ideal failed its Hilbert-function check")

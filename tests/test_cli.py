@@ -62,6 +62,21 @@ def test_ideal_with_oracle(capsys):
     assert len(data["groebner"]) == 2
 
 
+@pytest.mark.parametrize("points", [
+    [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"]],
+    [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"], ["1", "3", "0"], ["0", "0", "1"]],
+], ids=("collinear", "collinear-plus-two"))
+def test_ideal_of_points_off_general_position_agrees_with_oracle(tmp_path, capsys, points):
+    src = tmp_path / "pts.json"
+    src.write_text(json.dumps({"n": 2, "field": "32003", "seed": None, "points": points}))
+    code, out, _ = run(capsys, "ideal", "--points", str(src), "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["oracle_agrees"] is True
+    if len(points) == 3:
+        assert data["groebner"][0] == "x2" and len(data["groebner"]) == 2
+
+
 def test_ideal_from_generators(capsys):
     code, out, _ = run(capsys, "ideal", "--gens", "x0^2-x1*x2", "3*x1^2", "--nvars", "3")
     assert code == 0

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from gradus.field import (
     kernel_basis,
     rank,
     row_space_basis,
+    rref,
 )
 from gradus.errors import ParseError
 
@@ -138,3 +140,123 @@ def test_row_space_basis():
     basis = row_space_basis(F7, rows)
     assert len(basis) == 2
     assert rank(F7, basis) == 2
+
+
+# -- the one elimination, through the public functions, against a plain
+# -- Gauss-Jordan on Python scalars ------------------------------------------
+
+ECHELON_FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1), RationalField()]
+
+
+def _reference_rref(field, rows, ncols):
+    """Gauss-Jordan on Fractions, every entry brought back to the field's
+    canonical form after each step (so reduced mod p over F_p)."""
+    def canon(x):
+        return field.from_fraction(Fraction(x))
+
+    A = [[canon(v) for v in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = canon(Fraction(1) / A[r][c])
+        A[r] = [canon(inv * v) for v in A[r]]
+        for k in range(len(A)):
+            if k != r and A[k][c] != 0:
+                f = A[k][c]
+                A[k] = [canon(v - f * w) for v, w in zip(A[k], A[r])]
+        pivots.append(c)
+        r += 1
+    return A, pivots
+
+
+def _reference_kernel(field, R, pivots, ncols):
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for k, pc in enumerate(pivots):
+            v[pc] = field.from_fraction(-Fraction(R[k][f]))
+        basis.append(v)
+    return basis
+
+
+def _product_of_rank(field, rng, m, n, r, entry):
+    """An m x n matrix of rank exactly r: (m x r of full column rank) times
+    (r x n of full row rank), each an identity block plus random entries."""
+    left = [[field.one if i == k else field.zero for k in range(r)] for i in range(r)]
+    left += [[entry() for _ in range(r)] for _ in range(m - r)]
+    rng.shuffle(left)
+    right = [[field.one if i == k else field.zero for k in range(r)] + [entry() for _ in range(n - r)]
+             for i in range(r)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    right = [[row[k] for k in perm] for row in right]
+    return [[field.from_fraction(Fraction(sum(Fraction(a) * b[j] for a, b in zip(row, right))))
+             for j in range(n)] for row in left]
+
+
+def _echelon_cases(field, rng):
+    """(name, rows, ncols) over assorted shapes, ranks and sparsity."""
+    big = [field.neg(field.one), field.neg(field.from_fraction(2))]
+
+    def entry():  # mostly p - 1 and p - 2 over F_p, so products reach ~p^2
+        return rng.choice(big) if rng.random() < 0.5 else field.random(rng)
+
+    for m, n in ((1, 1), (3, 3), (5, 5), (2, 7), (7, 2), (4, 6), (6, 4)):
+        yield "full rank", _product_of_rank(field, rng, m, n, min(m, n), entry), n
+        if min(m, n) > 1:
+            r = rng.randrange(1, min(m, n))
+            yield "rank deficient", _product_of_rank(field, rng, m, n, r, entry), n
+        yield "random", [[entry() for _ in range(n)] for _ in range(m)], n
+        yield "all zero", [[field.zero] * n for _ in range(m)], n
+        yield "all p-1", [[big[0]] * n for _ in range(m)], n
+    yield "no rows", [], 5
+    yield "zero columns", [[] for _ in range(4)], 0
+    # sparse, signed blocks in the layout of a Koszul differential
+    for _ in range(4):
+        blocks, size = rng.randrange(2, 4), rng.randrange(1, 4)
+        rows = [[field.zero] * (blocks * size) for _ in range(blocks * size)]
+        for bi in range(blocks):
+            for bj in range(blocks):
+                if rng.random() < 0.4:
+                    sign = field.one if (bi + bj) % 2 == 0 else field.neg(field.one)
+                    for a in range(size):
+                        for b in range(size):
+                            if rng.random() < 0.5:
+                                rows[bi * size + a][bj * size + b] = field.mul(sign, entry())
+        yield "koszul-like", rows, blocks * size
+
+
+def _as_array(field, rows, ncols):
+    dtype = np.int64 if field.kind == "prime" else object
+    return np.array(rows, dtype=dtype).reshape(len(rows), ncols)
+
+
+def _canonical(field, rows):
+    if field.kind == "prime":
+        return all(type(v) is int and 0 <= v < field.p for row in rows for v in row)
+    return all(type(v) is Fraction for row in rows for v in row)
+
+
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=lambda f: f.spec_string())
+def test_echelon_matches_reference_gauss_jordan(field):
+    rng = random.Random(f"echelon/{field.spec_string()}")
+    for name, rows, n in _echelon_cases(field, rng):
+        R, pivots = _reference_rref(field, rows, n)
+        want_kernel = _reference_kernel(field, R, pivots, n)
+        for given in (rows, _as_array(field, rows, n)):
+            kept = [list(r) for r in given]
+            ncols_choices = (n, None) if len(rows) else (n,)
+            for ncols in ncols_choices:
+                got_R, got_pivots = rref(field, given, ncols)
+                assert (got_R, got_pivots) == (R, pivots), name
+                assert _canonical(field, got_R), name
+                assert rank(field, given, ncols) == len(pivots), name
+                K = kernel_basis(field, given, ncols)
+                assert K == want_kernel and _canonical(field, K), name
+                B = row_space_basis(field, given, ncols)
+                assert B == R[:len(pivots)] and _canonical(field, B), name
+            assert [list(r) for r in given] == kept, f"{name}: input was modified"

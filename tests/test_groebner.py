@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import gradus.groebner as groebner
 from gradus.field import PrimeField, RationalField
 from gradus.groebner import (
     Ideal,
@@ -24,7 +23,6 @@ from gradus.groebner import (
     s_polynomial,
 )
 from gradus.hilbert import hilbert_function
-from gradus.points import random_general_points, vanishing_ideal
 from gradus.ring import ELIM, GREVLEX, LEX, Poly, RingSpec, TermOrder, parse_poly
 
 R = RingSpec(3)
@@ -220,7 +218,7 @@ def test_rational_field_gb():
     assert all(g.leading()[1] == 1 for g in gb)
 
 
-# -- the division kernel, the Buchberger loop and summand seeding against the
+# -- the division kernel, the Buchberger loop and ideal sums against the
 # -- slow paths they replace ----------------------------------------------
 
 FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1), RationalField()]
@@ -384,30 +382,5 @@ def test_ideal_sum_groebner_matches_raw_generators(order):
                 assert total.generators == A.generators + B.generators
                 want = reduced_groebner_from_gens(list(total.generators), order)
                 assert total.groebner(order) == want
-                # the sum reads its summands' bases, it never computes them
+                # the sum never computes its summands' bases
                 assert [dict(S._gb) for S in (A, B)] == held
-        # a sum keeps its summands only until its first basis exists
-        total = ideal_sum(A, B)
-        total.groebner(order)
-        assert total._summands == ()
-
-
-def test_sum_seeded_from_cached_basis_reduces_fewer_s_polynomials(monkeypatch):
-    X = random_general_points(12, 2, seed=4)
-    I_X = vanishing_ideal(X)  # its HF check leaves the reduced GB cached
-    ring = X.ring()
-    J = Ideal(ring, [ring.random_form(3, random.Random(5)), ring.random_form(4, random.Random(6))])
-    calls = []
-    nf_terms = groebner._nf_terms
-
-    def counting_nf(*args, **kwargs):
-        calls.append(1)
-        return nf_terms(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_nf_terms", counting_nf)
-    seeded = ideal_sum(I_X, J).groebner()
-    seeded_calls = len(calls)
-    calls.clear()
-    raw = ideal_sum(Ideal(ring, I_X.generators), Ideal(ring, J.generators)).groebner()
-    assert seeded == raw
-    assert seeded_calls < len(calls)

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from gradus.errors import GeneralPositionError
-from gradus.field import PrimeField, rank
-from gradus.groebner import equal_ideals, normal_form
+from gradus.field import PrimeField, RationalField, rank
+from gradus.groebner import Ideal, equal_ideals, normal_form
 from gradus.hilbert import hilbert_function, standard_monomials
 from gradus.points import (
     PointSet,
@@ -17,6 +17,8 @@ from gradus.points import (
     vanishing_ideal,
     vanishing_ideal_oracle,
 )
+from gradus.ring import parse_poly
+
 F = PrimeField(32003)
 
 
@@ -107,6 +109,25 @@ def test_oracle_equivalence_small():
     for s, seed in [(1, 4), (2, 8), (7, 15)]:
         X = random_general_points(s, 2, seed=seed)
         assert equal_ideals(vanishing_ideal(X), vanishing_ideal_oracle(X))
+
+
+COLLINEAR = [[1, 0, 0], [1, 1, 0], [1, 2, 0]]
+
+
+@pytest.mark.parametrize("fld", [F, PrimeField(5), RationalField()], ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("extra", [[], [[1, 3, 0], [0, 0, 1]]], ids=("three", "five"))
+def test_vanishing_ideal_of_points_off_general_position(fld, extra):
+    # three or four points on the line x2 = 0, the five-point set with one
+    # more off it: HF_X falls short of min(C(n+d, n), s) in low degrees
+    X = PointSet(2, fld, COLLINEAR + extra)
+    I = vanishing_ideal(X)
+    assert equal_ideals(I, vanishing_ideal_oracle(X))
+    for d in range(X.delta() + 4):
+        assert hilbert_function(I, d) == X.rank_at(d)
+    ring = X.ring()
+    if not extra:
+        line_and_cubic = [parse_poly(ring, "x2"), parse_poly(ring, "x1^3-3*x0*x1^2+2*x0^2*x1")]
+        assert equal_ideals(I, Ideal(ring, line_and_cubic))
 
 
 def _mult_injective_all_degrees(g, X, top):
