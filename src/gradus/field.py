@@ -116,8 +116,11 @@ class PrimeField:
         return str(self.balanced(a))
 
     def parse_scalar(self, text: str) -> int:
+        text = text.strip()
+        if text.isdecimal():  # a plain integer needs no Fraction
+            return int(text) % self.p
         try:
-            return self.from_fraction(Fraction(text.strip()))
+            return self.from_fraction(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad F_{self.p} scalar {text!r}: {exc}") from None
 
@@ -192,8 +195,11 @@ class RationalField:
         return str(a)
 
     def parse_scalar(self, text: str) -> Fraction:
+        text = text.strip()
+        if text.isdecimal():
+            return Fraction(int(text))
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational scalar {text!r}: {exc}") from None
 
@@ -298,8 +304,9 @@ def _echelon(A: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
 
     Each pivot clears its column with one rank-1 update. On int64 residues
     the update is vectorised over every row, products staying below
-    p^2 < 2^62; on Fractions, where every product costs, only the rows with
-    a non-zero entry in the pivot column are touched.
+    p^2 < 2^62; on Fractions, where every product costs, it touches only
+    the rows with a non-zero entry in the pivot column and the columns
+    where the pivot row is non-zero.
     """
     m, n = A.shape
     exact = A.dtype == object
@@ -319,7 +326,8 @@ def _echelon(A: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
         col[r] = 0
         if exact:
             hit = np.nonzero(col)[0]
-            A[hit] -= np.outer(col[hit], A[r])
+            live = np.nonzero(A[r])[0]
+            A[np.ix_(hit, live)] -= np.outer(col[hit], A[r, live])
         else:
             A = field.reduce(A - np.outer(col, A[r]))
         pivots.append(c)

@@ -6,6 +6,17 @@ the one being cancelled, so each heap entry is popped at most once with its
 final coefficient. Among divisors of the current lead, the one with the
 smallest index in the basis wins, which makes division deterministic.
 
+`Ideal.groebner` works degree by degree while it can (Lazard 1983). Let
+D be the top of the lowest run of consecutive generator degrees. For each
+d up to D it row-reduces I_d, spanned by the degree-d generators and the
+variables times the basis of I_{d-1}, with columns in descending order.
+The pivots are the leads of in(I)_d and the other columns are standard
+monomials, so each row whose pivot no lower-degree lead divides is a
+reduced-GB element. These form a D-truncated basis, so Buchberger, given
+them and the generators above D, skips every pair whose lcm has degree
+<= D: such S-polynomials reduce to zero. Non-homogeneous generators go
+straight to Buchberger.
+
 Ideal intersections and colons go through the auxiliary-variable
 elimination trick (t*I + (1-t)*J, eliminate t) with t prepended as the
 greatest variable under a block order.
@@ -15,6 +26,9 @@ from __future__ import annotations
 import heapq
 from operator import add, itemgetter, le, neg, sub
 
+import numpy as np
+
+from .field import rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -26,6 +40,7 @@ from .ring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomials_of_degree,
     parse_poly,
     poly_to_str,
 )
@@ -137,9 +152,14 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
     return Poly(f.ring, terms)
 
 
-def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
+def buchberger(gens: list[Poly], order: TermOrder | None = None,
+               complete_through: int = -1) -> list[Poly]:
     """A (non-reduced) Groebner basis, normal pair selection, coprime-lcm and
-    chain criteria applied."""
+    chain criteria applied.
+
+    If the gens hold a basis truncated at degree `complete_through`, every
+    pair whose lcm has at most that degree reduces to zero and is skipped.
+    """
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return []
@@ -155,6 +175,8 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
 
     def push_pair(i: int, j: int):
         lcm = tuple(map(max, leads[i], leads[j]))
+        if sum(lcm) <= complete_through:
+            return  # never pending, so it counts as done for the chain criterion
         heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j, lcm))
         pending.add((i, j))
 
@@ -217,8 +239,13 @@ def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     for _, lead, terms in by_lead:
         if not any(mono_divides(m, lead) for m, _ in kept):
             kept.append((lead, terms))
+    lead_array = np.array([lead for lead, _ in kept])
     reduced = []
-    for lead, _ in kept:
+    for lead, terms in kept:
+        tail = np.array([e for e in terms if e != lead]).reshape(len(terms) - 1, ring.nvars)
+        if not (lead_array <= tail[:, None]).all(axis=2).any():
+            reduced.append(Poly(ring, terms))  # no lead divides a tail term
+            continue
         # canonical form: lead minus the normal form of the lead monomial
         rem = _nf_terms({lead: one}, kept, order, field)
         terms = {lead: one}
@@ -230,6 +257,43 @@ def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
 
 def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     return reduce_basis(buchberger(gens, order), order)
+
+
+def _truncated_basis(ring: RingSpec, by_degree: dict, top: int,
+                     order: TermOrder) -> list[Poly]:
+    """Reduced-GB elements of degree <= top of the homogeneous ideal I
+    generated by by_degree[d] (a list of forms of degree d), found by
+    row-reducing I_d degree by degree."""
+    field, nvars = ring.field, ring.nvars
+    found: list[Poly] = []
+    B = field.array(np.zeros((0, 0), dtype=np.int64))  # basis of I_{d-1}
+    prev_monos: list = []
+    prev_leads: set = set()
+    for d in range(min(by_degree), top + 1):
+        monos = monomials_of_degree(nvars, d, order)
+        col = {e: j for j, e in enumerate(monos)}
+        F = by_degree.get(d, [])
+        A = field.array(np.zeros((len(F) + nvars * len(B), len(monos)), dtype=np.int64))
+        for i, g in enumerate(F):
+            for e, c in g.terms.items():
+                A[i, col[e]] = c
+        r = len(F)
+        for v in range(nvars):
+            # x_v times each row of B: column m goes to column x_v * m
+            shift = [col[e[:v] + (e[v] + 1,) + e[v + 1:]] for e in prev_monos]
+            A[r:r + len(B), shift] = B
+            r += len(B)
+        R, pivots = rref(field, A)
+        leads = set()
+        for row, c in zip(R, pivots):
+            lead = monos[c]
+            leads.add(lead)
+            if not any(k and lead[:v] + (k - 1,) + lead[v + 1:] in prev_leads
+                       for v, k in enumerate(lead)):
+                found.append(Poly(ring, {monos[j]: x for j, x in enumerate(row) if x}))
+        B = field.array(R[:len(pivots)])
+        prev_monos, prev_leads = monos, leads
+    return found
 
 
 class Ideal:
@@ -260,9 +324,25 @@ class Ideal:
         key = order.name()
         gb = self._gb.get(key)
         if gb is None:
-            gb = reduced_groebner_from_gens(list(self.generators), order)
+            gb = self._compute_groebner(order)
             self._gb[key] = gb
         return gb
+
+    def _compute_groebner(self, order: TermOrder) -> list[Poly]:
+        """The degree-wise stage through D, the top of the lowest run of
+        consecutive generator degrees, then Buchberger above D."""
+        gens = [g for g in self.generators if not g.is_zero()]
+        if not gens or not all(g.is_homogeneous() for g in gens):
+            return reduced_groebner_from_gens(gens, order)
+        by_degree: dict[int, list[Poly]] = {}
+        for g in gens:
+            by_degree.setdefault(g.degree(), []).append(g)
+        top = min(by_degree)
+        while top + 1 in by_degree:
+            top += 1
+        low = _truncated_basis(self.ring, by_degree, top, order)
+        high = [g for g in gens if g.degree() > top]
+        return reduce_basis(buchberger(low + high, order, complete_through=top), order)
 
     def prepared(self, order: TermOrder | None = None) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form

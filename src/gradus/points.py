@@ -1,13 +1,13 @@
 """Projective point sets, general-position sampling, vanishing ideals, and
 R_X on the points' values.
 
-A point is a coordinate tuple normalized so its first nonzero entry is 1;
-a PointSet certifies general position by checking that every degree-d
-evaluation matrix has rank min(C(n+d, n), s), up to the first degree where
-C(n+d, n) reaches s. The vanishing ideal comes from evaluation-matrix
-kernels, with an independent oracle that intersects single-point ideals
-instead. `PointValues` computes in R_X and R_X / J R_X by linear algebra in
-k^s, with no Groebner basis.
+A point is a coordinate tuple normalized so its first nonzero entry is 1.
+`PointSet.is_general_position` certifies general position by checking that
+every degree-d evaluation matrix has rank min(C(n+d, n), s), up to the
+first degree where C(n+d, n) reaches s. The vanishing ideal comes from
+evaluation-matrix kernels, with an independent oracle that intersects
+single-point ideals instead. `PointValues` computes in R_X and R_X / J R_X
+by linear algebra in k^s, with no Groebner basis.
 """
 from __future__ import annotations
 
@@ -35,7 +35,12 @@ def normalize_point(field: Field, coords) -> tuple:
 
 
 class PointSet:
-    """Distinct points of P^n in general position (certified, not assumed)."""
+    """Distinct points of P^n, normalised, each with n + 1 coordinates.
+
+    That is all the constructor and `from_json` check: the points need not
+    be in general position. `random_general_points` certifies general
+    position through `is_general_position` before it returns a set.
+    """
 
     __slots__ = ("n", "field", "points", "seed", "_ranks", "_ring")
 

@@ -8,7 +8,6 @@ construction.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add, le, neg, sub
@@ -372,7 +371,7 @@ def parse_poly(ring: RingSpec, text: str) -> Poly:
         kind, val = tokens[pos]
         if kind == "num":
             pos += 1
-            return ("coeff", f.from_fraction(Fraction(val)))
+            return ("coeff", f.parse_scalar(val))
         if kind == "var":
             idx = int(val[1:])
             if idx >= ring.nvars:

@@ -223,5 +223,7 @@ def test_criterion_10_internal_consistency():
             assert hilbert_function(I, d) == hilbert_function(L, d), (s, d)
     elapsed = time.time() - _T0
     assert elapsed < 120.0, f"acceptance suite took {elapsed:.1f}s"
-    _report(10, f"consistency identity and Macaulay invariance hold everywhere; "
-                f"acceptance suite finished in {elapsed:.1f}s (< 120s)")
+    _report(10, "consistency identity and Macaulay invariance hold everywhere; "
+                "acceptance suite finished in under 120s")
+    # the time varies from run to run, so it stays out of the PASS line
+    print(f"acceptance suite elapsed: {elapsed:.1f}s")

@@ -225,6 +225,17 @@ def test_bad_polynomial_exits_2(capsys):
     assert err.startswith("gradus: parse error:")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--poly", "1/0*x0"], "bad F_32003 scalar '1/0'"),
+    (["--field", "7", "--poly", "1/7*x0"], "bad F_7 scalar '1/7': inverse of zero in F_7"),
+    (["--field", "Q", "--poly", "x0-1/0*x1"], "bad rational scalar '1/0'"),
+], ids=("zero-denominator", "denominator-divisible-by-p", "zero-denominator-Q"))
+def test_bad_coefficient_exits_2(capsys, flags, message):
+    code, _, err = run(capsys, "parse-check", *flags)
+    assert code == 2
+    assert err.startswith(f"gradus: parse error: {message}")
+
+
 def test_compute_error_exits_1(capsys):
     code, _, err = run(capsys, "ideal", "--gens", "x0^2+x1")
     assert code == 1

@@ -384,3 +384,128 @@ def test_ideal_sum_groebner_matches_raw_generators(order):
                 assert total.groebner(order) == want
                 # the sum never computes its summands' bases
                 assert [dict(S._gb) for S in (A, B)] == held
+
+
+# -- the degree-wise stage of Ideal.groebner against plain Buchberger -------
+
+GRADED_FIELDS = [PrimeField(3), PrimeField(5), PrimeField(32003), RationalField()]
+
+
+def _monomial(ring, e):
+    return Poly(ring, {tuple(e): ring.field.one})
+
+
+def _graded_cases(ring, rng):
+    """Homogeneous generator lists, each non-empty."""
+    n = ring.nvars
+    top = 3 if n <= 3 else 2
+
+    def form(d):
+        while True:
+            f = ring.random_form(d, rng)
+            if not f.is_zero():
+                return f
+
+    yield [form(rng.randint(1, top)) for _ in range(rng.randint(1, 3))]
+    # redundant: a form with a multiple, a rescaling and sums
+    f, g = form(1), form(2)
+    scale = ring.field.random(rng) or ring.field.one
+    yield [f, f * form(1), f.scale(scale), g, f * ring.variable(0) + g]
+    # generators in non-consecutive degrees
+    yield [form(1), form(3)] if n > 1 else [form(2), form(4)]
+    # monomial ideals
+    yield [_monomial(ring, [rng.randint(0, 2) for _ in range(n)] if n > 1 else [2]),
+           _monomial(ring, [0] * (n - 1) + [3])]
+    # the unit ideal, alone and with a redundant form
+    yield [ring.one()]
+    yield [ring.one(), form(2)]
+    if n >= 3:
+        # (x0, x1^2*x2^10): the stage stops at degree 1
+        yield [ring.variable(0), _monomial(ring, [0, 2, 10] + [0] * (n - 3))]
+        # three quadrics: the basis goes above the top generator degree
+        yield [form(2) for _ in range(3)]
+
+
+def _points_generator_lists(fld):
+    """The generators of I_X for the sets off general position that
+    `tests/test_points.py` checks, in degrees 1 .. delta_X + 1."""
+    from gradus.points import PointSet, vanishing_ideal
+    collinear = [[1, 0, 0], [1, 1, 0], [1, 2, 0]]
+    for extra in ([], [[1, 3, 0], [0, 0, 1]]):
+        points = collinear + extra
+        if len({tuple(map(fld.normalize, p)) for p in points}) < len(points):
+            continue  # over F_3, (1:3:0) is (1:0:0)
+        yield list(vanishing_ideal(PointSet(2, fld, points)).generators)
+
+
+@pytest.mark.parametrize("fld", GRADED_FIELDS, ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("order", [TermOrder(GREVLEX), TermOrder(LEX)], ids=lambda o: o.name())
+def test_degree_wise_groebner_matches_buchberger(fld, order):
+    rng = random.Random(f"graded/{fld.spec_string()}/{order.name()}")
+    cases = []
+    for nvars in (1, 2, 3, 4):
+        ring = RingSpec(nvars, fld, order)
+        for _ in range(3):
+            cases.extend(_graded_cases(ring, rng))
+    cases.extend(
+        [Poly(RingSpec(3, fld, order), g.terms) for g in gens]
+        for gens in _points_generator_lists(fld)
+    )
+    for gens in cases:
+        gens = [g for g in gens if not g.is_zero()]  # a sum may cancel
+        got = Ideal(gens[0].ring, gens).groebner()
+        assert got == reduce_basis(buchberger(gens, order), order), gens
+        assert is_groebner_basis(got, order)
+
+
+def test_degree_wise_groebner_special_ideals():
+    x0, x1, x2 = (R.variable(i) for i in range(3))
+    assert I("x0", "x1^2*x2^10").groebner() == [x0, P("x1^2*x2^10")]
+    assert Ideal(R, [R.one(), P("x0^2")]).groebner() == [R.one()]
+    # non-homogeneous generators skip the stage and still get their basis
+    mixed = [x0 * x1 - x2, x1 * x1 - R.one()]
+    assert Ideal(R, mixed, check=False).groebner() == reduced_groebner_from_gens(mixed)
+    assert Ideal(R, [], check=False).groebner() == []
+
+
+def test_buchberger_skips_pairs_at_or_below_complete_through(monkeypatch):
+    import gradus.groebner as gb_module
+    gens = [P("x0^2-x1*x2"), P("x1^2-x0*x2"), P("x0*x1-x2^2")]
+    basis = reduce_basis(buchberger(gens))  # complete, so truncated at every degree
+    reduced = []
+    kernel = gb_module._nf_terms
+
+    def counting(*args, **kwargs):
+        reduced.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gb_module, "_nf_terms", counting)
+    full = buchberger(basis)
+    n_full = len(reduced)
+    reduced.clear()
+    skipping = buchberger(basis, complete_through=3)
+    # homogeneous S-polynomials: every term has the lcm's degree
+    assert all(sum(next(iter(s))) > 3 for s in reduced)
+    assert len(reduced) < n_full
+    assert reduce_basis(skipping) == reduce_basis(full)
+
+
+def test_points_basis_comes_from_the_stage(monkeypatch):
+    """On general points every reduced-basis element of I_X lies in degrees
+    <= delta_X + 1, where the stage finds it: Buchberger adds none."""
+    import gradus.groebner as gb_module
+    from gradus.points import random_general_points, vanishing_ideal
+    sizes = []
+    plain = gb_module.buchberger
+
+    def recording(gens, *args, **kwargs):
+        out = plain(gens, *args, **kwargs)
+        sizes.append((len(gens), len(out)))
+        return out
+
+    monkeypatch.setattr(gb_module, "buchberger", recording)
+    for s, n in ((50, 2), (20, 3), (7, 2)):
+        I = vanishing_ideal(random_general_points(s, n, seed=1))
+        sizes.clear()
+        gb = Ideal(I.ring, I.generators).groebner()
+        assert sizes == [(len(gb), len(gb))]
