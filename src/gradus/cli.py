@@ -7,6 +7,7 @@ malformed input text, unreadable files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -141,6 +142,12 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> range:
     try:
         lo, hi = map(int, text.split(":"))
@@ -215,13 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, field=True):
         if field:
-            p.add_argument("--field", default=_default_field(),
-                           help="coefficient field: a prime, or Q (default %(default)s)")
+            p.add_argument("--field",
+                           help="coefficient field: a prime, or Q (default $GRADUS_FIELD, "
+                                f"else {DEFAULT_PRIME})")
         p.add_argument("--out", help="write JSON/text here instead of stdout")
 
     p = sub.add_parser("points", help="sample general-position points")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--s", type=_positive, required=True)
+    p.add_argument("--n", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_points)
@@ -318,9 +326,16 @@ def _glue_range(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; argparse keeps no state between parses."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_range(argv))
+    args = _parser().parse_args(_glue_range(argv))
+    if "field" in vars(args) and args.field is None:
+        args.field = _default_field()  # read when the command runs
     try:
         return args.func(args)
     except ParseError as exc:

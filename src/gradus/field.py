@@ -9,10 +9,21 @@ The field also owns the one matrix format: `array(rows)` gives int64
 residues in [0, p) over F_p and an object array of Fractions over Q, and
 `reduce(A)` brings entries back to canonical form after array arithmetic
 (A % p over F_p, nothing over Q). Callers build, add and multiply matrices
-in that format without asking which field they hold. One Gauss-Jordan
+in that format without asking which field they hold. One elimination
 routine, `_echelon`, row-reduces both; `rank`, `rref`, `kernel_basis` and
 `row_space_basis` accept lists or arrays and return an int or lists of
 canonical field elements.
+
+`rref`, `kernel_basis` and `row_space_basis` run full Gauss-Jordan. `rank`
+runs `_echelon`'s rank mode, which on int64 residues does only what a rank
+needs: it eliminates below the pivot only, overwrites the pivot row with
+the current top row instead of swapping the two (row order does not change
+the rank), and defers the `% p` of the trailing block until the next rank-1
+update could overflow int64. Each update subtracts at most (p - 1)^2 from
+an entry, so that is every second step at p = 2^31 - 1 and never in
+practice at p = 32003; it is the delayed reduction of FFLAS-FFPACK (Dumas,
+Giorgi & Pernet, ACM TOMS 2008). Over Q, `rank` takes the Fraction
+Gauss-Jordan path.
 """
 from __future__ import annotations
 
@@ -299,37 +310,60 @@ def _matrix(field: Field, rows, ncols: int | None) -> np.ndarray:
     return A if A.ndim == 2 else A.reshape(0, ncols or 0)  # no rows
 
 
-def _echelon(A: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of A (overwritten) and its pivot columns.
+def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of A (overwritten) and its pivot columns,
+    or with `rank_only` the pivot columns alone.
 
     Each pivot clears its column with one rank-1 update. On int64 residues
     the update is vectorised over every row, products staying below
     p^2 < 2^62; on Fractions, where every product costs, it touches only
     the rows with a non-zero entry in the pivot column and the columns
     where the pivot row is non-zero.
+
+    With `rank_only` on int64 residues the returned rows mean nothing: the
+    update covers the block below and right of the pivot, the pivot row is
+    read out and overwritten by the top row instead of swapped with it, and
+    that block is reduced mod p only when one more update could overflow.
     """
     m, n = A.shape
     exact = A.dtype == object
+    lazy = rank_only and not exact
+    if lazy:
+        p = field.p
+        room = (2**63 - 1) // (p - 1) ** 2  # updates an entry in [0, p) absorbs
+        pending = 0
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        col = A[r:, c] % p if lazy else A[r:, c]
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = field.reduce(A[r] * field.inv(A[r, c]))
-        col = A[:, c].copy()
-        col[r] = 0
-        if exact:
-            hit = np.nonzero(col)[0]
-            live = np.nonzero(A[r])[0]
-            A[np.ix_(hit, live)] -= np.outer(col[hit], A[r, live])
+        if lazy:
+            piv = A[i, c + 1:] % p * field.inv(int(col[i - r])) % p
+            if i != r:
+                A[i, c + 1:] = A[r, c + 1:]
+                col[i - r] = col[0]
+            if pending == room:
+                A[r + 1:, c + 1:] %= p
+                pending = 0
+            A[r + 1:, c + 1:] -= col[1:, None] * piv
+            pending += 1
         else:
-            A = field.reduce(A - np.outer(col, A[r]))
+            if i != r:
+                A[[r, i]] = A[[i, r]]
+            A[r] = field.reduce(A[r] * field.inv(A[r, c]))
+            col = A[:, c].copy()
+            col[r] = 0
+            if exact:
+                hit = np.nonzero(col)[0]
+                live = np.nonzero(A[r])[0]
+                A[np.ix_(hit, live)] -= np.outer(col[hit], A[r, live])
+            else:
+                A = field.reduce(A - np.outer(col, A[r]))
         pivots.append(c)
         r += 1
     return A, pivots
@@ -342,7 +376,7 @@ def rref(field: Field, rows, ncols: int | None = None):
 
 
 def rank(field: Field, rows, ncols: int | None = None) -> int:
-    return len(_echelon(_matrix(field, rows, ncols), field)[1])
+    return len(_echelon(_matrix(field, rows, ncols), field, rank_only=True)[1])
 
 
 def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:

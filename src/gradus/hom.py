@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import GradusError
 # row_space_basis is unused here but stays importable from gradus.hom, which
 # perfbench's tracer tests read
@@ -62,20 +64,18 @@ def find_nzd_generator(J: Ideal, X: PointSet) -> Poly:
     )
 
 
-def _ratios(V: PointValues, g: Poly) -> list[tuple[list, int]]:
+def _ratios(V: PointValues, g: Poly) -> list[tuple[np.ndarray, int]]:
     """(ev(j) / ev(g), deg j - deg g) per generator j, for a witness g
     that vanishes at no point."""
-    inv = [V.field.inv(a) for a in values_of(g, V.X)]
+    inv = V.field.array([V.field.inv(a) for a in values_of(g, V.X).tolist()])
     return [(V.times(v, inv), dj - g.degree()) for v, dj in V.gens]
 
 
-def _colon_rows(V: PointValues, ratios: list, t: int) -> list[list]:
+def _colon_rows(V: PointValues, ratios: list, t: int) -> np.ndarray:
     """Rows whose common kernel in k^s is ((I_X + (g)) : J)_t modulo I_X,
     given `ratios` = `_ratios(V, g)`."""
-    rows = list(V.annihilator(t))
-    for ratio, shift in ratios:
-        rows.extend(V.times(y, ratio) for y in V.annihilator(t + shift))
-    return rows
+    return np.concatenate([V.annihilator(t)]
+                          + [V.times(ratio, V.annihilator(t + shift)) for ratio, shift in ratios])
 
 
 def _witness(V: PointValues, J: Ideal, X: PointSet, witness: Poly | None) -> Poly:
@@ -139,10 +139,10 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
         t = i + d0
         if t < 0:
             continue
-        hom = kernel_basis(fld, _colon_rows(V, ratios, t), s)
+        hom = V.as_rows(kernel_basis(fld, _colon_rows(V, ratios, t), s))
         # the colon holds (I_X + (g0))_t, which is g0 * V_{t - deg g0} modulo I_X
-        sub = [V.times(at_g0, b) for b in V.span(t - d0)]
-        if rank(fld, hom + sub, s) != len(hom):
+        sub = V.times(at_g0, V.span(t - d0))
+        if rank(fld, np.concatenate([hom, sub]), s) != len(hom):
             raise GradusError("Hom subspace misses (I_X + (g))_t; this is a bug")
-        out[i] = len(hom) - rank(fld, [V.times(at_g, h) for h in hom], s)
+        out[i] = len(hom) - rank(fld, V.times(at_g, hom), s)
     return out

@@ -2,12 +2,23 @@
 R_X on the points' values.
 
 A point is a coordinate tuple normalized so its first nonzero entry is 1.
-`PointSet.is_general_position` certifies general position by checking that
-every degree-d evaluation matrix has rank min(C(n+d, n), s), up to the
-first degree where C(n+d, n) reaches s. The vanishing ideal comes from
-evaluation-matrix kernels, with an independent oracle that intersects
-single-point ideals instead. `PointValues` computes in R_X and R_X / J R_X
-by linear algebra in k^s, with no Groebner basis.
+Evaluation ev_d: R_d -> k^s, f -> (f(P_1), ..., f(P_s)), has kernel (I_X)_d
+and rank HF_X(d). General position means rank min(C(n+d, n), s) in every
+degree d. `PointSet.is_general_position` certifies it from two ranks, at
+d* - 1 and d*, where d* = min{d : C(n+d, n) >= s}:
+
+- ev_{d*-1} injective gives ev_d injective for every d < d*: if a non-zero
+  f of degree d vanished on X, so would the non-zero x_0^{d*-1-d} * f;
+- rank s at d* gives rank s above it, as HF_X is non-decreasing.
+
+The vanishing ideal comes from evaluation-matrix kernels, with an
+independent oracle that intersects single-point ideals instead.
+`PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
+no Groebner basis, on ndarrays in the field's matrix format. A spanning set
+of V_u = ev_u(R_u) is read off the evaluation matrix whenever ev_u is
+injective (the monomials' value vectors are then a basis), and is the unit
+matrix from delta_X on; only in the degrees between does it take an
+elimination.
 """
 from __future__ import annotations
 
@@ -67,13 +78,13 @@ class PointSet:
             self._ring = RingSpec(self.n + 1, self.field)
         return self._ring
 
-    def evaluation_rows(self, d: int) -> list[list]:
-        """s x C(n+d, n) matrix: monomials of degree d evaluated at the points.
+    def evaluation_array(self, d: int) -> np.ndarray:
+        """s x C(n+d, n) matrix in the field's format: monomials of degree d,
+        in descending order, evaluated at the points.
 
-        It is read off one power table in the field's matrix format,
-        pw[k] = P^k entrywise, with one product per variable over the
-        monomials' exponents; over F_p residues stay below p < 2^31, so every
-        product fits in int64.
+        It is read off one power table, pw[k] = P^k entrywise, with one
+        product per variable over the monomials' exponents; over F_p residues
+        stay below p < 2^31, so every product fits in int64.
         """
         monos = monomials_of_degree(self.n + 1, d, self.ring().order)
         f = self.field
@@ -86,36 +97,56 @@ class PointSet:
         vals = pw[E[:, 0], :, 0]
         for v in range(1, self.n + 1):
             vals = f.reduce(vals * pw[E[:, v], :, v])
-        return vals.T.tolist()
+        return vals.T
+
+    def evaluation_rows(self, d: int) -> list[list]:
+        """`evaluation_array(d)` as row lists of canonical field elements."""
+        return self.evaluation_array(d).tolist()
 
     def rank_at(self, d: int) -> int:
         r = self._ranks.get(d)
         if r is None:
-            r = rank(self.field, self.evaluation_rows(d))
+            r = rank(self.field, self.evaluation_array(d))
             self._ranks[d] = r
         return r
+
+    def _d_star(self) -> int:
+        """d* = min{d : C(n+d, n) >= s}; the rank is below s in lower degrees."""
+        d = 0
+        while comb(self.n + d, self.n) < self.s:
+            d += 1
+        return d
+
+    def injective_at(self, d: int) -> bool:
+        """Whether ev_d is injective, i.e. (I_X)_d = 0. Injectivity at
+        e >= d implies it at d, so a set whose rank at d* - 1 is known to be
+        full (a sampled one) needs no rank below d* - 1."""
+        e = max(d, self._d_star() - 1)
+        if self.rank_at(e) == comb(self.n + e, self.n):
+            return True
+        return e != d and self.rank_at(d) == comb(self.n + d, self.n)
 
     def is_general_position(self, up_to: int | None = None) -> bool:
         """Check rank = min(C(n+d, n), s) for every degree d <= up_to (default s).
 
-        Stopping at d* = min{d : C(n+d, n) >= s} is exact. The rank at d is
-        HF_X(d), capped at s, and HF_X is non-decreasing: over an infinite
-        extension field some linear form vanishes at no point and so is a
-        non-zero divisor on R_X, and rank does not change under field
-        extension, so this holds over F_p too. Rank s at d* gives rank s above.
+        Two ranks decide it (module docstring): full rank C(n+d, n) at
+        d = min(d* - 1, up_to), and rank s at d* if d* <= up_to. HF_X is
+        non-decreasing because over an infinite extension field some linear
+        form vanishes at no point and so is a non-zero divisor on R_X, and
+        rank does not change under field extension, so this holds over F_p
+        too. Degree 0 needs no check: its rank is 1 = min(1, s).
         """
         top = self.s if up_to is None else up_to
-        for d in range(1, top + 1):
-            full = comb(self.n + d, self.n)
-            if self.rank_at(d) != min(full, self.s):
+        d_star = self._d_star()
+        for d in sorted({min(d_star - 1, top), min(d_star, top)}):
+            if d >= 1 and self.rank_at(d) != min(comb(self.n + d, self.n), self.s):
                 return False
-            if full >= self.s:
-                break
         return True
 
     def delta(self) -> int:
-        """Least degree with evaluation rank s (= delta_X for certified sets)."""
-        d = 0
+        """Least degree with evaluation rank s (= delta_X for certified sets).
+        The scan starts at d*, as the rank is at most C(n+d, n) < s below it."""
+        d = self._d_star()
         while self.rank_at(d) < self.s:
             d += 1
         return d
@@ -157,6 +188,10 @@ def random_general_points(s: int, n: int, seed: int,
     """
     if s < 1:
         raise ValueError("need at least one point")
+    if n < 0:
+        raise ValueError(f"no projective space P^{n}")
+    if n == 0 and s > 1:
+        raise ValueError(f"P^0 has one point; cannot sample {s}")
     field = field or PrimeField(DEFAULT_PRIME)
     rng = random.Random(seed)
     for _ in range(max_tries):
@@ -231,9 +266,20 @@ def vanishing_ideal_oracle(X: PointSet) -> Ideal:
     return result
 
 
-def values_of(f: Poly, X: PointSet) -> list:
-    """(f(P_1), ..., f(P_s)) at the normalised points of X."""
-    return [f.evaluate(p) for p in X.points]
+def values_of(f: Poly, X: PointSet) -> np.ndarray:
+    """(f(P_1), ..., f(P_s)) at the normalised points of X, for a homogeneous
+    f, in the field's format: the degree-d evaluation matrix times f's
+    coefficient vector. Over F_p each product is reduced before the row sums,
+    which then stay below C(n+d, n) * p."""
+    if not f.is_homogeneous():
+        raise ValueError("values_of needs a homogeneous form")
+    fld = X.field
+    if f.is_zero():
+        return fld.array([fld.zero] * X.s)
+    d = f.degree()
+    coeffs = fld.array([f.terms.get(e, fld.zero)
+                        for e in monomials_of_degree(X.n + 1, d, X.ring().order)])
+    return fld.reduce(fld.reduce(X.evaluation_array(d) * coeffs).sum(axis=1))
 
 
 def is_nonzerodivisor(g: Poly, X: PointSet) -> bool:
@@ -243,7 +289,7 @@ def is_nonzerodivisor(g: Poly, X: PointSet) -> bool:
         return False
     if not g.is_homogeneous():
         raise ValueError("is_nonzerodivisor needs a homogeneous form")
-    return not any(map(X.field.is_zero, values_of(g, X)))
+    return bool(np.all(values_of(g, X) != 0))
 
 
 class PointValues:
@@ -258,8 +304,9 @@ class PointValues:
     the generators j of J, so (R/(I_X + J))_d is V_d / W_d.
 
     `span(u)` and `annihilator(u)` are rows spanning V_u and its
-    annihilator (w lies in V_u iff y . w = 0 for every annihilator row y);
-    both are kept per degree for the life of this object, and X keeps none.
+    annihilator (w lies in V_u iff y . w = 0 for every annihilator row y),
+    as arrays in the field's matrix format with s columns; both are kept
+    per degree for the life of this object, and X keeps none.
     """
 
     __slots__ = ("X", "field", "full", "gens", "_spans", "_annihilators")
@@ -273,52 +320,60 @@ class PointValues:
         self.field = X.field
         self.full = X.delta()
         self.gens = [(values_of(j, X), j.degree()) for j in J.generators]
-        self._spans: dict[int, list] = {}
-        self._annihilators: dict[int, list] = {}
+        self._spans: dict[int, np.ndarray] = {}
+        self._annihilators: dict[int, np.ndarray] = {}
 
-    def times(self, a: list, b: list) -> list:
-        return list(map(self.field.mul, a, b))
+    def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pointwise product; a value vector times each row of b broadcasts."""
+        return self.field.reduce(a * b)
 
-    def _unit(self) -> list[list]:
-        fld, s = self.field, self.X.s
-        return [[fld.one if k == m else fld.zero for m in range(s)] for k in range(s)]
+    def as_rows(self, rows) -> np.ndarray:
+        """Rows (possibly none) as an array with s columns."""
+        return self.field.array(rows).reshape(-1, self.X.s)
 
-    def span(self, u: int) -> list[list]:
-        """A basis of V_u."""
+    def span(self, u: int) -> np.ndarray:
+        """Rows spanning V_u: the monomials' value vectors while ev_u is
+        injective, where they are a basis; the unit matrix from delta_X on;
+        a row-reduced basis in between."""
         got = self._spans.get(u)
         if got is None:
+            X = self.X
             if u < 0:
-                got = []
+                got = self.as_rows([])
             elif u >= self.full:
-                got = self._unit()
+                got = self.as_rows(np.eye(X.s, dtype=np.int64))
+            elif X.injective_at(u):
+                got = X.evaluation_array(u).T
             else:
-                got = row_space_basis(self.field, list(zip(*self.X.evaluation_rows(u))), self.X.s)
+                got = self.as_rows(row_space_basis(self.field, X.evaluation_array(u).T, X.s))
             self._spans[u] = got
         return got
 
-    def annihilator(self, u: int) -> list[list]:
+    def annihilator(self, u: int) -> np.ndarray:
         """A basis of the annihilator of V_u in k^s."""
         got = self._annihilators.get(u)
         if got is None:
-            if u < 0:
-                got = self._unit()
-            elif u >= self.full:
-                got = []
+            if u < 0:  # V_u = 0: all of k^s
+                got = self.span(self.full)
+            elif u >= self.full:  # V_u = k^s: no row
+                got = self.span(-1)
             else:
-                got = kernel_basis(self.field, self.span(u), self.X.s)
+                got = self.as_rows(kernel_basis(self.field, self.span(u), self.X.s))
             self._annihilators[u] = got
         return got
 
-    def image_rows(self, d: int) -> list[list]:
-        """Rows spanning W_d, the values of (I_X + J)_d."""
-        return [self.times(v, b) for v, dj in self.gens for b in self.span(d - dj)]
+    def image_rows(self, d: int) -> np.ndarray:
+        """Rows spanning W_d, the values of (I_X + J)_d, in one array."""
+        blocks = [self.times(v, self.span(d - dj)) for v, dj in self.gens]
+        return np.concatenate(blocks) if blocks else self.span(-1)
 
     def contains(self, g: Poly) -> bool:
         """g in I_X + J, for a homogeneous g: ev(g) lies in W_{deg g}."""
         if g.ring != self.X.ring():
             raise ValueError("polynomial from a different ring")
         rows, s = self.image_rows(g.degree()), self.X.s
-        return rank(self.field, rows + [values_of(g, self.X)], s) == rank(self.field, rows, s)
+        with_g = np.concatenate([rows, values_of(g, self.X)[None, :]])
+        return rank(self.field, with_g, s) == rank(self.field, rows, s)
 
     def hilbert_function(self, d: int) -> int:
         """HF(R/(I_X + J))_d = dim V_d - dim W_d."""
@@ -341,8 +396,7 @@ class PointValues:
           is at most s, as C(n+s, n) > s >= dim V_s.
         """
         n, s = self.X.n, self.X.s
-        artinian = all(any(not self.field.is_zero(v[k]) for v, _ in self.gens)
-                       for k in range(s))
+        artinian = bool(np.all(np.any([v != 0 for v, _ in self.gens], axis=0)))
         stop = self.full + max(dj for _, dj in self.gens) if artinian else s
         hf = []
         for d in range(stop + 1):

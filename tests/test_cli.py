@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import gradus.cli
+import gradus.points
 from gradus.cli import dispatch
 from conftest import GOLDEN_DIR, check_golden
 
@@ -290,6 +292,52 @@ def test_field_env_override(capsys, monkeypatch):
     data = json.loads(out)
     assert data["field"] == "101"
     assert data["config"]["field"] == "101"
+
+
+def test_parser_is_built_once_and_reads_the_env_per_command(capsys, monkeypatch):
+    built = []
+    original = gradus.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(gradus.cli, "build_parser", counted)
+    gradus.cli._parser.cache_clear()
+    fields = []
+    for env in ("101", "103", None):
+        if env is None:
+            monkeypatch.delenv("GRADUS_FIELD", raising=False)
+        else:
+            monkeypatch.setenv("GRADUS_FIELD", env)
+        code, out, _ = run(capsys, "points", "--s", "2", "--n", "1", "--seed", "4")
+        assert code == 0
+        fields.append(json.loads(out)["field"])
+    code, out, _ = run(capsys, "points", "--s", "2", "--n", "1", "--seed", "4", "--field", "7")
+    assert code == 0 and json.loads(out)["field"] == "7"
+    gradus.cli._parser.cache_clear()
+    assert fields == ["101", "103", "32003"]
+    assert built == [1]
+
+
+@pytest.mark.parametrize("flags, word", [
+    (["--s", "0"], "positive"),
+    (["--s", "-3"], "positive"),
+    (["--s", "x"], "positive"),
+    (["--s", "3", "--n", "-1"], "non-negative"),
+])
+def test_bad_point_counts_and_dimensions_exit_2(capsys, flags, word):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["points", "--seed", "1"] + flags)
+    assert exc.value.code == 2
+    assert word in capsys.readouterr().err
+
+
+def test_several_points_in_p0_is_refused_before_sampling(capsys, monkeypatch):
+    monkeypatch.setattr(gradus.points, "normalize_point", None)  # sampling would fail
+    code, _, err = run(capsys, "points", "--s", "3", "--n", "0", "--seed", "1")
+    assert code == 1
+    assert "P^0 has one point" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

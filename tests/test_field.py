@@ -260,3 +260,49 @@ def test_echelon_matches_reference_gauss_jordan(field):
                 B = row_space_basis(field, given, ncols)
                 assert B == R[:len(pivots)] and _canonical(field, B), name
             assert [list(r) for r in given] == kept, f"{name}: input was modified"
+
+
+# -- the rank mode (below-pivot elimination, deferred mod p) against the same
+# -- reference ---------------------------------------------------------------
+
+RANK_FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1)]
+
+
+def _rank_cases(field, rng):
+    """(name, rows, ncols): empty, tall and wide shapes of every rank, with
+    zero and duplicate rows mixed in. Entries are mostly p - 1 and p - 2, so
+    at p = 2^31 - 1 every rank-1 update moves an entry by nearly 2^62 and
+    three of them without a reduction overflow int64."""
+    big = [field.neg(field.one), field.neg(field.from_fraction(2))]
+
+    def entry():
+        return rng.choice(big) if rng.random() < 0.7 else field.random(rng)
+
+    yield "0 x n", [], 6
+    yield "m x 0", [[] for _ in range(5)], 0
+    for m, n in ((1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (12, 5), (5, 12), (16, 16)):
+        for r in sorted({0, 1, min(m, n) // 2, min(m, n) - 1, min(m, n)}):
+            rows = _product_of_rank(field, rng, m, n, r, entry)
+            yield f"{m}x{n} rank {r}", rows, n
+            doubled = rows + [list(row) for row in rows]
+            rng.shuffle(doubled)
+            yield f"{m}x{n} rank {r}, every row twice", doubled, n
+            padded = rows + [[field.zero] * n for _ in range(3)]
+            rng.shuffle(padded)
+            yield f"{m}x{n} rank {r}, zero rows", padded, n
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=lambda f: f.spec_string())
+def test_rank_mode_matches_reference_gauss_jordan(field):
+    rng = random.Random(f"rank/{field.spec_string()}")
+    most = 0
+    for name, rows, n in _rank_cases(field, rng):
+        want = len(_reference_rref(field, rows, n)[1])
+        most = max(most, want)
+        for given in (rows, _as_array(field, rows, n)):
+            kept = [list(r) for r in given]
+            assert rank(field, given, n) == want, name
+            if len(rows):
+                assert rank(field, given) == want, name
+            assert [list(r) for r in given] == kept, f"{name}: input was modified"
+    assert most >= 3  # enough pivots that p = 2^31 - 1 flushes its deferred reduction

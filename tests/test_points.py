@@ -51,6 +51,17 @@ def test_sampler_certificate_and_tiny_field_exhaustion():
         random_general_points(30, 2, seed=0, field=PrimeField(5), max_tries=3)
 
 
+@pytest.mark.parametrize("s, n", [(0, 2), (-3, 2), (3, -1), (3, 0), (2, 0)])
+def test_sampler_refuses_bad_sizes_before_sampling(s, n):
+    with pytest.raises(ValueError):
+        random_general_points(s, n, seed=1, max_tries=1)
+
+
+def test_sampler_takes_the_one_point_of_p0():
+    X = random_general_points(1, 0, seed=1)
+    assert X.points == ((1,),) and X.delta() == 0
+
+
 def test_four_points_no_three_collinear_determinant_oracle():
     X = random_general_points(4, 2, seed=9)
     f = X.field
@@ -238,3 +249,16 @@ def test_general_position_early_stop_matches_full_check(monkeypatch):
     with pytest.raises(GeneralPositionError):
         random_general_points(30, 2, seed=0, field=F5, max_tries=3)
     assert checked == [False] * 3
+
+
+def test_general_position_needs_the_rank_below_d_star():
+    # rank s at d* but a form of degree d* - 1 through every point: seven
+    # points on the conic x0*x2 = x1^2 (HF 1, 3, 5, 7) and five points on the
+    # plane x3 = 0 of P^3 (HF 1, 3, 5)
+    conic = PointSet(2, F, [(1, t, t * t) for t in range(7)])
+    plane = PointSet(3, F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)])
+    for X, d_star in ((conic, 3), (plane, 2)):
+        assert X.rank_at(d_star) == X.s
+        assert not X.injective_at(d_star - 1) and X.injective_at(d_star - 2)
+        assert not X.is_general_position() and not _general_by_full_check(X)
+        assert X.delta() == d_star

@@ -10,14 +10,20 @@ from collections import Counter
 import pytest
 
 import gradus.experiments
+import gradus.field
 import gradus.groebner
 import gradus.points
 from gradus.experiments import build_scan_J, socle_group_scan
 from gradus.field import PrimeField, RationalField
 from gradus.groebner import Ideal, ideal_sum
 from gradus.hilbert import hilbert_values, socle_degree
-from gradus.points import PointSet, PointValues, normalize_point, random_general_points, vanishing_ideal
+from gradus.points import (
+    PointSet, PointValues, is_nonzerodivisor, normalize_point, random_general_points,
+    vanishing_ideal,
+)
 from gradus.ring import Poly, monomials_of_degree
+from test_hom import _assert_matches_colon
+from test_points import _projective_plane
 
 
 def _assert_matches_groebner(X, J):
@@ -158,6 +164,64 @@ def test_scan_runs_no_groebner_and_no_vanishing_ideal(monkeypatch):
     for case in ("hilb_JX1", "hilb_JX6"):
         assert gradus.experiments.reproduce_reference(case, seed=2).passed
     assert calls == Counter()
+
+
+def _off_general_position(p):
+    """(X, a degree where ev_X is not injective, a form vanishing at no
+    point of X): four points on x2 = 0 over F_p, or for p = 3 all 13 points
+    of P^2(F_3)."""
+    if p != 3:
+        X = PointSet(2, PrimeField(p), [(1, t, 0) for t in range(4)])
+        return X, 1, Poly(X.ring(), {(1, 0, 0): 1})
+    X = PointSet(2, PrimeField(3), _projective_plane(3))
+    ring = X.ring()
+    # over F_3, x^2 is 1 off zero, so with w nonzero coordinates this is
+    # w^3 + [w = 3] = w + [w = 3] mod 3: 1, 2, 1
+    q = Poly(ring, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    return X, 4, q * q * q + Poly(ring, {(2, 2, 2): 1})
+
+
+@pytest.mark.parametrize("p", [32003, 5, 3], ids=("collinear-F32003", "collinear-F5", "P2(F3)"))
+def test_values_match_oracles_off_general_position(p):
+    X, flat, g0 = _off_general_position(p)
+    assert not X.is_general_position() and not X.injective_at(flat)
+    assert is_nonzerodivisor(g0, X)
+    ring = X.ring()
+    rng = random.Random(p)
+    for degs in ((1, 2), (2, 3)):
+        J = Ideal(ring, [_nonzero_form(ring, d, rng) for d in degs])
+        _assert_matches_groebner(X, J)
+        J = Ideal(ring, [g0, *J.generators])
+        _assert_matches_groebner(X, J)
+        _assert_matches_colon(J, X, g0, J.generators[1], range(-1, X.delta() + 3))
+
+
+def test_scan_slice_makes_no_elimination_and_two_rank_misses_per_set(monkeypatch):
+    calls = Counter()
+    for name in ("rref", "row_space_basis"):
+        original = getattr(gradus.field, name)
+
+        def counted(*args, _name=name, _f=original, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("gradus") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    misses = {}
+    rank_at = PointSet.rank_at
+
+    def counted_rank_at(self, d):
+        held = misses.setdefault(id(self), (self, []))[1]
+        if d not in self._ranks:
+            held.append(d)
+        return rank_at(self, d)
+
+    monkeypatch.setattr(PointSet, "rank_at", counted_rank_at)
+    rows = socle_group_scan((2, 25), trials=1, seed=13)
+    assert len(rows) == 24
+    assert calls == Counter()
+    assert misses and all(len(held) <= 2 for _, held in misses.values())
 
 
 def _loop_rows(X, d):
