@@ -6,16 +6,28 @@ the one being cancelled, so each heap entry is popped at most once with its
 final coefficient. Among divisors of the current lead, the one with the
 smallest index in the basis wins, which makes division deterministic.
 
-`Ideal.groebner` works degree by degree while it can (Lazard 1983). Let
-D be the top of the lowest run of consecutive generator degrees. For each
-d up to D it row-reduces I_d, spanned by the degree-d generators and the
-variables times the basis of I_{d-1}, with columns in descending order.
-The pivots are the leads of in(I)_d and the other columns are standard
-monomials, so each row whose pivot no lower-degree lead divides is a
-reduced-GB element. These form a D-truncated basis, so Buchberger, given
-them and the generators above D, skips every pair whose lcm has degree
-<= D: such S-polynomials reduce to zero. Non-homogeneous generators go
-straight to Buchberger.
+`Ideal.groebner` computes the basis of a homogeneous ideal with F4 in its
+homogeneous form (Faugere, JPAA 139, 1999), one degree d at a time and no
+Buchberger. The matrix of degree d has the degree-d monomials as columns,
+in descending order, and these rows: the generators of degree d; both
+halves m_i*g_i, m_j*g_j of every pair of lcm degree d left by the pair
+queue's criteria (coprime leads, and the chain criterion); and one
+reducer per monomial m of (LT G)_d, the multiple of the first basis element
+whose lead divides m. A row is a basis element's dense vector scattered
+through the memoised column map of "times q". The reducers are monic
+multiples with distinct leads, so their block is unit-triangular: they
+clear their lead columns from the other rows with one rank-1 update each,
+highest monomial first, and are never reduced against each other (that
+buys nothing, as only the other rows become basis elements, and over Q it
+costs a Fraction elimination of every redundant reducer). RREF of what is
+left, on the columns outside (LT G)_d, gives the new elements: each pivot
+row is monic, with a lead no earlier lead divides and a tail of standard
+monomials. The loop stops when no generator and no pair is left. Every
+selected S-polynomial then lies in the span of rows with distinct leads,
+each a monomial times a basis element, so it has a standard
+representation, which is Buchberger's criterion. Non-homogeneous
+generators go to Buchberger, which takes one pair at a time from the same
+queue.
 
 Ideal intersections and colons go through the auxiliary-variable
 elimination trick (t*I + (1-t)*J, eliminate t) with t prepended as the
@@ -24,6 +36,7 @@ greatest variable under a block order.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from operator import add, itemgetter, le, neg, sub
 
 import numpy as np
@@ -152,14 +165,55 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
     return Poly(f.ring, terms)
 
 
-def buchberger(gens: list[Poly], order: TermOrder | None = None,
-               complete_through: int = -1) -> list[Poly]:
-    """A (non-reduced) Groebner basis, normal pair selection, coprime-lcm and
-    chain criteria applied.
+class _PairQueue:
+    """Critical pairs (i, j), i < j, of a growing basis, popped lowest lcm
+    first (the normal strategy) and filtered by Buchberger's two criteria as
+    they are popped: coprime leads, and the chain criterion, which skips
+    (i, j) when some other lead k divides the lcm and (i, k), (j, k) have
+    both been popped already."""
 
-    If the gens hold a basis truncated at degree `complete_through`, every
-    pair whose lcm has at most that degree reduces to zero and is skipped.
-    """
+    __slots__ = ("order", "leads", "_heap", "_pending")
+
+    def __init__(self, order: TermOrder):
+        self.order = order
+        self.leads: list[Exponents] = []
+        self._heap: list = []
+        self._pending: set[tuple[int, int]] = set()
+
+    def add(self, lead: Exponents) -> None:
+        """Append a basis lead and queue its pair with every earlier one."""
+        new = len(self.leads)
+        for k, lk in enumerate(self.leads):
+            lcm = tuple(map(max, lk, lead))
+            heapq.heappush(self._heap, (sum(lcm), self.order.key(lcm), k, new, lcm))
+            self._pending.add((k, new))
+        self.leads.append(lead)
+
+    def next_degree(self) -> int | None:
+        """The lcm degree of the next queued pair, None when none is left."""
+        return self._heap[0][0] if self._heap else None
+
+    def pop(self, degree: int | None = None):
+        """The next pair (i, j, lcm) that survives both criteria, or None
+        once no pair (of lcm degree `degree`, if given) is left."""
+        heap, pending, leads = self._heap, self._pending, self.leads
+        while heap and (degree is None or heap[0][0] == degree):
+            _, _, i, j, lcm = heapq.heappop(heap)
+            pending.discard((i, j))
+            if lcm == tuple(map(add, leads[i], leads[j])):
+                continue  # coprime leads: the S-polynomial reduces to 0
+            if any(k != i and k != j and all(map(le, lk, lcm))
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, lk in enumerate(leads)):
+                continue  # chain criterion
+            return i, j, lcm
+        return None
+
+
+def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
+    """A (non-reduced) Groebner basis, one S-pair at a time from the pair
+    queue, so with normal selection and the coprime and chain criteria."""
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return []
@@ -168,38 +222,11 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None,
     field = ring.field
     G = [g.monic(order) for g in live]
     basis = [(g.leading(order)[0], g.terms) for g in G]
-    leads = [lead for lead, _ in basis]
-
-    heap: list = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pair(i: int, j: int):
-        lcm = tuple(map(max, leads[i], leads[j]))
-        if sum(lcm) <= complete_through:
-            return  # never pending, so it counts as done for the chain criterion
-        heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j, lcm))
-        pending.add((i, j))
-
-    for j in range(len(G)):
-        for i in range(j):
-            push_pair(i, j)
-
-    while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        if lcm == tuple(map(add, leads[i], leads[j])):  # coprime leads: S-pair reduces to 0
-            continue
-        chain = False
-        for k, lk in enumerate(leads):
-            if k == i or k == j or not all(map(le, lk, lcm)):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                chain = True
-                break
-        if chain:
-            continue
+    pairs = _PairQueue(order)
+    for lead, _ in basis:
+        pairs.add(lead)
+    while (pair := pairs.pop()) is not None:
+        i, j, _ = pair
         s_terms = _spoly_terms(basis[i], basis[j], order, field)
         rem = _nf_terms(s_terms, basis, order, field)
         if not rem:
@@ -209,10 +236,7 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None,
         r = Poly(ring, {e: field.mul(inv, c) for e, c in rem.items()})
         G.append(r)
         basis.append((lead, r.terms))
-        leads.append(lead)
-        new = len(G) - 1
-        for k in range(new):
-            push_pair(k, new)
+        pairs.add(lead)
     return G
 
 
@@ -259,41 +283,90 @@ def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None)
     return reduce_basis(buchberger(gens, order), order)
 
 
-def _truncated_basis(ring: RingSpec, by_degree: dict, top: int,
-                     order: TermOrder) -> list[Poly]:
-    """Reduced-GB elements of degree <= top of the homogeneous ideal I
-    generated by by_degree[d] (a list of forms of degree d), found by
-    row-reducing I_d degree by degree."""
+def _frozen(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False  # cached, so shared by every caller
+    return A
+
+
+@lru_cache(maxsize=8192)
+def _columns(nvars: int, order: TermOrder, d: int):
+    """The degree-d monomials in descending order, as a tuple, an array and
+    a column index; callers must not mutate the index."""
+    monos = tuple(monomials_of_degree(nvars, d, order))
+    return monos, _frozen(np.array(monos, dtype=np.int64).reshape(len(monos), nvars)), \
+        {e: j for j, e in enumerate(monos)}
+
+
+@lru_cache(maxsize=8192)
+def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
+    """Column map of "times q" from degree d to degree d + deg q: entry j is
+    the column of q times the j-th degree-d monomial."""
+    col = _columns(nvars, order, d + sum(q))[2]
+    return _frozen(np.array([col[tuple(map(add, e, q))] for e in _columns(nvars, order, d)[0]],
+                            dtype=np.intp))
+
+
+def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
+    """A Groebner basis of the ideal of the homogeneous forms `gens`, one
+    degree at a time (module docstring). It is already reduced up to order:
+    each element is monic, and no lead divides another lead or a tail term."""
     field, nvars = ring.field, ring.nvars
-    found: list[Poly] = []
-    B = field.array(np.zeros((0, 0), dtype=np.int64))  # basis of I_{d-1}
-    prev_monos: list = []
-    prev_leads: set = set()
-    for d in range(min(by_degree), top + 1):
-        monos = monomials_of_degree(nvars, d, order)
-        col = {e: j for j, e in enumerate(monos)}
-        F = by_degree.get(d, [])
-        A = field.array(np.zeros((len(F) + nvars * len(B), len(monos)), dtype=np.int64))
-        for i, g in enumerate(F):
-            for e, c in g.terms.items():
-                A[i, col[e]] = c
-        r = len(F)
-        for v in range(nvars):
-            # x_v times each row of B: column m goes to column x_v * m
-            shift = [col[e[:v] + (e[v] + 1,) + e[v + 1:]] for e in prev_monos]
-            A[r:r + len(B), shift] = B
-            r += len(B)
-        R, pivots = rref(field, A)
-        leads = set()
-        for row, c in zip(R, pivots):
-            lead = monos[c]
-            leads.add(lead)
-            if not any(k and lead[:v] + (k - 1,) + lead[v + 1:] in prev_leads
-                       for v, k in enumerate(lead)):
-                found.append(Poly(ring, {monos[j]: x for j, x in enumerate(row) if x}))
-        B = field.array(R[:len(pivots)])
-        prev_monos, prev_leads = monos, leads
-    return found
+    by_degree: dict[int, list[Poly]] = {}
+    for g in gens:
+        by_degree.setdefault(sum(next(iter(g.terms))), []).append(g)
+    pairs = _PairQueue(order)
+    leads = pairs.leads
+    basis: list[tuple[int, np.ndarray, np.ndarray]] = []  # (degree, columns, values)
+    while by_degree or pairs.next_degree() is not None:
+        d = pairs.next_degree()
+        if by_degree and (d is None or min(by_degree) < d):
+            d = min(by_degree)
+        monos, M, col = _columns(nvars, order, d)
+        batch = []
+        while (pair := pairs.pop(d)) is not None:
+            batch.append(pair)
+        F = by_degree.pop(d, [])
+        if not F and not batch:
+            continue
+        # (LT G)_d, the monomials some lead divides, and for each of them
+        # the first basis element whose lead does
+        divides = (np.array(leads, dtype=np.int64).reshape(-1, nvars) <= M[:, None, :]).all(axis=2)
+        reducible = divides.any(axis=1)
+        first = divides.argmax(axis=1).tolist() if leads else []
+        halves: dict[tuple[int, Exponents], None] = {}
+        for i, j, lcm in batch:
+            for k in (i, j):
+                if k != first[col[lcm]]:  # else it is the lcm's reducer, and clears to 0
+                    halves[(k, tuple(map(sub, lcm, leads[k])))] = None
+        B = field.array(np.zeros((len(F) + len(halves), len(monos)), dtype=np.int64))
+        for r, g in enumerate(F):
+            B[r, [col[e] for e in g.terms]] = list(g.terms.values())
+        for r, (k, q) in enumerate(halves, len(F)):
+            e, cols, vals = basis[k]
+            B[r, _shift(nvars, order, e, q)[cols]] = vals
+        # each reducer clears its column with one rank-1 update, highest monomial
+        # (lowest column) first; over F_p every product is below p^2 < 2^62
+        for c in np.flatnonzero(reducible).tolist():
+            hit = B[:, c].nonzero()[0]
+            if not hit.size:
+                continue
+            k = first[c]
+            e, cols, vals = basis[k]
+            live = np.ix_(hit, _shift(nvars, order, e, tuple(map(sub, monos[c], leads[k])))[cols])
+            B[live] = field.reduce(B[live] - np.outer(B[hit, c], vals))
+        free = np.flatnonzero(~reducible)
+        if not free.size:
+            continue
+        R, pivots = rref(field, B[:, free])
+        for row, c in zip(field.array(R[:len(pivots)]).reshape(len(pivots), free.size), pivots):
+            nz = row.nonzero()[0]
+            basis.append((d, free[nz], row[nz]))
+            pairs.add(monos[free[c]])
+    out = []
+    for e, cols, vals in basis:
+        monos = _columns(nvars, order, e)[0]
+        out.append(Poly(ring, {monos[j]: x for j, x in zip(cols.tolist(), vals.tolist())}))
+    return out
 
 
 class Ideal:
@@ -329,20 +402,12 @@ class Ideal:
         return gb
 
     def _compute_groebner(self, order: TermOrder) -> list[Poly]:
-        """The degree-wise stage through D, the top of the lowest run of
-        consecutive generator degrees, then Buchberger above D."""
+        """The F4 degree loop on homogeneous generators, Buchberger on any
+        others; both then reduced."""
         gens = [g for g in self.generators if not g.is_zero()]
         if not gens or not all(g.is_homogeneous() for g in gens):
             return reduced_groebner_from_gens(gens, order)
-        by_degree: dict[int, list[Poly]] = {}
-        for g in gens:
-            by_degree.setdefault(g.degree(), []).append(g)
-        top = min(by_degree)
-        while top + 1 in by_degree:
-            top += 1
-        low = _truncated_basis(self.ring, by_degree, top, order)
-        high = [g for g in gens if g.degree() > top]
-        return reduce_basis(buchberger(low + high, order, complete_through=top), order)
+        return reduce_basis(_f4(self.ring, gens, order), order)
 
     def prepared(self, order: TermOrder | None = None) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form

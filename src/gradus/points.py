@@ -53,7 +53,7 @@ class PointSet:
     position through `is_general_position` before it returns a set.
     """
 
-    __slots__ = ("n", "field", "points", "seed", "_ranks", "_ring")
+    __slots__ = ("n", "field", "points", "seed", "_arrays", "_ranks", "_ring")
 
     def __init__(self, n: int, field: Field, points, seed: int | None = None):
         self.n = n
@@ -66,6 +66,7 @@ class PointSet:
                 raise ValueError("point has the wrong number of coordinates")
         self.points = tuple(pts)
         self.seed = seed
+        self._arrays: dict[int, np.ndarray] = {}
         self._ranks: dict[int, int] = {}
         self._ring: RingSpec | None = None
 
@@ -80,12 +81,16 @@ class PointSet:
 
     def evaluation_array(self, d: int) -> np.ndarray:
         """s x C(n+d, n) matrix in the field's format: monomials of degree d,
-        in descending order, evaluated at the points.
+        in descending order, evaluated at the points. It is built once per
+        degree and kept, read-only, for the life of the set.
 
         It is read off one power table, pw[k] = P^k entrywise, with one
         product per variable over the monomials' exponents; over F_p residues
         stay below p < 2^31, so every product fits in int64.
         """
+        got = self._arrays.get(d)
+        if got is not None:
+            return got
         monos = monomials_of_degree(self.n + 1, d, self.ring().order)
         f = self.field
         P = f.array(self.points)
@@ -97,7 +102,10 @@ class PointSet:
         vals = pw[E[:, 0], :, 0]
         for v in range(1, self.n + 1):
             vals = f.reduce(vals * pw[E[:, v], :, v])
-        return vals.T
+        got = vals.T
+        got.flags.writeable = False
+        self._arrays[d] = got
+        return got
 
     def evaluation_rows(self, d: int) -> list[list]:
         """`evaluation_array(d)` as row lists of canonical field elements."""
@@ -306,7 +314,9 @@ class PointValues:
     `span(u)` and `annihilator(u)` are rows spanning V_u and its
     annihilator (w lies in V_u iff y . w = 0 for every annihilator row y),
     as arrays in the field's matrix format with s columns; both are kept
-    per degree for the life of this object, and X keeps none.
+    per degree for the life of this object. X keeps the evaluation matrices
+    they are read from, so a span shares its array with X's evaluation
+    matrix while ev_u is injective: both are read-only.
     """
 
     __slots__ = ("X", "field", "full", "gens", "_spans", "_annihilators")

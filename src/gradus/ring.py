@@ -345,77 +345,43 @@ def poly_arith(f: Poly, g: Poly, op: str) -> Poly:
 # a/b coefficients. parse(poly_to_str(f)) == f exactly.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[\^\*\+\-])|(?P<bad>\S))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group('bad')!r} in polynomial")
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-    return tokens
+_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*\^\s*\d+)?)"
+# one term: its signs, then its factors joined by '*'
+_TERM = re.compile(rf"\s*(?P<signs>(?:[+-]\s*)*)(?P<factors>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+# one factor of a matched term: a coefficient, or a variable and its power
+_FACTORS = re.compile(r"(\d+(?:/\d+)?)|x(\d+)(?:\s*\^\s*(\d+))?")
 
 
 def parse_poly(ring: RingSpec, text: str) -> Poly:
-    """Parse the canonical text syntax into a polynomial of `ring`."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse the canonical text syntax into a polynomial of `ring`: one
+    `_TERM` match per term, whose factors `_FACTORS` splits."""
+    if not text.strip():
         raise ParseError("empty polynomial text")
     f = ring.field
     terms: dict = {}
     pos = 0
-
-    def parse_factor():
-        nonlocal pos
-        kind, val = tokens[pos]
-        if kind == "num":
-            pos += 1
-            return ("coeff", f.parse_scalar(val))
-        if kind == "var":
-            idx = int(val[1:])
-            if idx >= ring.nvars:
-                raise ParseError(f"variable {val} out of range for {ring.nvars} variables")
-            pos += 1
-            power = 1
-            if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "num" or "/" in tokens[pos][1]:
-                    raise ParseError("expected integer exponent after '^'")
-                power = int(tokens[pos][1])
-                pos += 1
-            return ("mono", idx, power)
-        raise ParseError(f"expected coefficient or variable, got {val!r}")
-
-    first_term = True
-    while pos < len(tokens):
-        sign = f.one
-        saw_sign = False
-        while pos < len(tokens) and tokens[pos][0] == "op" and tokens[pos][1] in "+-":
-            if tokens[pos][1] == "-":
-                sign = f.neg(sign)
-            saw_sign = True
-            pos += 1
-        if not first_term and not saw_sign:
-            raise ParseError("expected '+' or '-' between terms")
-        first_term = False
-        if pos >= len(tokens):
-            raise ParseError("dangling sign at end of polynomial")
-        coeff = sign
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ParseError(f"cannot read a term at {text[pos:]!r} in polynomial {text!r}")
+        signs = m["signs"]
+        if pos and not signs:
+            raise ParseError(f"expected '+' or '-' between terms at {text[pos:]!r}")
+        coeff = f.one
         exps = [0] * ring.nvars
-        while True:
-            factor = parse_factor()
-            if factor[0] == "coeff":
-                coeff = f.mul(coeff, factor[1])
-            else:
-                _, idx, power = factor
-                exps[idx] += power
-            if pos < len(tokens) and tokens[pos] == ("op", "*"):
-                pos += 1
+        for num, var, power in _FACTORS.findall(m["factors"]):
+            if num:
+                coeff = f.mul(coeff, f.parse_scalar(num))
                 continue
-            break
+            idx = int(var)
+            if idx >= ring.nvars:
+                raise ParseError(f"variable x{var} out of range for {ring.nvars} variables")
+            exps[idx] += int(power) if power else 1
+        if signs.count("-") % 2:
+            coeff = f.neg(coeff)
         e = tuple(exps)
         terms[e] = f.add(terms.get(e, f.zero), coeff)
+        pos = m.end()
     return Poly(ring, terms)
 
 

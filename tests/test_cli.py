@@ -227,6 +227,13 @@ def test_bad_polynomial_exits_2(capsys):
     assert err.startswith("gradus: parse error:")
 
 
+@pytest.mark.parametrize("poly", ["x0*", "x0*x1*", "2*"])
+def test_trailing_star_exits_2(capsys, poly):
+    code, _, err = run(capsys, "parse-check", "--poly", poly)
+    assert code == 2
+    assert err.startswith("gradus: parse error:")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--poly", "1/0*x0"], "bad F_32003 scalar '1/0'"),
     (["--field", "7", "--poly", "1/7*x0"], "bad F_7 scalar '1/7': inverse of zero in F_7"),

@@ -386,9 +386,14 @@ def test_ideal_sum_groebner_matches_raw_generators(order):
                 assert [dict(S._gb) for S in (A, B)] == held
 
 
-# -- the degree-wise stage of Ideal.groebner against plain Buchberger -------
+# -- the F4 degree loop of Ideal.groebner against plain Buchberger ---------
 
-GRADED_FIELDS = [PrimeField(3), PrimeField(5), PrimeField(32003), RationalField()]
+GRADED_FIELDS = [PrimeField(3), PrimeField(5), PrimeField(32003), PrimeField(2**31 - 1),
+                 RationalField()]
+
+# In 4 variables, grevlex: reduced-basis degrees 2, 2, 2, 3, 3, 3, 5, so a gap
+# at 4 and an element three degrees above every generator.
+GAP_IDEAL = ("x1^2-x0*x2", "x0*x1-x3^2", "x1*x2-x0*x1")
 
 
 def _monomial(ring, e):
@@ -420,7 +425,7 @@ def _graded_cases(ring, rng):
     yield [ring.one()]
     yield [ring.one(), form(2)]
     if n >= 3:
-        # (x0, x1^2*x2^10): the stage stops at degree 1
+        # (x0, x1^2*x2^10): generators eleven degrees apart
         yield [ring.variable(0), _monomial(ring, [0, 2, 10] + [0] * (n - 3))]
         # three quadrics: the basis goes above the top generator degree
         yield [form(2) for _ in range(3)]
@@ -451,6 +456,8 @@ def test_degree_wise_groebner_matches_buchberger(fld, order):
         [Poly(RingSpec(3, fld, order), g.terms) for g in gens]
         for gens in _points_generator_lists(fld)
     )
+    ring4 = RingSpec(4, fld, order)
+    cases.extend([P(g, ring4) for g in gens] for gens in (GAP_IDEAL, ("x0*x1", "x1^2-x0*x2")))
     for gens in cases:
         gens = [g for g in gens if not g.is_zero()]  # a sum may cancel
         got = Ideal(gens[0].ring, gens).groebner()
@@ -462,50 +469,31 @@ def test_degree_wise_groebner_special_ideals():
     x0, x1, x2 = (R.variable(i) for i in range(3))
     assert I("x0", "x1^2*x2^10").groebner() == [x0, P("x1^2*x2^10")]
     assert Ideal(R, [R.one(), P("x0^2")]).groebner() == [R.one()]
-    # non-homogeneous generators skip the stage and still get their basis
+    # non-homogeneous generators go to Buchberger and still get their basis
     mixed = [x0 * x1 - x2, x1 * x1 - R.one()]
     assert Ideal(R, mixed, check=False).groebner() == reduced_groebner_from_gens(mixed)
     assert Ideal(R, [], check=False).groebner() == []
 
 
-def test_buchberger_skips_pairs_at_or_below_complete_through(monkeypatch):
-    import gradus.groebner as gb_module
-    gens = [P("x0^2-x1*x2"), P("x1^2-x0*x2"), P("x0*x1-x2^2")]
-    basis = reduce_basis(buchberger(gens))  # complete, so truncated at every degree
-    reduced = []
-    kernel = gb_module._nf_terms
-
-    def counting(*args, **kwargs):
-        reduced.append(args[0])
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(gb_module, "_nf_terms", counting)
-    full = buchberger(basis)
-    n_full = len(reduced)
-    reduced.clear()
-    skipping = buchberger(basis, complete_through=3)
-    # homogeneous S-polynomials: every term has the lcm's degree
-    assert all(sum(next(iter(s))) > 3 for s in reduced)
-    assert len(reduced) < n_full
-    assert reduce_basis(skipping) == reduce_basis(full)
-
-
-def test_points_basis_comes_from_the_stage(monkeypatch):
-    """On general points every reduced-basis element of I_X lies in degrees
-    <= delta_X + 1, where the stage finds it: Buchberger adds none."""
+def test_homogeneous_groebner_runs_no_buchberger(monkeypatch):
+    """The F4 degree loop alone gives the basis of a homogeneous ideal."""
     import gradus.groebner as gb_module
     from gradus.points import random_general_points, vanishing_ideal
-    sizes = []
+    calls = []
     plain = gb_module.buchberger
 
-    def recording(gens, *args, **kwargs):
-        out = plain(gens, *args, **kwargs)
-        sizes.append((len(gens), len(out)))
-        return out
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
 
-    monkeypatch.setattr(gb_module, "buchberger", recording)
-    for s, n in ((50, 2), (20, 3), (7, 2)):
-        I = vanishing_ideal(random_general_points(s, n, seed=1))
-        sizes.clear()
-        gb = Ideal(I.ring, I.generators).groebner()
-        assert sizes == [(len(gb), len(gb))]
+    ideals = [vanishing_ideal(random_general_points(s, n, seed=1, field=fld))
+              for s, n, fld in ((50, 2, PrimeField(32003)), (20, 3, PrimeField(32003)),
+                                (7, 2, RationalField()))]
+    ideals.append(I(*GAP_IDEAL, ring=RingSpec(4)))
+    monkeypatch.setattr(gb_module, "buchberger", counting)
+    for J in ideals:
+        gb = Ideal(J.ring, J.generators).groebner()
+        assert calls == []
+        # the name imported here is the unpatched function
+        assert gb == reduce_basis(buchberger(list(J.generators)))
+    assert [g.degree() for g in ideals[-1].groebner()] == [2, 2, 2, 3, 3, 3, 5]

@@ -85,6 +85,20 @@ def test_evaluation_matrix_examples():
         assert rank(F, evaluation_matrix(X, d)) == min(comb(2 + d, 2), 5)
 
 
+@pytest.mark.parametrize("fld", [F, RationalField()], ids=lambda f: f.spec_string())
+def test_evaluation_array_is_built_once_and_read_only(fld):
+    X = random_general_points(9, 2, seed=4, field=fld)
+    for d in (0, 2, 3):
+        A = X.evaluation_array(d)
+        assert X.evaluation_array(d) is A
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = A[0, 0]
+        assert A.tolist() == evaluation_matrix(X, d)
+    # rank_at and the value spans read the same array
+    assert X.rank_at(2) == rank(fld, X.evaluation_array(2))
+
+
 def test_vanishing_ideal_single_point():
     X = PointSet(2, F, [[1, 0, 0]])
     I = vanishing_ideal(X)

@@ -149,7 +149,7 @@ def test_parse_roundtrip_exact():
 
 
 def test_parse_errors():
-    for bad in ["", "x3", "x0^", "x0 x1", "2^x0", "x0+", "y0"]:
+    for bad in ["", "x3", "x0^", "x0 x1", "2^x0", "x0+", "y0", "x0*", "x0*x1*", "2*", "x0**x1"]:
         with pytest.raises(ParseError):
             parse_poly(R, bad)
 
