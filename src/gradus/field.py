@@ -22,13 +22,23 @@ the rank), and defers the `% p` of the trailing block until the next rank-1
 update could overflow int64. Each update subtracts at most (p - 1)^2 from
 an entry, so that is every second step at p = 2^31 - 1 and never in
 practice at p = 32003; it is the delayed reduction of FFLAS-FFPACK (Dumas,
-Giorgi & Pernet, ACM TOMS 2008). Over Q, `rank` takes the Fraction
-Gauss-Jordan path.
+Giorgi & Pernet, ACM TOMS 2008).
+
+Over Q, `_echelon` creates no Fraction inside its loop. It scales each row
+by the lcm of its denominators and divides it by its content, giving a
+primitive row of Python ints (`integer_rows`), and eliminates fraction-free:
+a row r with entry b under a pivot a of pivot row q becomes a*r - b*q,
+divided by its content again (`primitive_rows`), the integer-preserving
+elimination of Bareiss (Math. Comp. 22, 1968) with the gcd taken per row.
+Only the output of the full mode turns each pivot row into monic Fractions,
+so `rref`, `kernel_basis` and `row_space_basis` return the same canonical
+Fractions as a Fraction elimination would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -305,9 +315,34 @@ def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
 
 
 def _matrix(field: Field, rows, ncols: int | None) -> np.ndarray:
-    """The rows (lists or an array) as a fresh 2-D array in the field's format."""
-    A = field.array(rows)
+    """The rows (lists or an array) as a fresh 2-D array for `_echelon`: the
+    field's format over F_p, the entries as given (Fractions or ints) over Q."""
+    A = field.array(rows) if field.kind == "prime" else np.array(rows, dtype=object)
     return A if A.ndim == 2 else A.reshape(0, ncols or 0)  # no rows
+
+
+_numerators = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_denominators = np.frompyfunc(attrgetter("denominator"), 1, 1)
+_ratios = np.frompyfunc(Fraction, 2, 1)
+
+
+def primitive_rows(A: np.ndarray) -> np.ndarray:
+    """A 2-D object array of Python ints with each row divided, in place, by
+    its content (the gcd of its entries); zero rows stay zero."""
+    content = np.gcd.reduce(A, axis=1)
+    big = np.flatnonzero(content > 1)
+    if big.size:
+        A[big] //= content[big, None]
+    return A
+
+
+def integer_rows(A: np.ndarray) -> np.ndarray:
+    """Primitive rows of Python ints, each a positive multiple of the
+    corresponding row of a 2-D object array of rationals (Fractions or ints):
+    the row times the lcm of its denominators, divided by its content."""
+    den = _denominators(A)
+    scale = np.lcm.reduce(den, axis=1, initial=1)
+    return primitive_rows(_numerators(A) * (scale[:, None] // den))
 
 
 def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.ndarray, list[int]]:
@@ -316,14 +351,16 @@ def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.n
 
     Each pivot clears its column with one rank-1 update. On int64 residues
     the update is vectorised over every row, products staying below
-    p^2 < 2^62; on Fractions, where every product costs, it touches only
-    the rows with a non-zero entry in the pivot column and the columns
-    where the pivot row is non-zero.
+    p^2 < 2^62. Over Q the rows are primitive integer rows (module
+    docstring), and only the rows with a non-zero entry in the pivot column
+    are touched: each becomes a*row - b*pivot_row and is divided by its
+    content. The pivot rows become monic Fractions once, at the end.
 
-    With `rank_only` on int64 residues the returned rows mean nothing: the
-    update covers the block below and right of the pivot, the pivot row is
-    read out and overwritten by the top row instead of swapped with it, and
-    that block is reduced mod p only when one more update could overflow.
+    With `rank_only` the returned rows mean nothing, and only the rows below
+    the pivot are updated, on the columns right of it. On int64 residues
+    the pivot row is read out and overwritten by the top row instead of
+    swapped with it, and that block is reduced mod p only when one more
+    update could overflow.
     """
     m, n = A.shape
     exact = A.dtype == object
@@ -332,6 +369,8 @@ def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.n
         p = field.p
         room = (2**63 - 1) // (p - 1) ** 2  # updates an entry in [0, p) absorbs
         pending = 0
+    elif exact:
+        A = integer_rows(A)
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -355,17 +394,24 @@ def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.n
         else:
             if i != r:
                 A[[r, i]] = A[[i, r]]
-            A[r] = field.reduce(A[r] * field.inv(A[r, c]))
             col = A[:, c].copy()
             col[r] = 0
-            if exact:
-                hit = np.nonzero(col)[0]
-                live = np.nonzero(A[r])[0]
-                A[np.ix_(hit, live)] -= np.outer(col[hit], A[r, live])
-            else:
+            if not exact:
+                A[r] = field.reduce(A[r] * field.inv(A[r, c]))
                 A = field.reduce(A - np.outer(col, A[r]))
+            else:
+                if rank_only:
+                    col[:r] = 0
+                hit = col.nonzero()[0]
+                if hit.size:
+                    span = slice(c + 1 if rank_only else 0, n)
+                    A[hit, span] = primitive_rows(A[r, c] * A[hit, span] - np.outer(col[hit], A[r, span]))
         pivots.append(c)
         r += 1
+    if exact and not rank_only:
+        out = np.full((m, n), RationalField.zero, dtype=object)
+        out[:r] = _ratios(A[:r], A[np.arange(r), np.array(pivots, dtype=np.intp)][:, None])
+        A = out
     return A, pivots
 
 

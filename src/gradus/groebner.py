@@ -14,20 +14,29 @@ halves m_i*g_i, m_j*g_j of every pair of lcm degree d left by the pair
 queue's criteria (coprime leads, and the chain criterion); and one
 reducer per monomial m of (LT G)_d, the multiple of the first basis element
 whose lead divides m. A row is a basis element's dense vector scattered
-through the memoised column map of "times q". The reducers are monic
-multiples with distinct leads, so their block is unit-triangular: they
-clear their lead columns from the other rows with one rank-1 update each,
-highest monomial first, and are never reduced against each other (that
-buys nothing, as only the other rows become basis elements, and over Q it
-costs a Fraction elimination of every redundant reducer). RREF of what is
-left, on the columns outside (LT G)_d, gives the new elements: each pivot
-row is monic, with a lead no earlier lead divides and a tail of standard
-monomials. The loop stops when no generator and no pair is left. Every
-selected S-polynomial then lies in the span of rows with distinct leads,
-each a monomial times a basis element, so it has a standard
-representation, which is Buchberger's criterion. Non-homogeneous
-generators go to Buchberger, which takes one pair at a time from the same
-queue.
+through the memoised column map of "times q". The reducers are
+multiples of basis elements with distinct leads, so their block is
+triangular: they clear their lead columns from the other rows with one
+rank-1 update each, highest monomial first, and are never reduced against
+each other (that buys nothing, as only the other rows become basis
+elements). RREF of what
+is left, on the columns outside (LT G)_d, gives the new elements: each
+pivot row is monic, with a lead no earlier lead divides and a tail of
+standard monomials. The loop stops when no generator and no pair is left.
+Every selected S-polynomial then lies in the span of rows with distinct
+leads, each a monomial times a basis element, so it has a standard
+representation, which is Buchberger's criterion. The output is already
+the reduced basis: no later lead divides a monomial of lower degree, so
+`Ideal.groebner` only sorts it by lead. Non-homogeneous generators go to
+Buchberger, which takes one pair at a time from the same queue, and then
+to `reduce_basis`.
+
+Over Q the loop creates no Fraction. The rows are primitive vectors of
+Python ints (`gradus.field.integer_rows`), each basis element is kept as
+one with a positive lead entry L, and a reducer clears entry b of a row
+as L*row - b*reducer, which is then divided by its content. The final
+RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
+new elements' coefficients and are stored back as integer rows.
 
 Ideal intersections and colons go through the auxiliary-variable
 elimination trick (t*I + (1-t)*J, eliminate t) with t prepended as the
@@ -41,7 +50,7 @@ from operator import add, itemgetter, le, neg, sub
 
 import numpy as np
 
-from .field import rref
+from .field import integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -307,16 +316,19 @@ def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
 
 
 def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
-    """A Groebner basis of the ideal of the homogeneous forms `gens`, one
-    degree at a time (module docstring). It is already reduced up to order:
-    each element is monic, and no lead divides another lead or a tail term."""
+    """The reduced Groebner basis of the ideal of the homogeneous forms
+    `gens`, one degree at a time (module docstring), in order of discovery.
+    Each element is monic and lists its terms in descending order, and no
+    lead divides another lead or a tail term."""
     field, nvars = ring.field, ring.nvars
+    exact = field.kind == "rational"
     by_degree: dict[int, list[Poly]] = {}
     for g in gens:
         by_degree.setdefault(sum(next(iter(g.terms))), []).append(g)
     pairs = _PairQueue(order)
     leads = pairs.leads
     basis: list[tuple[int, np.ndarray, np.ndarray]] = []  # (degree, columns, values)
+    out: list[Poly] = []
     while by_degree or pairs.next_degree() is not None:
         d = pairs.next_degree()
         if by_degree and (d is None or min(by_degree) < d):
@@ -338,14 +350,17 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
             for k in (i, j):
                 if k != first[col[lcm]]:  # else it is the lcm's reducer, and clears to 0
                     halves[(k, tuple(map(sub, lcm, leads[k])))] = None
-        B = field.array(np.zeros((len(F) + len(halves), len(monos)), dtype=np.int64))
+        B = np.zeros((len(F) + len(halves), len(monos)), dtype=object if exact else np.int64)
         for r, g in enumerate(F):
             B[r, [col[e] for e in g.terms]] = list(g.terms.values())
+        if exact:
+            B[:len(F)] = integer_rows(B[:len(F)])
         for r, (k, q) in enumerate(halves, len(F)):
             e, cols, vals = basis[k]
             B[r, _shift(nvars, order, e, q)[cols]] = vals
         # each reducer clears its column with one rank-1 update, highest monomial
-        # (lowest column) first; over F_p every product is below p^2 < 2^62
+        # (lowest column) first; over F_p every product is below p^2 < 2^62, and
+        # over Q a row becomes lead * row - entry * reducer, divided by its content
         for c in np.flatnonzero(reducible).tolist():
             hit = B[:, c].nonzero()[0]
             if not hit.size:
@@ -353,19 +368,25 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
             k = first[c]
             e, cols, vals = basis[k]
             live = np.ix_(hit, _shift(nvars, order, e, tuple(map(sub, monos[c], leads[k])))[cols])
-            B[live] = field.reduce(B[live] - np.outer(B[hit, c], vals))
+            entries = B[hit, c]
+            if exact:
+                B[hit] *= vals[0]
+            B[live] = field.reduce(B[live] - np.outer(entries, vals))
+            if exact:
+                B[hit] = primitive_rows(B[hit])
         free = np.flatnonzero(~reducible)
         if not free.size:
             continue
         R, pivots = rref(field, B[:, free])
-        for row, c in zip(field.array(R[:len(pivots)]).reshape(len(pivots), free.size), pivots):
+        R = R[:len(pivots)]
+        rows = np.array(R, dtype=B.dtype).reshape(len(R), free.size)
+        if exact:  # stored as primitive integer rows, the lead positive
+            rows = integer_rows(rows)
+        for row, coeffs in zip(rows, R):
             nz = row.nonzero()[0]
             basis.append((d, free[nz], row[nz]))
-            pairs.add(monos[free[c]])
-    out = []
-    for e, cols, vals in basis:
-        monos = _columns(nvars, order, e)[0]
-        out.append(Poly(ring, {monos[j]: x for j, x in zip(cols.tolist(), vals.tolist())}))
+            pairs.add(monos[free[nz[0]]])
+            out.append(Poly(ring, {monos[j]: coeffs[i] for i, j in zip(nz.tolist(), free[nz].tolist())}))
     return out
 
 
@@ -402,12 +423,14 @@ class Ideal:
         return gb
 
     def _compute_groebner(self, order: TermOrder) -> list[Poly]:
-        """The F4 degree loop on homogeneous generators, Buchberger on any
-        others; both then reduced."""
+        """The F4 degree loop on homogeneous generators, its reduced basis
+        sorted by lead, ascending; Buchberger then `reduce_basis` on any
+        others."""
         gens = [g for g in self.generators if not g.is_zero()]
         if not gens or not all(g.is_homogeneous() for g in gens):
             return reduced_groebner_from_gens(gens, order)
-        return reduce_basis(_f4(self.ring, gens, order), order)
+        key = order.key
+        return sorted(_f4(self.ring, gens, order), key=lambda g: key(next(iter(g.terms))))
 
     def prepared(self, order: TermOrder | None = None) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form

@@ -238,7 +238,7 @@ def _as_array(field, rows, ncols):
 def _canonical(field, rows):
     if field.kind == "prime":
         return all(type(v) is int and 0 <= v < field.p for row in rows for v in row)
-    return all(type(v) is Fraction for row in rows for v in row)
+    return all(type(v) is Fraction and type(v.numerator) is int for row in rows for v in row)
 
 
 @pytest.mark.parametrize("field", ECHELON_FIELDS, ids=lambda f: f.spec_string())
@@ -265,7 +265,7 @@ def test_echelon_matches_reference_gauss_jordan(field):
 # -- the rank mode (below-pivot elimination, deferred mod p) against the same
 # -- reference ---------------------------------------------------------------
 
-RANK_FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1)]
+RANK_FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1), RationalField()]
 
 
 def _rank_cases(field, rng):
@@ -306,3 +306,48 @@ def test_rank_mode_matches_reference_gauss_jordan(field):
                 assert rank(field, given) == want, name
             assert [list(r) for r in given] == kept, f"{name}: input was modified"
     assert most >= 3  # enough pivots that p = 2^31 - 1 flushes its deferred reduction
+
+
+# -- over Q the elimination runs on Python ints: entries past int64 --------
+
+
+def _huge_rational(rng):
+    """A non-zero rational whose numerator and denominator lie in [2^65, 2^70)."""
+    sign = rng.choice((1, -1))
+    while True:
+        q = Fraction(sign * rng.randrange(2**65, 2**70), rng.randrange(2**65, 2**70))
+        if abs(q.numerator) > 2**64 and q.denominator > 2**64:
+            return q
+
+
+def _mixed(rows):
+    """The rows with every integral entry as a plain int, the rest Fractions."""
+    return [[v.numerator if v.denominator == 1 else v for v in row] for row in rows]
+
+
+def test_q_elimination_on_entries_above_2_64():
+    rng = random.Random("echelon/Q/huge")
+
+    def entry():
+        return _huge_rational(rng) if rng.random() < 0.8 else Q.zero
+
+    cases = []
+    for m, n in ((1, 4), (3, 3), (4, 6), (6, 4), (5, 5), (8, 3)):
+        for r in sorted({1, min(m, n) - 1, min(m, n)} - {0}):
+            rows = _product_of_rank(Q, rng, m, n, r, entry)
+            cases.append((f"{m}x{n} rank {r}", _mixed(rows), n))
+        # huge ints beside huge Fractions, and a row twice the first
+        rows = [[rng.randrange(2**65, 2**70) if rng.random() < 0.4 else entry() for _ in range(n)]
+                for _ in range(m)]
+        cases.append((f"{m}x{n} random", rows + [[2 * v for v in rows[0]]], n))
+    assert any(type(v) is int and abs(v) > 2**64 for _, rows, _ in cases for row in rows for v in row)
+    for name, rows, n in cases:
+        R, pivots = _reference_rref(Q, rows, n)
+        for given in (rows, np.array(rows, dtype=object)):
+            got_R, got_pivots = rref(Q, given, n)
+            assert (got_R, got_pivots) == (R, pivots) and _canonical(Q, got_R), name
+            assert rank(Q, given, n) == len(pivots), name
+            K = kernel_basis(Q, given, n)
+            assert K == _reference_kernel(Q, R, pivots, n) and _canonical(Q, K), name
+            B = row_space_basis(Q, given, n)
+            assert B == R[:len(pivots)] and _canonical(Q, B), name

@@ -1,12 +1,14 @@
 import heapq
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from gradus.field import PrimeField, RationalField
 from gradus.groebner import (
     Ideal,
+    _f4,
     _nf_terms,
     buchberger,
     equal_ideals,
@@ -23,7 +25,16 @@ from gradus.groebner import (
     s_polynomial,
 )
 from gradus.hilbert import hilbert_function
-from gradus.ring import ELIM, GREVLEX, LEX, Poly, RingSpec, TermOrder, parse_poly
+from gradus.ring import (
+    ELIM,
+    GREVLEX,
+    LEX,
+    Poly,
+    RingSpec,
+    TermOrder,
+    monomials_of_degree,
+    parse_poly,
+)
 
 R = RingSpec(3)
 
@@ -497,3 +508,72 @@ def test_homogeneous_groebner_runs_no_buchberger(monkeypatch):
         # the name imported here is the unpatched function
         assert gb == reduce_basis(buchberger(list(J.generators)))
     assert [g.degree() for g in ideals[-1].groebner()] == [2, 2, 2, 3, 3, 3, 5]
+
+
+def _f4_cases(fld):
+    """(ring, generators) for the reduced-output check over one field."""
+    from gradus.points import random_general_points, vanishing_ideal
+    instances = {"32003": ((50, 2), (20, 3)), "Q": ((7, 2),)}.get(fld.spec_string(), ())
+    for s, n in instances:  # I_X of the points-betti instances
+        J = vanishing_ideal(random_general_points(s, n, seed=1, field=fld))
+        yield J.ring, list(J.generators)
+    for order in (TermOrder(GREVLEX), TermOrder(LEX)):
+        ring = RingSpec(4, fld, order)
+        yield ring, [P(g, ring) for g in GAP_IDEAL]
+    rng = random.Random(f"f4/{fld.spec_string()}")
+    lex = RingSpec(3, fld, TermOrder(LEX))
+    for _ in range(3):
+        yield lex, [g for g in (lex.random_form(d, rng) for d in (1, 2, 2, 3)) if not g.is_zero()]
+    for gens in _points_generator_lists(fld):
+        yield gens[0].ring, gens
+
+
+@pytest.mark.parametrize("fld", [PrimeField(3), PrimeField(32003), RationalField()],
+                         ids=lambda f: f.spec_string())
+def test_f4_output_is_already_reduced(fld):
+    """Sorted by lead, F4's basis is what `reduce_basis` would make of it,
+    down to the order of each element's terms, and it is what
+    `Ideal.groebner` returns."""
+    for ring, gens in _f4_cases(fld):
+        order = ring.order
+        G = _f4(ring, gens, order)
+        got = sorted(G, key=lambda g: order.key(g.leading(order)[0]))
+        want = reduce_basis(G, order)
+        assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+        assert Ideal(ring, gens).groebner() == got
+
+
+# -- F4 on integer rows over Q against Buchberger on Fractions ---------------
+
+
+def _large_rational(rng):
+    """A 20-digit integer, or one over a denominator of up to 20 digits."""
+    num = rng.choice((1, -1)) * rng.randrange(10**19, 10**20)
+    return Fraction(num, rng.choice((1, 1, rng.randrange(2, 10**20))))
+
+
+def _large_form(ring, rng, d, nterms):
+    monos = monomials_of_degree(ring.nvars, d, ring.order)
+    return Poly(ring, {e: _large_rational(rng) for e in rng.sample(monos, min(nterms, len(monos)))})
+
+
+@pytest.mark.parametrize("order", [TermOrder(GREVLEX), TermOrder(LEX)], ids=lambda o: o.name())
+def test_f4_over_q_with_large_coefficients_matches_buchberger(order):
+    rng = random.Random(f"f4/Q/large/{order.name()}")
+    cases = []
+    for nvars in (2, 3):
+        ring = RingSpec(nvars, RationalField(), order)
+        for _ in range(4):
+            cases.append([_large_form(ring, rng, rng.randint(1, 3), rng.randint(2, 4))
+                          for _ in range(rng.randint(2, 3))])
+    ring4 = RingSpec(4, RationalField(), order)
+    gap = [P(g, ring4) for g in GAP_IDEAL]
+    # the gap ideal itself with each generator scaled, and with a large
+    # coefficient on every term
+    scaled = [g.scale(_large_rational(rng)) for g in gap]
+    cases.append(scaled)
+    cases.append([Poly(ring4, {e: _large_rational(rng) for e in g.terms}) for g in gap])
+    for gens in cases:
+        got = Ideal(gens[0].ring, gens).groebner()
+        assert got == reduced_groebner_from_gens(gens, order), gens
+    assert Ideal(ring4, scaled).groebner() == Ideal(ring4, gap).groebner()
