@@ -90,7 +90,9 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
     rows = len(dst_sets) * len(dst_basis)
     cols = len(src_sets) * len(src_basis)
     fld = Q.ring.field
-    D = fld.array(np.zeros((rows, cols), dtype=np.int64))
+    # int64 residues over F_p; over Q Python-int zeros, which `rank` takes
+    # mixed with the Fraction blocks
+    D = np.zeros((rows, cols), dtype=np.int64 if fld.kind == "prime" else object)
     for sk, S in enumerate(src_sets):
         c0 = sk * len(src_basis)
         for r, v in enumerate(S):

@@ -38,9 +38,15 @@ as L*row - b*reducer, which is then divided by its content. The final
 RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
 new elements' coefficients and are stored back as integer rows.
 
-Ideal intersections and colons go through the auxiliary-variable
-elimination trick (t*I + (1-t)*J, eliminate t) with t prepended as the
-greatest variable under a block order.
+Ideal intersections and colons eliminate an auxiliary variable t with
+the same loop. For homogeneous I and J in k[x], the ideal t*I + (h-t)*J of
+k[t, h, x] is homogeneous; under the block order on t, the t-free part of
+its reduced basis generates its contraction to k[h, x], which is
+h*(I ∩ J): setting t = h and t = 0 shows that h divides each element and
+its quotient lies in I and in J, and h*f = t*f + (h-t)*f. So the t-free
+elements are h times the reduced grevlex basis of I ∩ J. This homogenizes
+the affine t*I + (1-t)*J of Cox, Little and O'Shea (Ideals, Varieties, and
+Algorithms, ch. 3) so that it needs no Buchberger.
 """
 from __future__ import annotations
 
@@ -50,6 +56,7 @@ from operator import add, itemgetter, le, neg, sub
 
 import numpy as np
 
+from .errors import GradusError
 from .field import integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
@@ -333,13 +340,13 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
         d = pairs.next_degree()
         if by_degree and (d is None or min(by_degree) < d):
             d = min(by_degree)
-        monos, M, col = _columns(nvars, order, d)
         batch = []
         while (pair := pairs.pop(d)) is not None:
             batch.append(pair)
         F = by_degree.pop(d, [])
         if not F and not batch:
             continue
+        monos, M, col = _columns(nvars, order, d)
         # (LT G)_d, the monomials some lead divides, and for each of them
         # the first basis element whose lead does
         divides = (np.array(leads, dtype=np.int64).reshape(-1, nvars) <= M[:, None, :]).all(axis=2)
@@ -509,20 +516,10 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.generators + J.generators, check=False)
 
 
-def _extend_ring(ring: RingSpec) -> RingSpec:
-    return RingSpec(ring.nvars + 1, ring.field, TermOrder(ELIM, 1))
-
-
-def _shift_up(ext: RingSpec, f: Poly, t_degree: int = 0) -> Poly:
-    return Poly(ext, {(t_degree,) + e: c for e, c in f.terms.items()})
-
-
-def _project_down(ring: RingSpec, f: Poly) -> Poly:
-    return Poly(ring, {e[1:]: c for e, c in f.terms.items()})
-
-
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via t*I + (1-t)*J and elimination of t."""
+    """I ∩ J for homogeneous I and J (as `Ideal` requires) by eliminating t
+    from t*I + (h-t)*J in k[t, h, x] under the block order on t; the
+    generators are homogeneous, so F4 gives the basis (module docstring)."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -530,18 +527,23 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return I
     if not J.generators:
         return J
-    ext = _extend_ring(ring)
-    t = ext.variable(0)
-    one = ext.one()
-    gens = [t * _shift_up(ext, f) for f in I.groebner()]
-    gens += [(one - t) * _shift_up(ext, g) for g in J.groebner()]
-    gb = reduced_groebner_from_gens(gens, ext.order)
-    kept = [g for g in gb if g.leading(ext.order)[0][0] == 0]
-    projected = [_project_down(ring, g) for g in kept]
-    result = Ideal(ring, projected)  # re-verifies homogeneity
+    ext = RingSpec(ring.nvars + 2, ring.field, TermOrder(ELIM, 1))
+    t, h = ext.variable(0), ext.variable(1)
+
+    def up(f: Poly) -> Poly:
+        return Poly(ext, {(0, 0) + e: c for e, c in f.terms.items()})
+
+    gens = [t * up(f) for f in I.groebner()] + [(h - t) * up(g) for g in J.groebner()]
+    key = ext.order.key
+    kept = sorted((g for g in _f4(ext, gens, ext.order) if not next(iter(g.terms))[0]),
+                  key=lambda g: key(next(iter(g.terms))))
+    if any(e[1] != 1 for g in kept for e in g.terms):
+        raise GradusError("intersection: a t-free basis element is not h times a form in x")
+    projected = [Poly(ring, {e[2:]: c for e, c in g.terms.items()}) for g in kept]
+    result = Ideal(ring, projected, check=False)
     if ring.order.kind == GREVLEX:
-        # elimination theorem: the t-free part is already the reduced
-        # grevlex basis of the contraction
+        # elimination theorem: the t-free part is h times the reduced
+        # grevlex basis of the intersection
         result._gb[ring.order.name()] = projected
     return result
 

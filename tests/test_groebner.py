@@ -577,3 +577,105 @@ def test_f4_over_q_with_large_coefficients_matches_buchberger(order):
         got = Ideal(gens[0].ring, gens).groebner()
         assert got == reduced_groebner_from_gens(gens, order), gens
     assert Ideal(ring4, scaled).groebner() == Ideal(ring4, gap).groebner()
+
+
+# -- intersections by the homogeneous F4 route against affine Buchberger ------
+
+
+def _intersection_by_buchberger(I, J):
+    """I ∩ J as the t-free part of Buchberger's reduced basis of the affine
+    t*I + (1-t)*J, under the block order on t; the reference the F4 route of
+    `ideal_intersection` must reproduce."""
+    ring = I.ring
+    ext = RingSpec(ring.nvars + 1, ring.field, TermOrder(ELIM, 1))
+    t = ext.variable(0)
+
+    def up(f):
+        return Poly(ext, {(0,) + e: c for e, c in f.terms.items()})
+
+    gens = [t * up(f) for f in I.groebner()] + [(ext.one() - t) * up(g) for g in J.groebner()]
+    gb = reduced_groebner_from_gens(gens, ext.order)
+    return [Poly(ring, {e[1:]: c for e, c in g.terms.items()})
+            for g in gb if g.leading(ext.order)[0][0] == 0]
+
+
+def _assert_intersection_matches_reference(A, B):
+    want = _intersection_by_buchberger(A, B)
+    M = ideal_intersection(A, B)
+    # the same generators in the same order, each listing its lead first
+    assert list(M.generators) == want
+    grevlex = TermOrder(GREVLEX)
+    assert all(next(iter(g.terms)) == g.leading(grevlex)[0] for g in M.generators)
+    assert M.groebner() == Ideal(A.ring, want).groebner()
+
+
+@pytest.mark.parametrize("fld", [PrimeField(3), PrimeField(32003), RationalField()],
+                         ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("order", [TermOrder(GREVLEX), TermOrder(LEX)], ids=lambda o: o.name())
+def test_intersection_matches_buchberger_elimination(fld, order):
+    rng = random.Random(f"meet/{fld.spec_string()}/{order.name()}")
+    for nvars in (2, 3):
+        ring = RingSpec(nvars, fld, order)
+        cases = [Ideal(ring, gens) for gens in _graded_cases(ring, rng)]
+        for A in cases:
+            B = cases[rng.randrange(len(cases))]
+            _assert_intersection_matches_reference(A, B)
+            _assert_intersection_matches_reference(A, A)
+            # A inside A + B, both ways round
+            _assert_intersection_matches_reference(A, ideal_sum(A, B))
+            _assert_intersection_matches_reference(ideal_sum(B, A), A)
+
+
+def test_oracle_matches_buchberger_elimination():
+    """The intersection oracle, fed by either route, is I_X."""
+    from gradus.points import (
+        PointSet,
+        random_general_points,
+        vanishing_ideal,
+        vanishing_ideal_oracle,
+    )
+    sets = [random_general_points(s, 2, seed=5, field=PrimeField(32003)) for s in (9, 20)]
+    sets.append(random_general_points(8, 3, seed=1, field=PrimeField(3)))
+    for X in sets:
+        want = vanishing_ideal(PointSet(X.n, X.field, [X.points[0]]))
+        for p in X.points[1:]:
+            single = vanishing_ideal(PointSet(X.n, X.field, [p]))
+            want = Ideal(X.ring(), _intersection_by_buchberger(want, single))
+        got = vanishing_ideal_oracle(X)
+        assert list(got.generators) == list(want.generators)
+        assert got.groebner() == want.groebner() == vanishing_ideal(X).groebner()
+
+
+def test_intersections_and_colons_run_no_buchberger(monkeypatch):
+    """`ideal_intersection`, `ideal_quotient` and the oracle stay on the F4
+    degree loop."""
+    import gradus.groebner as gb_module
+    from gradus.points import random_general_points, vanishing_ideal_oracle
+    calls = []
+    plain = gb_module.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(gb_module, "buchberger", counting)
+    vanishing_ideal_oracle(random_general_points(20, 2, seed=1))
+    ideal_intersection(I("x0^2-x1*x2", "x1^2"), I("x1^2-x0*x2", "x0*x1")).groebner()
+    ideal_quotient(I("x0^2-x1*x2", "x1^3"), I("x0*x1", "x2^2")).groebner()
+    lex = RingSpec(3, order=TermOrder(LEX))
+    ideal_quotient(I("x0^2", "x0*x1", ring=lex), I("x0", ring=lex)).groebner()
+    assert calls == []
+
+
+def test_intersection_rejects_a_t_free_element_off_h_degree_one(monkeypatch):
+    import gradus.groebner as gb_module
+    from gradus.errors import GradusError
+    plain = gb_module._f4
+
+    def squared_h(ring, gens, order):
+        h = ring.variable(1)
+        return [g if next(iter(g.terms))[0] else g * h for g in plain(ring, gens, order)]
+
+    monkeypatch.setattr(gb_module, "_f4", squared_h)
+    with pytest.raises(GradusError, match="h times"):
+        ideal_intersection(I("x0"), I("x1"))
