@@ -44,6 +44,7 @@ from .hilbert import (
     delta_X,
     hilbert_function,
     hilbert_polynomial,
+    hilbert_series,
     hilbert_values,
     is_artinian,
     socle_degree,

@@ -136,16 +136,17 @@ def _cmd_artinian(args) -> int:
     return 0
 
 
-def _non_negative(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(low: int, what: str):
+    """An argparse type: a decimal integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+    return parse
 
 
-def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+_non_negative = _at_least(0, "a non-negative integer")
+_positive = _at_least(1, "a positive integer")
 
 
 def _parse_range(text: str) -> range:
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="vanishing ideal of points, or an ideal from generators")
     p.add_argument("--points", help="PointSet JSON file")
     p.add_argument("--gens", nargs="+", help="generator polynomials as text")
-    p.add_argument("--nvars", type=int, default=3)
+    p.add_argument("--nvars", type=_positive, default=3)
     p.add_argument("--order", default="grevlex")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the intersection-of-points oracle")
@@ -247,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function and polynomial of R/I")
     p.add_argument("--ideal", required=True)
     p.add_argument("--max-degree", type=_non_negative, default=12)
-    p.add_argument("--probe-limit", type=_non_negative, default=40)
+    p.add_argument("--probe-limit", type=_non_negative, default=40,
+                   help="print a null polynomial and stable_from when stable_from + "
+                        "nvars + 3 exceeds this")
     common(p, field=False)
     p.set_defaults(func=_cmd_hilbert)
 
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex = p.add_subparsers(dest="kind", required=True)
 
     q = ex.add_parser("socle-groups", help="socle-degree offset grouping scan")
-    q.add_argument("--max-s", type=int, default=25)
-    q.add_argument("--trials", type=int, default=3)
+    q.add_argument("--max-s", type=_at_least(2, "an integer >= 2"), default=25)
+    q.add_argument("--trials", type=_positive, default=3)
     q.add_argument("--seed", type=int, default=7)
     q.add_argument("--format", choices=["text", "json"], default="text")
     q.add_argument("--out")
@@ -299,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_experiment)
 
     q = ex.add_parser("monomial", help="leading-term-ideal Artinian study")
-    q.add_argument("--s1", type=int, default=15)
-    q.add_argument("--s2", type=int, default=21)
+    q.add_argument("--s1", type=_positive, default=15)
+    q.add_argument("--s2", type=_positive, default=21)
     q.add_argument("--seed", type=int, default=11)
     q.add_argument("--format", choices=["text", "json"], default="text")
     q.add_argument("--out")
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse-check", help="parse a polynomial and round-trip it")
     p.add_argument("--poly", required=True)
-    p.add_argument("--nvars", type=int, default=3)
+    p.add_argument("--nvars", type=_positive, default=3)
     p.add_argument("--order", default="grevlex")
     common(p)
     p.set_defaults(func=_cmd_parse_check)

@@ -173,9 +173,9 @@ def socle_group_scan(s_range: tuple[int, int] = (2, 25), trials: int = 3,
                      seed: int = 0, retry_budget: int = 8) -> list[SocleExperimentRow]:
     """Sample X and J per the scan convention for each s and trial; record
     initial degree, socle degree, and their offset."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     lo, hi = s_range
+    if trials < 1 or hi < lo:
+        raise ValueError("need at least one trial and one point count")
     master = random.Random(seed)
     rows = []
     for s in range(lo, hi + 1):

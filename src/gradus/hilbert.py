@@ -1,13 +1,18 @@
 """Hilbert functions and polynomials, Artinian detection, socle degree.
 
-HF(R/I)_d is the number of degree-d standard monomials, the basis of the
-GradedQuotient that also serves Betti and Hom. The Hilbert polynomial
-is recovered by exact interpolation on a sliding window of degrees.
+All four are read from one Hilbert series. HS(R/I) = HS(R/in(I))
+(Macaulay), and the series of a monomial ideal M is K(t)/(1 - t)^nvars with
+K(M + (m)) = K(M) - t^deg m * K(M : m), a product of the (1 - t^deg m) once
+the generators are pairwise coprime (Bayer & Stillman, "Computation of
+Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The
+GradedQuotient's standard-monomial bases serve Betti and Hom.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, zip_longest
+from math import comb
 
 from .errors import GradusError
 from .field import rank
@@ -49,6 +54,7 @@ class GradedQuotient:
         self.ring = I.ring
         self._gb = I.prepared()
         self._basis: dict[int, list[Exponents]] = {}
+        self.series = None  # (h, dim), set by hilbert_series
         self.nf = _NormalForms(-1, [], self._gb, I.ring.order, I.ring.field)
 
     def basis(self, d: int) -> list[Exponents]:
@@ -116,11 +122,50 @@ def standard_monomials(I: Ideal, d: int) -> list:
     return I.quotient().basis(d)
 
 
+def _minus(a: list[int], b: list[int]) -> list[int]:
+    """a - b, for polynomials in t as coefficient lists, constant term first."""
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _numerator(leads: list[Exponents]) -> list[int]:
+    """K(t) with HS(k[x]/(leads)) = K(t) / (1 - t)^nvars."""
+    gens: list[Exponents] = []
+    for e in sorted(set(leads), key=sum):  # the minimal generators
+        if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
+            gens.append(e)
+    if not gens or all(sum(g[v] > 0 for g in gens) <= 1 for v in range(len(gens[0]))):
+        K = [1]
+        for g in gens:  # pairwise coprime: the product of the (1 - t^deg g)
+            K = _minus(K, [0] * sum(g) + K)
+        return K
+    m, rest = gens[-1], gens[:-1]
+    colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest]
+    return _minus(_numerator(rest), [0] * sum(m) + _numerator(colon))
+
+
+def hilbert_series(I: Ideal) -> tuple[tuple[int, ...], int]:
+    """(h, dim) with HS(R/I) = h(t) / (1 - t)^dim and h(1) != 0, h constant
+    term first; dim is the Krull dimension of R/I. The zero ring R/(1) gives
+    ((0,), 0). Kept on I's GradedQuotient."""
+    Q = I.quotient()
+    if Q.series is None:
+        h, dim = _numerator(I.leading_monomials()), I.ring.nvars
+        while len(h) > 1 and h[-1] == 0:
+            h.pop()
+        while any(h) and sum(h) == 0:  # divide by 1 - t
+            h, dim = list(accumulate(h))[:-1], dim - 1
+        Q.series = (tuple(h), dim) if any(h) else ((0,), 0)
+    return Q.series
+
+
 def hilbert_function(I: Ideal, d: int) -> int:
-    """dim_k (R/I)_d."""
+    """dim_k (R/I)_d, the coefficient of t^d in h(t) / (1 - t)^dim."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return len(standard_monomials(I, d))
+    h, dim = hilbert_series(I)
+    if dim == 0:
+        return h[d] if d < len(h) else 0
+    return sum(c * comb(dim - 1 + d - i, dim - 1) for i, c in enumerate(h[:d + 1]))
 
 
 def hilbert_values(I: Ideal, dmax: int) -> list[int]:
@@ -189,98 +234,46 @@ class HilbertPolynomial:
 
 
 class StabilizationError(GradusError):
-    """HF never matched a degree-<= n interpolant inside the probe window."""
+    """HF first equals HP too late for the probe limit."""
 
     def __init__(self, message, values):
         super().__init__(message)
         self.values = values
 
 
-def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Coefficients (constant first) of the unique polynomial through points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for xi, yi in points:
-        # Lagrange basis polynomial for xi, expanded incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return tuple(coeffs)
-
-
 def hilbert_polynomial(I: Ideal, probe_limit: int = 40) -> HilbertPolynomial:
     """The polynomial HF agrees with for large d, plus the first degree of
-    agreement. Interpolates n+2 consecutive values, requires degree <= n,
-    and confirms on 3 further degrees before accepting."""
-    n = I.ring.nvars - 1
-    window = n + 2
-    values: list[int] = []
-
-    def val(d: int) -> int:
-        while len(values) <= d:
-            values.append(hilbert_function(I, len(values)))
-        return values[d]
-
-    start = 0
-    while start + window + 2 <= probe_limit:
-        pts = [(start + k, val(start + k)) for k in range(window)]
-        coeffs = _interpolate(pts)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        cand = HilbertPolynomial(coeffs, start)
-        if cand.degree() <= n and all(
-            cand(start + window + k) == val(start + window + k) for k in range(3)
-        ):
-            stable = start
-            while stable > 0 and cand(stable - 1) == val(stable - 1):
-                stable -= 1
-            return HilbertPolynomial(coeffs, stable)
-        start += 1
-    raise StabilizationError(
-        f"Hilbert function did not stabilize below degree {probe_limit}", values
-    )
-
-
-def _pure_power_exponents(I: Ideal) -> list[int] | None:
-    """For each variable, the least k with x_i^k in the leading-term ideal;
-    None if some variable has no pure power (non-Artinian)."""
-    nvars = I.ring.nvars
-    leads = I.leading_monomials()
-    if any(sum(e) == 0 for e in leads):
-        return [1] * nvars  # unit ideal: the zero ring is Artinian
-    out = []
-    for i in range(nvars):
-        best = None
-        for e in leads:
-            if all(e[j] == 0 for j in range(nvars) if j != i) and e[i] > 0:
-                best = e[i] if best is None else min(best, e[i])
-        if best is None:
-            return None
-        out.append(best)
-    return out
+    agreement. Expanding sum_i h_i * C(dim - 1 + d - i, dim - 1) in d gives
+    a polynomial equal to HF for d >= deg h - dim + 1, where every binomial
+    is a true count or a zero of it; `stable_from` is found by scanning down
+    from there. Raises StabilizationError iff stable_from + nvars + 3
+    exceeds `probe_limit`."""
+    h, dim = hilbert_series(I)
+    coeffs = [Fraction(0)] * dim
+    for i, c in enumerate(h):
+        term = [Fraction(c)]
+        for j in range(1, dim):  # times (d - i + j) / j
+            term = [(lo * (j - i) + hi) / j for lo, hi in zip(term + [0], [0] + term)]
+        coeffs = [a + b for a, b in zip(coeffs, term)]
+    hp = HilbertPolynomial(tuple(coeffs), max(0, len(h) - dim))
+    while hp.stable_from > 0 and hp(hp.stable_from - 1) == hilbert_function(I, hp.stable_from - 1):
+        hp.stable_from -= 1
+    if hp.stable_from + I.ring.nvars + 3 > probe_limit:
+        raise StabilizationError(
+            f"Hilbert function stabilizes at degree {hp.stable_from}, past probe limit "
+            f"{probe_limit}", hilbert_values(I, probe_limit - 1))
+    return hp
 
 
 def is_artinian(I: Ideal) -> bool:
-    """True iff the leading-term ideal contains a pure power of every
-    variable; cross-checked against the eventually-zero HF criterion."""
-    powers = _pure_power_exponents(I)
-    if powers is None:
-        return False
-    bound = sum(k - 1 for k in powers) + 1
-    if hilbert_function(I, bound) != 0:
+    """True iff R/I has Krull dimension 0, the dim of its Hilbert series;
+    cross-checked against the leading-term ideal holding a pure power of
+    every variable (or 1)."""
+    artinian = hilbert_series(I)[1] == 0
+    pure = {v for e in I.leading_monomials() for v, a in enumerate(e) if a == sum(e)}
+    if artinian != (len(pure) == I.ring.nvars):
         raise GradusError("Artinian criteria disagree; this is a bug")
-    return True
+    return artinian
 
 
 @dataclass
@@ -292,15 +285,14 @@ class SocleReport:
 
 def socle_degree(I: Ideal) -> SocleReport:
     """Top nonzero degree of the Hilbert function of an Artinian quotient,
-    together with the initial degree of the defining ideal. The zero ring
-    R/(1) has no nonzero degree, so its socle degree is None."""
+    deg h of its series h(t), together with the initial degree of the
+    defining ideal. The zero ring R/(1) has no nonzero degree, so its socle
+    degree is None."""
     initial = I.min_generator_degree()
-    powers = _pure_power_exponents(I)
-    if powers is None:
+    if not is_artinian(I):
         return SocleReport(False, None, initial)
-    bound = sum(k - 1 for k in powers)
-    omega = max((d for d in range(bound + 1) if hilbert_function(I, d) != 0), default=None)
-    return SocleReport(True, omega, initial)
+    h, _ = hilbert_series(I)
+    return SocleReport(True, len(h) - 1 if any(h) else None, initial)
 
 
 def delta_X(X) -> int:

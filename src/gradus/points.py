@@ -32,7 +32,7 @@ from .field import (
     DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, row_space_basis,
 )
 from .groebner import Ideal, ideal_intersection
-from .hilbert import SocleReport, hilbert_function
+from .hilbert import SocleReport, hilbert_series
 from .ring import Poly, RingSpec, monomials_of_degree
 
 
@@ -239,27 +239,24 @@ def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
 
 
 def vanishing_ideal(X: PointSet) -> Ideal:
-    """I_X from evaluation kernels in degrees <= delta_X + 1, then verified:
-    HF(R/I_X)_d must equal HF_X(d) through delta_X + 3. A kernel is taken in
-    every degree where HF_X(d) < C(n+d, n), so points off general position
-    (collinear ones, say) get their low-degree generators too. Each call
-    builds it afresh; X does not keep it."""
-    ring = X.ring()
+    """I_X from evaluation kernels in degrees <= delta_X + 1 = reg(I_X), then
+    proven: the kernels span I_d within (I_X)_d, so equal Hilbert series,
+    h = Delta HF_X with dim 1, give I = I_X in every degree. A kernel is
+    taken in every degree where HF_X(d) < C(n+d, n), so points off general
+    position (collinear ones, say) get their low-degree generators too. Each
+    call builds it afresh; X does not keep it."""
     hf = [X.rank_at(0)]  # HF_X(d) is the evaluation rank, and s from delta_X on
     while hf[-1] < X.s:
         hf.append(X.rank_at(len(hf)))
     delta = len(hf) - 1
-    D = delta + 1
-    for _ in range(3):
-        gens: list[Poly] = []
-        for d in range(1, D + 1):
-            if hf[min(d, delta)] < comb(X.n + d, X.n):
-                gens.extend(_kernel_polys(X, d))
-        I = Ideal(ring, gens)
-        if all(hilbert_function(I, d) == hf[min(d, delta)] for d in range(D + 3)):
-            return I
-        D += 1  # generator degree bound was short; widen and retry
-    raise VerificationError("vanishing ideal failed its Hilbert-function check")
+    gens: list[Poly] = []
+    for d in range(1, delta + 2):
+        if hf[min(d, delta)] < comb(X.n + d, X.n):
+            gens.extend(_kernel_polys(X, d))
+    I = Ideal(X.ring(), gens)
+    if hilbert_series(I) != (tuple(a - b for a, b in zip(hf, [0] + hf)), 1):
+        raise VerificationError("vanishing ideal's Hilbert series is not the points'; this is a bug")
+    return I
 
 
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:

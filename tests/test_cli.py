@@ -353,3 +353,34 @@ def test_out_flag_writes_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["seed"] == 1
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["experiment", "socle-groups", "--max-s", "1"], ">= 2"),
+    (["experiment", "socle-groups", "--max-s", "0"], ">= 2"),
+    (["experiment", "socle-groups", "--max-s", "-4"], ">= 2"),
+    (["experiment", "socle-groups", "--trials", "0"], "positive"),
+    (["experiment", "monomial", "--s1", "0"], "positive"),
+    (["experiment", "monomial", "--s2", "0"], "positive"),
+    (["ideal", "--gens", "x0", "--nvars", "0"], "positive"),
+    (["parse-check", "--poly", "x0", "--nvars", "0"], "positive"),
+], ids=("max-s-1", "max-s-0", "max-s-negative", "trials-0", "s1-0", "s2-0",
+        "ideal-nvars-0", "parse-check-nvars-0"))
+def test_bad_experiment_and_ring_sizes_exit_2(capsys, argv, word):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert word in capsys.readouterr().err
+
+
+def test_hilbert_of_a_late_stabilizing_ideal(tmp_path, capsys):
+    # HF is d+1 through degree 11, then 12: a polynomial fitted to a few
+    # low degrees would read d+1
+    code, out, _ = run(capsys, "ideal", "--gens", "x0", "x1^2*x2^10", "--nvars", "3")
+    assert code == 0
+    src = tmp_path / "I.json"
+    src.write_text(out)
+    code, out, _ = run(capsys, "hilbert", "--ideal", str(src))
+    assert code == 0
+    assert '"polynomial": "12"' in out and '"stable_from": 11' in out
+    assert json.loads(out)["values"] == list(range(1, 13)) + [12]

@@ -100,3 +100,9 @@ def test_report_serialization():
 def test_case_list():
     assert "example_2_11" in ALL_CASES
     assert {"table1", "table2", "table3", "table4"} <= set(ALL_CASES)
+
+
+@pytest.mark.parametrize("s_range, trials", [((2, 1), 3), ((5, 4), 1), ((2, 4), 0)])
+def test_socle_group_scan_refuses_an_empty_scan(s_range, trials):
+    with pytest.raises(ValueError):
+        socle_group_scan(s_range, trials)

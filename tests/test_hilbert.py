@@ -5,19 +5,22 @@ from math import comb
 import pytest
 
 from gradus.experiments import reference_J
+from gradus.field import field_from_string
 from gradus.groebner import Ideal, ideal_sum, leading_term_ideal
 from gradus.hilbert import (
     StabilizationError,
     delta_X,
     hilbert_function,
     hilbert_polynomial,
+    hilbert_series,
     hilbert_values,
     ideal_dimension_by_rank,
     is_artinian,
     socle_degree,
+    standard_monomials,
 )
 from gradus.points import random_general_points, vanishing_ideal
-from gradus.ring import RingSpec, parse_poly
+from gradus.ring import Poly, RingSpec, monomials_of_degree, order_from_string, parse_poly
 
 R = RingSpec(3)
 
@@ -85,6 +88,58 @@ def test_hilbert_polynomial_probe_limit():
     X = random_general_points(9, 2, seed=5)
     with pytest.raises(StabilizationError):
         hilbert_polynomial(vanishing_ideal(X), probe_limit=4)
+
+
+def test_hilbert_polynomial_probe_limit_boundary():
+    # stable_from is 3 for 9 general points of P^2; the limit must reach
+    # stable_from + nvars + 3 = 9
+    I = vanishing_ideal(random_general_points(9, 2, seed=5))
+    assert hilbert_polynomial(I, probe_limit=9).stable_from == 3
+    with pytest.raises(StabilizationError):
+        hilbert_polynomial(I, probe_limit=8)
+
+
+def test_hilbert_polynomial_of_a_late_stabilizing_ideal():
+    # HF is d+1 through degree 11, then 12 for good: any window of seven
+    # values below degree 5 fits d+1
+    I = Ideal(R, [P("x0"), P("x1^2*x2^10")])
+    assert hilbert_series(I) == ((1,) * 12, 1)
+    hp = hilbert_polynomial(I)
+    assert str(hp) == "12" and hp.stable_from == 11
+    assert hilbert_values(I, 13) == list(range(1, 13)) + [12, 12]
+
+
+def _sample_ideals(ring, rng):
+    """Random, monomial, zero and unit ideals of `ring`."""
+    out = [Ideal(ring, []), Ideal(ring, [ring.one()])]
+    for _ in range(4):
+        gens = [ring.random_form(rng.randrange(1, 4), rng) for _ in range(rng.randrange(1, 5))]
+        out.append(Ideal(ring, [g for g in gens if not g.is_zero()]))
+    for _ in range(3):
+        monos = [rng.choice(monomials_of_degree(ring.nvars, rng.randrange(1, 5), ring.order))
+                 for _ in range(rng.randrange(1, 5))]
+        out.append(Ideal(ring, [Poly(ring, {e: ring.field.one}) for e in monos]))
+    return out
+
+
+@pytest.mark.parametrize("field, order, nvars", [
+    ("3", "grevlex", 3), ("32003", "grevlex", 3), ("Q", "grevlex", 3),
+    ("32003", "lex", 3), ("32003", "grevlex", 4),
+], ids=("F3", "F32003", "Q", "lex-F32003", "F32003-4vars"))
+def test_series_matches_the_standard_monomials_and_the_rank_oracle(field, order, nvars):
+    ring = RingSpec(nvars, field_from_string(field), order_from_string(order))
+    rng = random.Random(f"{field}-{order}-{nvars}")
+    for I in _sample_ideals(ring, rng):
+        for d in range(8):
+            hf = hilbert_function(I, d)
+            assert hf == len(standard_monomials(I, d))
+            assert hf == comb(nvars - 1 + d, nvars - 1) - ideal_dimension_by_rank(I, d)
+        hp = hilbert_polynomial(I)
+        for d in range(hp.stable_from, hp.stable_from + 6):
+            assert hp(d) == hilbert_function(I, d)
+        if hp.stable_from:
+            assert hp(hp.stable_from - 1) != hilbert_function(I, hp.stable_from - 1)
+        assert hp.degree() == hilbert_series(I)[1] - 1
 
 
 def test_is_artinian_examples():

@@ -1,10 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from gradus.errors import GeneralPositionError
+import gradus.points
+from gradus.errors import GeneralPositionError, VerificationError
 from gradus.field import PrimeField, RationalField, rank
 from gradus.groebner import Ideal, equal_ideals, normal_form
 from gradus.hilbert import hilbert_function, standard_monomials
@@ -153,6 +154,28 @@ def test_vanishing_ideal_of_points_off_general_position(fld, extra):
     if not extra:
         line_and_cubic = [parse_poly(ring, "x2"), parse_poly(ring, "x1^3-3*x0*x1^2+2*x0^2*x1")]
         assert equal_ideals(I, Ideal(ring, line_and_cubic))
+
+
+def test_vanishing_ideal_of_every_point_of_the_plane_over_f3():
+    fld = PrimeField(3)
+    X = PointSet(2, fld, sorted({normalize_point(fld, p)
+                                 for p in product(range(3), repeat=3) if any(p)}))
+    assert X.s == 13 and not X.is_general_position()
+    I = vanishing_ideal(X)
+    assert equal_ideals(I, vanishing_ideal_oracle(X))
+    for d in range(X.delta() + 4):
+        assert hilbert_function(I, d) == X.rank_at(d)
+
+
+def test_vanishing_ideal_proof_rejects_a_dropped_generator(monkeypatch):
+    # 7 general points: HF_X = 1, 3, 6, 7, ... and three cubics in I_X; with
+    # one dropped, HF(R/I)_3 = 8 and the series differ
+    X = random_general_points(7, 2, seed=3)
+    kernel = gradus.points._kernel_polys
+    monkeypatch.setattr(gradus.points, "_kernel_polys",
+                        lambda X, d: kernel(X, d)[1:] if d == 3 else kernel(X, d))
+    with pytest.raises(VerificationError, match="this is a bug"):
+        vanishing_ideal(X)
 
 
 def _mult_injective_all_degrees(g, X, top):
