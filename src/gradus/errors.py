@@ -6,7 +6,7 @@ class GradusError(Exception):
 
 
 class ParseError(GradusError, ValueError):
-    """Malformed polynomial, scalar, or ring text."""
+    """Malformed polynomial, scalar, or ring text, or JSON input of the wrong shape."""
 
 
 class GeneralPositionError(GradusError):

@@ -46,7 +46,13 @@ h*(I ∩ J): setting t = h and t = 0 shows that h divides each element and
 its quotient lies in I and in J, and h*f = t*f + (h-t)*f. So the t-free
 elements are h times the reduced grevlex basis of I ∩ J. This homogenizes
 the affine t*I + (1-t)*J of Cox, Little and O'Shea (Ideals, Varieties, and
-Algorithms, ch. 3) so that it needs no Buchberger.
+Algorithms, ch. 3) so that it needs no Buchberger. A list of ideals (the
+colons (I : g) of `ideal_quotient`, the single-point ideals of the points
+oracle) is intersected in a balanced tree, as in a subproduct tree (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 10): neighbours pairwise,
+level by level, an odd one carried over. That is still one intersection
+fewer than the list is long, but below the root none meets more than half
+of the list, where a left fold carries all it has met into each one.
 """
 from __future__ import annotations
 
@@ -65,6 +71,8 @@ from .ring import (
     Poly,
     RingSpec,
     TermOrder,
+    expect_json,
+    json_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -374,11 +382,12 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
                 continue
             k = first[c]
             e, cols, vals = basis[k]
-            live = np.ix_(hit, _shift(nvars, order, e, tuple(map(sub, monos[c], leads[k])))[cols])
-            entries = B[hit, c]
+            live = hit[:, None]
+            tgt = _shift(nvars, order, e, tuple(map(sub, monos[c], leads[k])))[cols]
+            entries = B[hit, c, None]
             if exact:
                 B[hit] *= vals[0]
-            B[live] = field.reduce(B[live] - np.outer(entries, vals))
+            B[live, tgt] = field.reduce(B[live, tgt] - entries * vals)
             if exact:
                 B[hit] = primitive_rows(B[hit])
         free = np.flatnonzero(~reducible)
@@ -484,8 +493,10 @@ class Ideal:
 
     @classmethod
     def from_json(cls, data: dict) -> "Ideal":
-        ring = RingSpec.from_json(data["ring"])
-        gens = [parse_poly(ring, s) for s in data["generators"]]
+        expect_json(data, dict, "ideal")
+        ring = RingSpec.from_json(json_key(data, "ring", dict, "ideal"))
+        gens = [parse_poly(ring, expect_json(g, str, "a generator"))
+                for g in json_key(data, "generators", list, "ideal")]
         return cls(ring, gens)
 
     def __repr__(self):
@@ -548,6 +559,18 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
+def _intersect_all(ideals: list[Ideal]) -> Ideal:
+    """The intersection of a non-empty list of ideals in a balanced tree:
+    each level intersects neighbours pairwise and carries an odd last one
+    over, so len(ideals) - 1 `ideal_intersection` calls in all, and below
+    the root no node meets more than half of the list."""
+    level = list(ideals)
+    while len(level) > 1:
+        paired = [ideal_intersection(a, b) for a, b in zip(level[::2], level[1::2])]
+        level = paired + level[2 * len(paired):]
+    return level[0]
+
+
 def _exact_divide(f: Poly, g: Poly) -> Poly:
     r, qs = normal_form(f, [g], with_quotients=True)
     if not r.is_zero():
@@ -562,16 +585,15 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     if not J.generators:
         raise ValueError("colon by the zero ideal")
     ring = I.ring
-    result: Ideal | None = None
+    colons = []
     for g in J.generators:
         if I.contains(g):
             continue  # (I : g) is the unit ideal
         meet = ideal_intersection(I, Ideal(ring, [g], check=False))
-        colon = Ideal(ring, [_exact_divide(f, g) for f in meet.groebner()], check=False)
-        result = colon if result is None else ideal_intersection(result, colon)
-    if result is None:
+        colons.append(Ideal(ring, [_exact_divide(f, g) for f in meet.groebner()], check=False))
+    if not colons:
         return Ideal(ring, [ring.one()], check=False)  # J subset of I
-    return result
+    return _intersect_all(colons)
 
 
 def leading_term_ideal(I: Ideal, order: TermOrder | None = None,

@@ -12,7 +12,9 @@ d* - 1 and d*, where d* = min{d : C(n+d, n) >= s}:
 - rank s at d* gives rank s above it, as HF_X is non-decreasing.
 
 The vanishing ideal comes from evaluation-matrix kernels, with an
-independent oracle that intersects single-point ideals instead.
+independent oracle that intersects the single-point ideals instead, in a
+balanced tree, so that no intersection below the root carries more than
+half of the points.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. A spanning set
 of V_u = ev_u(R_u) is read off the evaluation matrix whenever ev_u is
@@ -27,13 +29,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import GeneralPositionError, GradusError, VerificationError
+from .errors import GeneralPositionError, GradusError, ParseError, VerificationError
 from .field import (
     DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, row_space_basis,
 )
-from .groebner import Ideal, ideal_intersection
+from .groebner import Ideal, _intersect_all
 from .hilbert import SocleReport, hilbert_series
-from .ring import Poly, RingSpec, monomials_of_degree
+from .ring import Poly, RingSpec, expect_json, json_key, monomials_of_degree
 
 
 def normalize_point(field: Field, coords) -> tuple:
@@ -46,7 +48,8 @@ def normalize_point(field: Field, coords) -> tuple:
 
 
 class PointSet:
-    """Distinct points of P^n, normalised, each with n + 1 coordinates.
+    """A non-empty set of distinct points of P^n, normalised, each with
+    n + 1 coordinates.
 
     That is all the constructor and `from_json` check: the points need not
     be in general position. `random_general_points` certifies general
@@ -59,6 +62,8 @@ class PointSet:
         self.n = n
         self.field = field
         pts = [normalize_point(field, p) for p in points]
+        if not pts:
+            raise ValueError("need at least one point")
         if len(set(pts)) != len(pts):
             raise ValueError("points are not pairwise distinct")
         for p in pts:
@@ -170,9 +175,19 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
-        field = field_from_string(str(data["field"]))
-        pts = [[field.parse_scalar(c) for c in p] for p in data["points"]]
-        return cls(int(data["n"]), field, pts, data.get("seed"))
+        """The set `to_json` wrote; a wrong shape, a missing key, a
+        coordinate that is not a string, or a list the constructor refuses
+        is a ParseError."""
+        expect_json(data, dict, "point set")
+        field = field_from_string(json_key(data, "field", str, "point set"))
+        pts = [[field.parse_scalar(expect_json(c, str, "a coordinate"))
+                for c in expect_json(p, list, "a point")]
+               for p in json_key(data, "points", list, "point set")]
+        n = json_key(data, "n", int, "point set")
+        try:
+            return cls(n, field, pts, data.get("seed"))
+        except ValueError as exc:
+            raise ParseError(f"bad point set: {exc}") from None
 
     def __eq__(self, other):
         return (
@@ -260,15 +275,9 @@ def vanishing_ideal(X: PointSet) -> Ideal:
 
 
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
-    """Independent route: intersect the single-point vanishing ideals."""
-    singles = [
-        vanishing_ideal(PointSet(X.n, X.field, [p]))
-        for p in X.points
-    ]
-    result = singles[0]
-    for one in singles[1:]:
-        result = ideal_intersection(result, one)
-    return result
+    """Independent route: intersect the single-point vanishing ideals, in a
+    balanced tree of s - 1 intersections."""
+    return _intersect_all([vanishing_ideal(PointSet(X.n, X.field, [p])) for p in X.points])
 
 
 def values_of(f: Poly, X: PointSet) -> np.ndarray:

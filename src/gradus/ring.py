@@ -74,6 +74,24 @@ def order_from_string(text: str) -> TermOrder:
     raise ParseError(f"unknown term order {text!r}")
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def expect_json(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (a bool is no integer), else
+    a ParseError naming `what`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def json_key(data: dict, key: str, kind: type, what: str):
+    """data[key], which must be there and have the JSON type `kind`."""
+    if key not in data:
+        raise ParseError(f"{what} has no {key!r}")
+    return expect_json(data[key], kind, f"{what} {key!r}")
+
+
 def compare_monomials(a: Exponents, b: Exponents, order: TermOrder) -> int:
     """-1, 0, or 1 as a <, =, > b under the order."""
     if len(a) != len(b):
@@ -153,10 +171,12 @@ class RingSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "RingSpec":
+        expect_json(data, dict, "ring")
+        field = expect_json(data.get("field", str(DEFAULT_PRIME)), str, "ring 'field'")
         return cls(
-            int(data["nvars"]),
-            field_from_string(str(data.get("field", DEFAULT_PRIME))),
-            order_from_string(data.get("order", GREVLEX)),
+            json_key(data, "nvars", int, "ring"),
+            field_from_string(field),
+            order_from_string(expect_json(data.get("order", GREVLEX), str, "ring 'order'")),
         )
 
     def __eq__(self, other):

@@ -245,6 +245,29 @@ def test_bad_coefficient_exits_2(capsys, flags, message):
     assert err.startswith(f"gradus: parse error: {message}")
 
 
+POINTS_OK = {"n": 2, "field": "32003", "points": [["1", "2", "3"]]}
+IDEAL_OK = {"ring": {"nvars": 3, "field": "32003", "order": "grevlex"}, "generators": ["x0"]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("ideal", {**POINTS_OK, "points": []}, "bad point set: need at least one point"),
+    ("ideal", {**POINTS_OK, "points": [[1, 2, 3]]}, "a coordinate must be a string"),
+    ("ideal", {"n": 2, "field": "32003"}, "point set has no 'points'"),
+    ("ideal", [POINTS_OK], "point set must be an object"),
+    ("betti", [IDEAL_OK], "ideal must be an object"),
+    ("betti", {**IDEAL_OK, "generators": ["x0", 3]}, "a generator must be a string"),
+], ids=("no-points", "integer-coordinates", "missing-points", "points-list",
+        "ideal-list", "integer-generator"))
+def test_malformed_json_input_exits_2(tmp_path, capsys, command, payload, message):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    flag = "--points" if command == "ideal" else "--ideal"
+    code, out, err = run(capsys, command, flag, str(src))
+    assert code == 2 and out == ""
+    assert err.startswith(f"gradus: parse error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_compute_error_exits_1(capsys):
     code, _, err = run(capsys, "ideal", "--gens", "x0^2+x1")
     assert code == 1

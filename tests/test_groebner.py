@@ -9,6 +9,7 @@ from gradus.field import PrimeField, RationalField
 from gradus.groebner import (
     Ideal,
     _f4,
+    _intersect_all,
     _nf_terms,
     buchberger,
     equal_ideals,
@@ -644,6 +645,30 @@ def test_oracle_matches_buchberger_elimination():
         got = vanishing_ideal_oracle(X)
         assert list(got.generators) == list(want.generators)
         assert got.groebner() == want.groebner() == vanishing_ideal(X).groebner()
+
+
+@pytest.mark.parametrize("fld", [PrimeField(3), PrimeField(32003), RationalField()],
+                         ids=lambda f: f.spec_string())
+def test_intersection_tree_matches_the_left_fold(fld):
+    """`_intersect_all` pairs neighbours level by level; the ideal, its
+    basis and its generator list are those of the left fold it replaced,
+    for every length from 1 to 5 (odd lengths carry an ideal over)."""
+    rng = random.Random(f"tree/{fld.spec_string()}")
+    for order in (TermOrder(GREVLEX), TermOrder(LEX)):
+        ring = RingSpec(3, fld, order)
+        pool = [Ideal(ring, gens) for gens in itertools.islice(_graded_cases(ring, rng), 6)]
+        for _ in range(4):
+            while (f := ring.random_form(rng.randint(1, 2), rng)).is_zero():
+                pass
+            pool.append(Ideal(ring, [f]))
+        for length in [1, 2, 3, 4, 5] * 2:
+            ideals = [pool[rng.randrange(len(pool))] for _ in range(length)]
+            want = ideals[0]
+            for J in ideals[1:]:
+                want = ideal_intersection(want, J)
+            got = _intersect_all(ideals)
+            assert list(got.generators) == list(want.generators)
+            assert got.groebner() == want.groebner()
 
 
 def test_intersections_and_colons_run_no_buchberger(monkeypatch):

@@ -34,6 +34,11 @@ def test_pointset_rejects_duplicates():
         PointSet(2, F, [[1, 2, 3], [2, 4, 6]])  # same projective point
 
 
+def test_pointset_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="at least one point"):
+        PointSet(2, F, [])
+
+
 def test_sampler_deterministic_and_distinct():
     X1 = random_general_points(6, 2, seed=42)
     X2 = random_general_points(6, 2, seed=42)
@@ -299,3 +304,21 @@ def test_general_position_needs_the_rank_below_d_star():
         assert not X.injective_at(d_star - 1) and X.injective_at(d_star - 2)
         assert not X.is_general_position() and not _general_by_full_check(X)
         assert X.delta() == d_star
+
+
+@pytest.mark.parametrize("X", [
+    PointSet(2, F, COLLINEAR),
+    PointSet(2, RationalField(), COLLINEAR + [[1, 3, 0], [1, 4, 0]]),
+    PointSet(2, PrimeField(3), _projective_plane(3)),
+    PointSet(2, F, [[1, 2, 0], [1, 5, 7], [0, 1, 3], [1, 1, 1], [2, 3, 5]]),
+    PointSet(3, PrimeField(5), [[1, 2, 3, 0]]),
+    random_general_points(1, 2, seed=3),
+    random_general_points(7, 3, seed=3),
+], ids=("collinear", "five-collinear-Q", "P2-F3", "one-on-x2=0", "s1-on-x3=0",
+        "s1", "s7-P3"))
+def test_oracle_is_the_vanishing_ideal_off_general_position(X):
+    want = vanishing_ideal(X).groebner()
+    got = vanishing_ideal_oracle(X)
+    assert got.groebner() == want
+    if X.s > 1:  # the root of the tree is an intersection: its reduced grevlex basis
+        assert list(got.generators) == want
