@@ -62,7 +62,7 @@ from operator import add, itemgetter, le, neg, sub
 
 import numpy as np
 
-from .errors import GradusError
+from .errors import GradusError, ParseError
 from .field import integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
@@ -493,11 +493,16 @@ class Ideal:
 
     @classmethod
     def from_json(cls, data: dict) -> "Ideal":
+        """The ideal `to_json` wrote; a wrong shape, a missing key, or a ring
+        or generator list the constructors refuse is a ParseError."""
         expect_json(data, dict, "ideal")
         ring = RingSpec.from_json(json_key(data, "ring", dict, "ideal"))
         gens = [parse_poly(ring, expect_json(g, str, "a generator"))
                 for g in json_key(data, "generators", list, "ideal")]
-        return cls(ring, gens)
+        try:
+            return cls(ring, gens)
+        except ValueError as exc:
+            raise ParseError(f"bad ideal: {exc}") from None
 
     def __repr__(self):
         inside = ", ".join(poly_to_str(g) for g in self.generators[:4])

@@ -171,13 +171,17 @@ class RingSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "RingSpec":
+        """The ring `to_json` wrote; a wrong shape or a ring the constructor
+        refuses is a ParseError."""
         expect_json(data, dict, "ring")
-        field = expect_json(data.get("field", str(DEFAULT_PRIME)), str, "ring 'field'")
-        return cls(
-            json_key(data, "nvars", int, "ring"),
-            field_from_string(field),
-            order_from_string(expect_json(data.get("order", GREVLEX), str, "ring 'order'")),
-        )
+        spec = expect_json(data.get("field", str(DEFAULT_PRIME)), str, "ring 'field'")
+        nvars = json_key(data, "nvars", int, "ring")
+        field = field_from_string(spec)
+        order = order_from_string(expect_json(data.get("order", GREVLEX), str, "ring 'order'"))
+        try:
+            return cls(nvars, field, order)
+        except ValueError as exc:
+            raise ParseError(f"bad ring: {exc}") from None
 
     def __eq__(self, other):
         return (
@@ -303,10 +307,6 @@ class Poly:
         _, c = self.leading(order)
         return self.scale(self.ring.field.inv(c))
 
-    def sorted_terms(self, order: TermOrder | None = None) -> list:
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
     def evaluate(self, coords: tuple) -> object:
         """Evaluate at affine coordinates (one scalar per variable), with one
         power per variable of each term."""
@@ -362,75 +362,106 @@ def poly_arith(f: Poly, g: Poly, op: str) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Text form: x0^2+x1*x2-3*x2^2 with explicit '*', '^' powers, and integer or
-# a/b coefficients. parse(poly_to_str(f)) == f exactly.
+# a/b coefficients; a term's factors may come in any order, as in 2*x0*3*x1.
+# parse(poly_to_str(f)) == f exactly, and poly_to_str(f) is canonical.
+#
+# Both directions work term by term through caches, because the generators
+# of one ideal file share most of their monomials: `parse_poly` reads each
+# term's monomial text through `_monomial`, and `poly_to_str` writes each
+# exponent tuple through `_mono_str`. `_monomial` checks the variable
+# indices on a cache miss, and an error is never cached.
 # ---------------------------------------------------------------------------
 
-_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*\^\s*\d+)?)"
-# one term: its signs, then its factors joined by '*'
-_TERM = re.compile(rf"\s*(?P<signs>(?:[+-]\s*)*)(?P<factors>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
-# one factor of a matched term: a coefficient, or a variable and its power
-_FACTORS = re.compile(r"(\d+(?:/\d+)?)|x(\d+)(?:\s*\^\s*(\d+))?")
+_COEFF = r"\d+(?:/\d+)?"
+_FACTOR = rf"(?:x\d+(?:\s*\^\s*\d+)?|{_COEFF})"
+# one term: its signs, a leading coefficient if a '*' follows it, and the
+# text of its monomial: the other factors joined by '*' (or a lone number)
+_TERM = re.compile(
+    rf"\s*([-+\s]*)(?:({_COEFF})\s*\*\s*)?({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*"
+)
+# one factor of a term's monomial text: a number, or a variable and its power
+_FACTORS = re.compile(rf"({_COEFF})|x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+@lru_cache(maxsize=4096)
+def _monomial(nvars: int, text: str) -> tuple[Exponents, tuple[str, ...]]:
+    """The exponent tuple of a term's monomial text, and the text of the
+    numbers among its factors (none in canonical text). A variable out of
+    range is reported here, before those numbers are read."""
+    exps = [0] * nvars
+    nums = []
+    for num, var, power in _FACTORS.findall(text):
+        if num:
+            nums.append(num)
+            continue
+        idx = int(var)
+        if idx >= nvars:
+            raise ParseError(f"variable x{var} out of range for {nvars} variables")
+        exps[idx] += int(power) if power else 1
+    return tuple(exps), tuple(nums)
 
 
 def parse_poly(ring: RingSpec, text: str) -> Poly:
-    """Parse the canonical text syntax into a polynomial of `ring`: one
-    `_TERM` match per term, whose factors `_FACTORS` splits."""
+    """Parse the text syntax into a polynomial of `ring`, with one `_TERM`
+    scan over the text whose matches must follow each other."""
     if not text.strip():
         raise ParseError("empty polynomial text")
     f = ring.field
+    nvars = ring.nvars
+    p = f.p if f.kind == "prime" else 0
     terms: dict = {}
     pos = 0
-    while pos < len(text):
-        m = _TERM.match(text, pos)
-        if m is None:
-            raise ParseError(f"cannot read a term at {text[pos:]!r} in polynomial {text!r}")
-        signs = m["signs"]
+    for m in _TERM.finditer(text):
+        start, end = m.span()
+        if start != pos:
+            break
+        signs, coeff, mono = m.groups()
         if pos and not signs:
             raise ParseError(f"expected '+' or '-' between terms at {text[pos:]!r}")
-        coeff = f.one
-        exps = [0] * ring.nvars
-        for num, var, power in _FACTORS.findall(m["factors"]):
-            if num:
-                coeff = f.mul(coeff, f.parse_scalar(num))
-                continue
-            idx = int(var)
-            if idx >= ring.nvars:
-                raise ParseError(f"variable x{var} out of range for {ring.nvars} variables")
-            exps[idx] += int(power) if power else 1
+        if coeff is None:
+            c = f.one
+        elif p and "/" not in coeff:
+            c = int(coeff) % p
+        else:
+            c = f.parse_scalar(coeff)
+        e, nums = _monomial(nvars, mono)
+        for num in nums:
+            c = f.mul(c, f.parse_scalar(num))
         if signs.count("-") % 2:
-            coeff = f.neg(coeff)
-        e = tuple(exps)
-        terms[e] = f.add(terms.get(e, f.zero), coeff)
-        pos = m.end()
+            c = f.neg(c)
+        terms[e] = f.add(terms[e], c) if e in terms else c
+        pos = end
+    if pos != len(text):
+        raise ParseError(f"cannot read a term at {text[pos:]!r} in polynomial {text!r}")
     return Poly(ring, terms)
 
 
+@lru_cache(maxsize=4096)
 def _mono_str(e: Exponents) -> str:
-    parts = [f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k]
-    return "*".join(parts)
+    return "*".join(f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k)
 
 
 def poly_to_str(p: Poly) -> str:
-    """Canonical text: terms descending in the ring order, balanced coefficients."""
+    """Canonical text: terms descending in the ring order, balanced
+    coefficients, no '1*' and no leading '+'."""
     if p.is_zero():
         return "0"
-    f = p.ring.field
+    scalar_str = p.ring.field.scalar_str
+    terms = p.terms
     pieces = []
-    for e, c in p.sorted_terms():
-        c_str = f.scalar_str(c)
-        neg = c_str.startswith("-")
-        if neg:
-            c_str = c_str[1:]
+    for e in sorted(terms, key=p.ring.order.key, reverse=True):
+        c = scalar_str(terms[e])
+        sign = "+"
+        if c[0] == "-":
+            sign, c = "-", c[1:]
         mono = _mono_str(e)
         if not mono:
-            body = c_str
-        elif c_str == "1":
+            body = c
+        elif c == "1":
             body = mono
         else:
-            body = f"{c_str}*{mono}"
-        pieces.append(("-" if neg else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else "-" + body
-    for sign, body in pieces[1:]:
-        out += sign + body
-    return out
+            body = f"{c}*{mono}"
+        pieces += (sign, body)
+    if pieces[0] == "+":
+        pieces[0] = ""
+    return "".join(pieces)

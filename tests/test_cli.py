@@ -1,8 +1,12 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gradus
 import gradus.cli
 import gradus.points
 from gradus.cli import dispatch
@@ -199,6 +203,18 @@ def test_parse_check_golden(capsys):
     assert json.loads(out)["roundtrip"] is True
 
 
+def test_python_dash_m_gradus_runs_the_cli():
+    src = str(pathlib.Path(gradus.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "GRADUS_FIELD"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradus", "parse-check", "--poly", "x0^2+x1*x2-3*x2^2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN_DIR / "parse_check_out.json").read_text()
+
+
 def test_experiment_reproduce_json(capsys):
     code, out, _ = run(capsys, "experiment", "reproduce", "--case", "table1",
                        "--seed", "3", "--format", "json")
@@ -266,6 +282,21 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, command, payload, messag
     assert code == 2 and out == ""
     assert err.startswith(f"gradus: parse error: {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["betti", "hilbert", "socle", "artinian", "hom"])
+@pytest.mark.parametrize("payload, message", [
+    ({**IDEAL_OK, "ring": {"nvars": 0}}, "bad ring: need at least one variable"),
+    ({**IDEAL_OK, "generators": ["x0-x0"]}, "bad ideal: zero generator"),
+    ({**IDEAL_OK, "generators": ["x0^2+x1"]}, "bad ideal: non-homogeneous generator: x0^2+x1"),
+], ids=("nvars-0", "zero-generator", "non-homogeneous"))
+def test_ideal_file_the_constructors_refuse_exits_2(tmp_path, capsys, command, payload, message):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps(payload))
+    extra = ["--points", str(GOLDEN_DIR / "points_s4.json")] if command == "hom" else []
+    code, out, err = run(capsys, command, *extra, "--ideal", str(src))
+    assert code == 2 and out == ""
+    assert err == f"gradus: parse error: {message}\n"
 
 
 def test_compute_error_exits_1(capsys):
