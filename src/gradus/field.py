@@ -10,15 +10,16 @@ residues in [0, p) over F_p and an object array of Fractions over Q, and
 `reduce(A)` brings entries back to canonical form after array arithmetic
 (A % p over F_p, nothing over Q). Callers build, add and multiply matrices
 in that format without asking which field they hold. One elimination
-routine, `_echelon`, row-reduces both; `rank`, `rref`, `kernel_basis` and
-`row_space_basis` accept lists or arrays and return an int or lists of
-canonical field elements.
+routine, `_echelon`, row-reduces both; `rank`, `rank_profile`, `rref`,
+`kernel_basis` and `row_space_basis` accept lists or arrays and return an
+int, a list of column indices or lists of canonical field elements.
 
 `rref`, `kernel_basis` and `row_space_basis` run full Gauss-Jordan. `rank`
-runs `_echelon`'s rank mode, which on int64 residues does only what a rank
-needs: it eliminates below the pivot only, overwrites the pivot row with
-the current top row instead of swapping the two (row order does not change
-the rank), and defers the `% p` of the trailing block until the next rank-1
+and `rank_profile` run `_echelon`'s rank mode, which on int64 residues does
+only what a rank needs: it eliminates below the pivot only, overwrites the
+pivot row with the current top row instead of swapping the two (row
+operations change neither the rank nor which columns depend on the ones
+left of them), and defers the `% p` of the trailing block until the next rank-1
 update could overflow int64. Each update subtracts at most (p - 1)^2 from
 an entry, so that is every second step at p = 2^31 - 1 and never in
 practice at p = 32003; it is the delayed reduction of FFLAS-FFPACK (Dumas,
@@ -421,8 +422,15 @@ def rref(field: Field, rows, ncols: int | None = None):
     return A.tolist(), pivots
 
 
+def rank_profile(field: Field, rows, ncols: int | None = None) -> list[int]:
+    """The pivot columns of `_echelon`'s rank mode, ascending. Column c is one
+    exactly when it is not in the span of the columns left of it, so the
+    pivots below k number the rank of the first k columns."""
+    return _echelon(_matrix(field, rows, ncols), field, rank_only=True)[1]
+
+
 def rank(field: Field, rows, ncols: int | None = None) -> int:
-    return len(_echelon(_matrix(field, rows, ncols), field, rank_only=True)[1])
+    return len(rank_profile(field, rows, ncols))
 
 
 def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:

@@ -5,7 +5,8 @@ All four are read from one Hilbert series. HS(R/I) = HS(R/in(I))
 K(M + (m)) = K(M) - t^deg m * K(M : m), a product of the (1 - t^deg m) once
 the generators are pairwise coprime (Bayer & Stillman, "Computation of
 Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The
-GradedQuotient's standard-monomial bases serve Betti and Hom.
+GradedQuotient's standard-monomial bases serve Betti only: Hom works on the
+points' values (`gradus.points.PointValues`).
 """
 from __future__ import annotations
 

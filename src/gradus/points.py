@@ -4,23 +4,36 @@ R_X on the points' values.
 A point is a coordinate tuple normalized so its first nonzero entry is 1.
 Evaluation ev_d: R_d -> k^s, f -> (f(P_1), ..., f(P_s)), has kernel (I_X)_d
 and rank HF_X(d). General position means rank min(C(n+d, n), s) in every
-degree d. `PointSet.is_general_position` certifies it from two ranks, at
+degree d. `PointSet.is_general_position` certifies it from the ranks at
 d* - 1 and d*, where d* = min{d : C(n+d, n) >= s}:
 
 - ev_{d*-1} injective gives ev_d injective for every d < d*: if a non-zero
   f of degree d vanished on X, so would the non-zero x_0^{d*-1-d} * f;
 - rank s at d* gives rank s above it, as HF_X is non-decreasing.
 
+Both ranks, and HF_X in every degree up to d*, come from one elimination.
+Take a chart coordinate x_v that vanishes at no point of X (x_0 whenever
+no point lies on x_0 = 0). The columns of ev_D whose monomials are
+divisible by x_v^{D-d} are diag(x_v(P)^{D-d}) * ev_d, and that diagonal is
+invertible, so they have rank HF_X(d). Sorted by x_v-exponent, descending,
+those columns are the first C(n+d, n) of ev_D, and HF_X(d) is the number of
+pivots of ev_D's column rank profile among them (`field.rank_profile`).
+This is the affine Hilbert function of X in the chart x_v != 0 (Kreuzer &
+Robbiano, Computational Commutative Algebra 2, section 6.3). When every
+coordinate vanishes at some point (all 13 points of P^2(F_3), say), each
+degree takes a rank of its own.
+
 The vanishing ideal comes from evaluation-matrix kernels, with an
 independent oracle that intersects the single-point ideals instead, in a
 balanced tree, so that no intersection below the root carries more than
 half of the points.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
-no Groebner basis, on ndarrays in the field's matrix format. A spanning set
-of V_u = ev_u(R_u) is read off the evaluation matrix whenever ev_u is
-injective (the monomials' value vectors are then a basis), and is the unit
-matrix from delta_X on; only in the degrees between does it take an
-elimination.
+no Groebner basis, on ndarrays in the field's matrix format. Its Hilbert
+function takes the same chart: the values of (I_X + J)_d in every degree
+come from one elimination (`PointValues`), and those of R_X from the ranks
+above. Only without a chart does it take ranks per degree, on spanning
+rows of V_u = ev_u(R_u): the evaluation matrix while ev_u is injective,
+the unit matrix from delta_X on, and a row-reduced basis in between.
 """
 from __future__ import annotations
 
@@ -31,7 +44,8 @@ import numpy as np
 
 from .errors import GeneralPositionError, GradusError, ParseError, VerificationError
 from .field import (
-    DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, row_space_basis,
+    DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, rank_profile,
+    row_space_basis,
 )
 from .groebner import Ideal, _intersect_all
 from .hilbert import SocleReport, hilbert_series
@@ -43,6 +57,8 @@ def normalize_point(field: Field, coords) -> tuple:
     lead = next((c for c in coords if not field.is_zero(c)), None)
     if lead is None:
         raise ValueError("projective point needs a nonzero coordinate")
+    if lead == field.one:
+        return tuple(coords)
     inv = field.inv(lead)
     return tuple(field.mul(inv, c) for c in coords)
 
@@ -116,12 +132,36 @@ class PointSet:
         """`evaluation_array(d)` as row lists of canonical field elements."""
         return self.evaluation_array(d).tolist()
 
+    def chart(self) -> int | None:
+        """The first v with x_v vanishing at no point of X; None when every
+        coordinate vanishes at some point."""
+        f = self.field
+        return next((v for v in range(self.n + 1)
+                     if not any(f.is_zero(p[v]) for p in self.points)), None)
+
+    def chart_exponents(self, d: int, v: int) -> np.ndarray:
+        """The x_v-exponent of each column of `evaluation_array(d)`."""
+        return np.array([e[v] for e in monomials_of_degree(self.n + 1, d, self.ring().order)],
+                        dtype=np.intp)
+
     def rank_at(self, d: int) -> int:
+        """HF_X(d), the rank of ev_d. A miss with a chart coordinate x_v
+        eliminates ev_D once, D = max(d, d*), its columns sorted by
+        x_v-exponent, and keeps the ranks of every degree up to D (module
+        docstring); without a chart it takes the rank of ev_d alone."""
         r = self._ranks.get(d)
-        if r is None:
-            r = rank(self.field, self.evaluation_array(d))
-            self._ranks[d] = r
-        return r
+        if r is not None:
+            return r
+        v = self.chart()
+        if v is None:
+            r = self._ranks[d] = rank(self.field, self.evaluation_array(d))
+            return r
+        top = max(d, self._d_star())
+        order = np.argsort(-self.chart_exponents(top, v), kind="stable")
+        pivots = rank_profile(self.field, self.evaluation_array(top)[:, order])
+        prefixes = [comb(self.n + e, self.n) for e in range(top + 1)]
+        self._ranks.update(enumerate(np.searchsorted(pivots, prefixes).tolist()))
+        return self._ranks[d]
 
     def _d_star(self) -> int:
         """d* = min{d : C(n+d, n) >= s}; the rank is below s in lower degrees."""
@@ -317,6 +357,18 @@ class PointValues:
     on. The image of (I_X + J)_d is W_d = sum_j ev(j) * V_{d - deg j} over
     the generators j of J, so (R/(I_X + J))_d is V_d / W_d.
 
+    With a chart coordinate x_v (module docstring), x = ev(x_v) has no zero
+    entry, so for dmax = max deg j and T = delta_X + dmax, multiplying by
+    x^(T - d) is injective on k^s. It maps W_d onto the span of the columns
+    x^(dmax - dj) * ev(j) * ev(m), for the generators j (of degree dj) and
+    the monomials m of degree delta_X, whose entry degree
+    e = dj + delta_X - e_v(m) is at most d: with m = x_v^a * m', such a
+    column is x^(T - e) * ev(j * m') = x^(T - d) * ev(x_v^(d - e) * j * m'),
+    and V_u = k^s = V_{delta_X} covers the degrees d - dj > delta_X. So one
+    elimination of those columns, sorted by entry degree, gives dim W_d in
+    every degree as the number of pivots that enter by d. Without a chart,
+    `hilbert_function` takes a rank of `image_rows(d)` in each degree.
+
     `span(u)` and `annihilator(u)` are rows spanning V_u and its
     annihilator (w lies in V_u iff y . w = 0 for every annihilator row y),
     as arrays in the field's matrix format with s columns; both are kept
@@ -325,7 +377,7 @@ class PointValues:
     matrix while ev_u is injective: both are read-only.
     """
 
-    __slots__ = ("X", "field", "full", "gens", "_spans", "_annihilators")
+    __slots__ = ("X", "field", "full", "gens", "chart", "_entered", "_spans", "_annihilators")
 
     def __init__(self, X: PointSet, J: Ideal):
         if J.ring != X.ring():
@@ -336,6 +388,8 @@ class PointValues:
         self.field = X.field
         self.full = X.delta()
         self.gens = [(values_of(j, X), j.degree()) for j in J.generators]
+        self.chart = X.chart()
+        self._entered: np.ndarray | None = None
         self._spans: dict[int, np.ndarray] = {}
         self._annihilators: dict[int, np.ndarray] = {}
 
@@ -391,11 +445,38 @@ class PointValues:
         with_g = np.concatenate([rows, values_of(g, self.X)[None, :]])
         return rank(self.field, with_g, s) == rank(self.field, rows, s)
 
+    def image_degrees(self) -> np.ndarray:
+        """The entry degrees of the pivot columns, ascending, of the one
+        elimination that spans every W_d (class docstring); needs a chart."""
+        if self._entered is None:
+            X, v, top = self.X, self.chart, self.full
+            x = self.field.array([p[v] for p in X.points])
+            dmax = max((dj for _, dj in self.gens), default=0)
+            ev, e_v = X.evaluation_array(top), X.chart_exponents(top, v)
+            cols, degrees = [], []
+            for vals, dj in self.gens:
+                for _ in range(dmax - dj):
+                    vals = self.times(vals, x)
+                cols.append(self.times(vals[:, None], ev))
+                degrees.append(dj + top - e_v)
+            if not cols:  # J = 0: every W_d is 0
+                self._entered = e_v[:0]
+            else:
+                degrees = np.concatenate(degrees)
+                order = np.argsort(degrees, kind="stable")
+                pivots = rank_profile(self.field, np.concatenate(cols, axis=1)[:, order])
+                self._entered = degrees[order][pivots]
+        return self._entered
+
     def hilbert_function(self, d: int) -> int:
-        """HF(R/(I_X + J))_d = dim V_d - dim W_d."""
+        """HF(R/(I_X + J))_d = dim V_d - dim W_d: with a chart, HF_X(d) less
+        the pivots of `image_degrees` that entered by degree d."""
         if d < 0:
             raise ValueError("degree must be non-negative")
-        return len(self.span(d)) - rank(self.field, self.image_rows(d), self.X.s)
+        if self.chart is None:
+            return len(self.span(d)) - rank(self.field, self.image_rows(d), self.X.s)
+        entered = int(np.searchsorted(self.image_degrees(), d, side="right"))
+        return self.X.rank_at(min(d, self.full)) - entered
 
     def socle(self) -> SocleReport:
         """Artinian flag, socle degree and initial degree of R/(I_X + J),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -27,6 +28,21 @@ def test_normalize_point():
     assert normalize_point(F, [0, 5, 10]) == (0, 1, F.div(10, 5))
     with pytest.raises(ValueError):
         normalize_point(F, [0, 0, 0])
+
+
+@pytest.mark.parametrize("fld, coords, want", [
+    (F, [1, 5, 32002], (1, 5, 32002)),
+    (F, [32004, -1, 7], (1, 32002, 7)),
+    (F, [0, 1, 7], (0, 1, 7)),
+    (RationalField(), [1, Fraction(-2, 3), 0], (1, Fraction(-2, 3), 0)),
+], ids=("normalised", "lead-one-mod-p", "lead-second", "Q"))
+def test_normalize_point_takes_no_inverse_when_the_lead_is_one(monkeypatch, fld, coords, want):
+    def no_inverse(self, a):
+        raise AssertionError("normalize_point inverted a lead that is already 1")
+
+    monkeypatch.setattr(type(fld), "inv", no_inverse)
+    got = normalize_point(fld, coords)
+    assert got == want and all(type(c) is type(fld.one) for c in got)
 
 
 def test_pointset_rejects_duplicates():
@@ -236,6 +252,80 @@ def test_rational_mode_cross_check():
     for d in range(5):
         assert hilbert_function(I, d) == min(comb(2 + d, 2), 3)
     assert equal_ideals(I, vanishing_ideal_oracle(X))
+
+
+FAMILY_FIELDS = [PrimeField(3), PrimeField(5), F, RationalField()]
+
+
+def _nonzero(fld, rng):
+    while True:
+        c = fld.random(rng)
+        if not fld.is_zero(c):
+            return c
+
+
+def _chart_families(fld):
+    """(family, X) pairs that have a chart coordinate: sampled general sets
+    in P^1-P^3, collinear sets in P^2 and P^3, and sets with one point on
+    x_0 = 0 and no zero coordinate elsewhere, whose chart is x_1, with
+    values other than 1."""
+    rng = random.Random(f"charts:{fld.spec_string()}")
+    out = []
+    for n, sizes in ((1, (2, 4)), (2, (3, 6)), (3, (4, 8))):
+        for s in sizes:
+            out.append(("general", random_general_points(s, n, seed=rng.randrange(99), field=fld)))
+    for n in (2, 3):
+        count = 5 if fld.kind == "rational" else min(5, fld.p)
+        line = [(1, t, 2 * t) + (0,) * (n - 2) for t in range(count)]
+        out.append(("collinear", PointSet(n, fld, line)))
+    for n, s in ((1, 3), (2, 5), (3, 6)):
+        pts = {(fld.zero, fld.one) + tuple(_nonzero(fld, rng) for _ in range(n - 1))}
+        while len(pts) < s:
+            pts.add(normalize_point(fld, [_nonzero(fld, rng) for _ in range(n + 1)]))
+        out.append(("off-x0", PointSet(n, fld, sorted(pts))))
+    return out
+
+
+def _ranks_by_degree(X):
+    """rank(ev_d) for d = 0, ..., delta_X + 1, one rank per degree."""
+    got = []
+    while not got or got[-1] < X.s:
+        got.append(rank(X.field, X.evaluation_array(len(got))))
+    got.append(rank(X.field, X.evaluation_array(len(got))))
+    return got
+
+
+@pytest.mark.parametrize("fld", FAMILY_FIELDS, ids=lambda f: f.spec_string())
+def test_rank_at_prefix_route_matches_ranks_per_degree(fld):
+    families = _chart_families(fld)
+    assert {name for name, _ in families} == {"general", "collinear", "off-x0"}
+    charts = set()
+    for name, X in families:
+        want = _ranks_by_degree(X)
+        chart = X.chart()  # a sampled set over F_3 or F_5 may have none
+        assert chart == {"collinear": 0, "off-x0": 1}.get(name, chart)
+        charts.add(chart)
+        up = PointSet(X.n, fld, X.points)
+        up.rank_at(0)  # with a chart, one elimination at d* fills every degree up to it
+        assert sorted(up._ranks) == (list(range(up._d_star() + 1)) if chart is not None else [0])
+        assert [up.rank_at(d) for d in range(len(want))] == want, (name, X.points)
+        down = PointSet(X.n, fld, X.points)
+        assert [down.rank_at(d) for d in reversed(range(len(want)))] == want[::-1]
+        if name == "general":
+            assert X.is_general_position()
+        if name == "collinear":
+            assert not X.is_general_position() and X.delta() == X.s - 1
+    assert {0, 1} <= charts
+
+
+def test_rank_at_without_a_chart_takes_one_rank_per_degree():
+    X = PointSet(2, PrimeField(3), _projective_plane(3))
+    assert X.chart() is None
+    want = _ranks_by_degree(X)
+    fresh = PointSet(2, X.field, X.points)
+    fresh.rank_at(0)
+    assert list(fresh._ranks) == [0]
+    assert [fresh.rank_at(d) for d in range(len(want))] == want == [1, 3, 6, 10, 12, 13, 13]
 
 
 def _general_by_full_check(X):

@@ -14,7 +14,7 @@ import gradus.field
 import gradus.groebner
 import gradus.points
 from gradus.experiments import build_scan_J, socle_group_scan
-from gradus.field import PrimeField, RationalField
+from gradus.field import PrimeField, RationalField, rank
 from gradus.groebner import Ideal, ideal_sum
 from gradus.hilbert import hilbert_values, socle_degree
 from gradus.points import (
@@ -23,7 +23,7 @@ from gradus.points import (
 )
 from gradus.ring import Poly, monomials_of_degree
 from test_hom import _assert_matches_colon
-from test_points import _projective_plane
+from test_points import FAMILY_FIELDS, _chart_families, _projective_plane
 
 
 def _assert_matches_groebner(X, J):
@@ -256,3 +256,42 @@ def test_evaluation_rows_match_repeated_multiplication(field):
             rows = X.evaluation_rows(d)
             assert rows == _loop_rows(X, d), (n, d)
             assert all(type(v) is type(field.one) for row in rows for v in row)
+
+
+def _test_ideals(X, rng):
+    """(kind, J): a random J, a J whose generators all vanish at one point
+    of X (not Artinian), a J with a constant generator, and J = 0."""
+    ring, fld = X.ring(), X.field
+    P = X.points[rng.randrange(X.s)]
+    one = Poly(ring, {(0,) * ring.nvars: fld.one})
+    return [
+        ("random", Ideal(ring, [_nonzero_form(ring, d, rng) for d in (1, rng.randint(2, 3))])),
+        ("common-zero", Ideal(ring, [_vanishing_at(ring, P, d, rng) for d in (1, 2)])),
+        ("constant", Ideal(ring, [_nonzero_form(ring, 2, rng), one])),
+        ("zero", Ideal(ring, [])),
+    ]
+
+
+@pytest.mark.parametrize("fld", FAMILY_FIELDS, ids=lambda f: f.spec_string())
+def test_values_filtration_matches_ranks_per_degree(fld):
+    rng = random.Random(f"filtration:{fld.spec_string()}")
+    sets = [X for _, X in _chart_families(fld)]
+    if fld == PrimeField(3):
+        sets.append(PointSet(2, fld, _projective_plane(3)))  # no chart: the fallback
+    for k, X in enumerate(sets):
+        for kind, J in _test_ideals(X, rng):
+            V = PointValues(X, J)
+            per_degree = PointValues(X, J)
+            per_degree.chart = None  # force the rank of image_rows(d) in each degree
+            top = X.delta() + max((j.degree() for j in J.generators), default=0) + 2
+            want = [len(V.span(d)) - rank(fld, V.image_rows(d), X.s) for d in range(top + 1)]
+            assert [V.hilbert_function(d) for d in range(top + 1)] == want, (kind, X.points)
+            assert [per_degree.hilbert_function(d) for d in range(top + 1)] == want
+            fast = V.socle()
+            assert fast == per_degree.socle(), (kind, X.points)
+            if kind in ("common-zero", "zero"):
+                assert not fast.artinian
+            if kind == "constant":
+                assert (fast.artinian, fast.socle_degree, fast.initial_degree) == (True, None, 0)
+            if kind != "zero" and k % 4 == 0:
+                _assert_matches_groebner(X, J)
