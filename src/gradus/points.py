@@ -11,29 +11,33 @@ d* - 1 and d*, where d* = min{d : C(n+d, n) >= s}:
   f of degree d vanished on X, so would the non-zero x_0^{d*-1-d} * f;
 - rank s at d* gives rank s above it, as HF_X is non-decreasing.
 
-Both ranks, and HF_X in every degree up to d*, come from one elimination.
-Take a chart coordinate x_v that vanishes at no point of X (x_0 whenever
-no point lies on x_0 = 0). The columns of ev_D whose monomials are
-divisible by x_v^{D-d} are diag(x_v(P)^{D-d}) * ev_d, and that diagonal is
-invertible, so they have rank HF_X(d). Sorted by x_v-exponent, descending,
-those columns are the first C(n+d, n) of ev_D, and HF_X(d) is the number of
-pivots of ev_D's column rank profile among them (`field.rank_profile`).
-This is the affine Hilbert function of X in the chart x_v != 0 (Kreuzer &
-Robbiano, Computational Commutative Algebra 2, section 6.3). When every
-coordinate vanishes at some point (all 13 points of P^2(F_3), say), each
-degree takes a rank of its own.
+One sort and one elimination give a rank in every degree at once: give
+each column of a matrix M an entry degree, sort the columns stably by it,
+and take the column rank profile (`field.rank_profile`). A column is a
+pivot exactly when it is not in the span of the columns left of it, so
+the columns entering by degree d have rank equal to the number of pivots
+among them, for every d (`_entry_degrees`).
+
+So HF_X in every degree up to D comes from one elimination of ev_D. Take a
+chart coordinate x_v that vanishes at no point of X (x_0 whenever no point
+lies on x_0 = 0), and let a monomial m's column enter at D - e_v(m). The
+columns entering by d are those divisible by x_v^{D-d}: they are
+diag(x_v(P)^{D-d}) * ev_d, and that diagonal is invertible, so they have
+rank HF_X(d). This is the affine Hilbert function of X in the chart
+x_v != 0 (Kreuzer & Robbiano, Computational Commutative Algebra 2, section
+6.3). When every coordinate vanishes at some point (all 13 points of
+P^2(F_3), say), each degree takes a rank of its own.
 
 The vanishing ideal comes from evaluation-matrix kernels, with an
 independent oracle that intersects the single-point ideals instead, in a
 balanced tree, so that no intersection below the root carries more than
 half of the points.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
-no Groebner basis, on ndarrays in the field's matrix format. Its Hilbert
-function takes the same chart: the values of (I_X + J)_d in every degree
-come from one elimination (`PointValues`), and those of R_X from the ranks
-above. Only without a chart does it take ranks per degree, on spanning
-rows of V_u = ev_u(R_u): the evaluation matrix while ev_u is injective,
-the unit matrix from delta_X on, and a row-reduced basis in between.
+no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
+by the monomials' value vectors for every set, independent or not, so its
+spanning rows are ev_u transposed, and the unit matrix from delta_X on.
+With a chart, the values of (I_X + J)_d in every degree are one more
+entry-degree elimination; without one, each degree takes a rank.
 """
 from __future__ import annotations
 
@@ -45,7 +49,6 @@ import numpy as np
 from .errors import GeneralPositionError, GradusError, ParseError, VerificationError
 from .field import (
     DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, rank_profile,
-    row_space_basis,
 )
 from .groebner import Ideal, _intersect_all
 from .hilbert import SocleReport, hilbert_series
@@ -128,10 +131,6 @@ class PointSet:
         self._arrays[d] = got
         return got
 
-    def evaluation_rows(self, d: int) -> list[list]:
-        """`evaluation_array(d)` as row lists of canonical field elements."""
-        return self.evaluation_array(d).tolist()
-
     def chart(self) -> int | None:
         """The first v with x_v vanishing at no point of X; None when every
         coordinate vanishes at some point."""
@@ -146,8 +145,8 @@ class PointSet:
 
     def rank_at(self, d: int) -> int:
         """HF_X(d), the rank of ev_d. A miss with a chart coordinate x_v
-        eliminates ev_D once, D = max(d, d*), its columns sorted by
-        x_v-exponent, and keeps the ranks of every degree up to D (module
+        eliminates ev_D once, D = max(d, d*), a monomial m's column entering
+        at D - e_v(m), and keeps the ranks of every degree up to D (module
         docstring); without a chart it takes the rank of ev_d alone."""
         r = self._ranks.get(d)
         if r is not None:
@@ -157,10 +156,10 @@ class PointSet:
             r = self._ranks[d] = rank(self.field, self.evaluation_array(d))
             return r
         top = max(d, self._d_star())
-        order = np.argsort(-self.chart_exponents(top, v), kind="stable")
-        pivots = rank_profile(self.field, self.evaluation_array(top)[:, order])
-        prefixes = [comb(self.n + e, self.n) for e in range(top + 1)]
-        self._ranks.update(enumerate(np.searchsorted(pivots, prefixes).tolist()))
+        entered = _entry_degrees(self.field, self.evaluation_array(top),
+                                 top - self.chart_exponents(top, v))
+        self._ranks.update(enumerate(
+            np.searchsorted(entered, np.arange(top + 1), side="right").tolist()))
         return self._ranks[d]
 
     def _d_star(self) -> int:
@@ -169,15 +168,6 @@ class PointSet:
         while comb(self.n + d, self.n) < self.s:
             d += 1
         return d
-
-    def injective_at(self, d: int) -> bool:
-        """Whether ev_d is injective, i.e. (I_X)_d = 0. Injectivity at
-        e >= d implies it at d, so a set whose rank at d* - 1 is known to be
-        full (a sampled one) needs no rank below d* - 1."""
-        e = max(d, self._d_star() - 1)
-        if self.rank_at(e) == comb(self.n + e, self.n):
-            return True
-        return e != d and self.rank_at(d) == comb(self.n + d, self.n)
 
     def is_general_position(self, up_to: int | None = None) -> bool:
         """Check rank = min(C(n+d, n), s) for every degree d <= up_to (default s).
@@ -280,16 +270,25 @@ def random_general_points(s: int, n: int, seed: int,
     )
 
 
+def _entry_degrees(field: Field, M: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """The entry degrees, ascending, of the pivots of M's column rank profile
+    with the columns stably sorted by `degrees`: the columns entering by d
+    have rank the number of them <= d (module docstring)."""
+    order = np.argsort(degrees, kind="stable")
+    return degrees[order][rank_profile(field, M[:, order], len(order))]
+
+
 def evaluation_matrix(X: PointSet, d: int) -> list[list]:
+    """`X.evaluation_array(d)` as row lists of canonical field elements."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return X.evaluation_rows(d)
+    return X.evaluation_array(d).tolist()
 
 
 def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
     ring = X.ring()
     monos = monomials_of_degree(X.n + 1, d, ring.order)
-    vecs = kernel_basis(X.field, X.evaluation_rows(d), len(monos))
+    vecs = kernel_basis(X.field, X.evaluation_array(d), len(monos))
     return [Poly(ring, dict(zip(monos, v))) for v in vecs]
 
 
@@ -300,10 +299,8 @@ def vanishing_ideal(X: PointSet) -> Ideal:
     taken in every degree where HF_X(d) < C(n+d, n), so points off general
     position (collinear ones, say) get their low-degree generators too. Each
     call builds it afresh; X does not keep it."""
-    hf = [X.rank_at(0)]  # HF_X(d) is the evaluation rank, and s from delta_X on
-    while hf[-1] < X.s:
-        hf.append(X.rank_at(len(hf)))
-    delta = len(hf) - 1
+    delta = X.delta()
+    hf = [X.rank_at(d) for d in range(delta + 1)]  # HF_X, and s from delta_X on
     gens: list[Poly] = []
     for d in range(1, delta + 2):
         if hf[min(d, delta)] < comb(X.n + d, X.n):
@@ -325,6 +322,8 @@ def values_of(f: Poly, X: PointSet) -> np.ndarray:
     f, in the field's format: the degree-d evaluation matrix times f's
     coefficient vector. Over F_p each product is reduced before the row sums,
     which then stay below C(n+d, n) * p."""
+    if f.ring != X.ring():
+        raise ValueError("polynomial from a different ring")
     if not f.is_homogeneous():
         raise ValueError("values_of needs a homogeneous form")
     fld = X.field
@@ -339,8 +338,6 @@ def values_of(f: Poly, X: PointSet) -> np.ndarray:
 def is_nonzerodivisor(g: Poly, X: PointSet) -> bool:
     """On the reduced coordinate ring of X, g is a non-zero divisor exactly
     when it vanishes at no point; g = 0 is a zero divisor."""
-    if g.is_zero():
-        return False
     if not g.is_homogeneous():
         raise ValueError("is_nonzerodivisor needs a homogeneous form")
     return bool(np.all(values_of(g, X) != 0))
@@ -365,19 +362,21 @@ class PointValues:
     e = dj + delta_X - e_v(m) is at most d: with m = x_v^a * m', such a
     column is x^(T - e) * ev(j * m') = x^(T - d) * ev(x_v^(d - e) * j * m'),
     and V_u = k^s = V_{delta_X} covers the degrees d - dj > delta_X. So one
-    elimination of those columns, sorted by entry degree, gives dim W_d in
-    every degree as the number of pivots that enter by d. Without a chart,
-    `hilbert_function` takes a rank of `image_rows(d)` in each degree.
+    entry-degree elimination of those columns (module docstring) gives
+    dim W_d in every degree. Without a chart, `hilbert_function` takes a
+    rank of `image_rows(d)` in each degree. Either way dim V_d is
+    `X.rank_at(d)`.
 
     `span(u)` and `annihilator(u)` are rows spanning V_u and its
     annihilator (w lies in V_u iff y . w = 0 for every annihilator row y),
-    as arrays in the field's matrix format with s columns; both are kept
-    per degree for the life of this object. X keeps the evaluation matrices
-    they are read from, so a span shares its array with X's evaluation
-    matrix while ev_u is injective: both are read-only.
+    as arrays in the field's matrix format with s columns. Spanning rows are
+    all that Hom, `image_rows` and membership need, so below delta_X the
+    span is X's read-only evaluation matrix transposed, whether or not its
+    rows are independent. Annihilators are kept per degree for the life of
+    this object.
     """
 
-    __slots__ = ("X", "field", "full", "gens", "chart", "_entered", "_spans", "_annihilators")
+    __slots__ = ("X", "field", "full", "gens", "chart", "_entered", "_annihilators")
 
     def __init__(self, X: PointSet, J: Ideal):
         if J.ring != X.ring():
@@ -390,7 +389,6 @@ class PointValues:
         self.gens = [(values_of(j, X), j.degree()) for j in J.generators]
         self.chart = X.chart()
         self._entered: np.ndarray | None = None
-        self._spans: dict[int, np.ndarray] = {}
         self._annihilators: dict[int, np.ndarray] = {}
 
     def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,22 +400,13 @@ class PointValues:
         return self.field.array(rows).reshape(-1, self.X.s)
 
     def span(self, u: int) -> np.ndarray:
-        """Rows spanning V_u: the monomials' value vectors while ev_u is
-        injective, where they are a basis; the unit matrix from delta_X on;
-        a row-reduced basis in between."""
-        got = self._spans.get(u)
-        if got is None:
-            X = self.X
-            if u < 0:
-                got = self.as_rows([])
-            elif u >= self.full:
-                got = self.as_rows(np.eye(X.s, dtype=np.int64))
-            elif X.injective_at(u):
-                got = X.evaluation_array(u).T
-            else:
-                got = self.as_rows(row_space_basis(self.field, X.evaluation_array(u).T, X.s))
-            self._spans[u] = got
-        return got
+        """Rows spanning V_u: none for u < 0, the unit matrix from delta_X
+        on, and the monomials' value vectors in between."""
+        if u < 0:
+            return self.as_rows([])
+        if u >= self.full:
+            return self.as_rows(np.eye(self.X.s, dtype=np.int64))
+        return self.X.evaluation_array(u).T
 
     def annihilator(self, u: int) -> np.ndarray:
         """A basis of the annihilator of V_u in k^s."""
@@ -439,8 +428,6 @@ class PointValues:
 
     def contains(self, g: Poly) -> bool:
         """g in I_X + J, for a homogeneous g: ev(g) lies in W_{deg g}."""
-        if g.ring != self.X.ring():
-            raise ValueError("polynomial from a different ring")
         rows, s = self.image_rows(g.degree()), self.X.s
         with_g = np.concatenate([rows, values_of(g, self.X)[None, :]])
         return rank(self.field, with_g, s) == rank(self.field, rows, s)
@@ -453,30 +440,27 @@ class PointValues:
             x = self.field.array([p[v] for p in X.points])
             dmax = max((dj for _, dj in self.gens), default=0)
             ev, e_v = X.evaluation_array(top), X.chart_exponents(top, v)
-            cols, degrees = [], []
+            cols, degrees = [ev[:, :0]], [e_v[:0]]  # J = 0: no column, every W_d is 0
             for vals, dj in self.gens:
                 for _ in range(dmax - dj):
                     vals = self.times(vals, x)
                 cols.append(self.times(vals[:, None], ev))
                 degrees.append(dj + top - e_v)
-            if not cols:  # J = 0: every W_d is 0
-                self._entered = e_v[:0]
-            else:
-                degrees = np.concatenate(degrees)
-                order = np.argsort(degrees, kind="stable")
-                pivots = rank_profile(self.field, np.concatenate(cols, axis=1)[:, order])
-                self._entered = degrees[order][pivots]
+            self._entered = _entry_degrees(self.field, np.concatenate(cols, axis=1),
+                                           np.concatenate(degrees))
         return self._entered
 
     def hilbert_function(self, d: int) -> int:
-        """HF(R/(I_X + J))_d = dim V_d - dim W_d: with a chart, HF_X(d) less
-        the pivots of `image_degrees` that entered by degree d."""
+        """HF(R/(I_X + J))_d = dim V_d - dim W_d: HF_X(d) less, with a chart,
+        the pivots of `image_degrees` that entered by degree d, and without
+        one the rank of `image_rows(d)`."""
         if d < 0:
             raise ValueError("degree must be non-negative")
         if self.chart is None:
-            return len(self.span(d)) - rank(self.field, self.image_rows(d), self.X.s)
-        entered = int(np.searchsorted(self.image_degrees(), d, side="right"))
-        return self.X.rank_at(min(d, self.full)) - entered
+            image = rank(self.field, self.image_rows(d), self.X.s)
+        else:
+            image = int(np.searchsorted(self.image_degrees(), d, side="right"))
+        return self.X.rank_at(min(d, self.full)) - image
 
     def socle(self) -> SocleReport:
         """Artinian flag, socle degree and initial degree of R/(I_X + J),

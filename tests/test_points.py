@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 import gradus.points
@@ -328,10 +329,32 @@ def test_rank_at_without_a_chart_takes_one_rank_per_degree():
     assert [fresh.rank_at(d) for d in range(len(want))] == want == [1, 3, 6, 10, 12, 13, 13]
 
 
+@pytest.mark.parametrize("fld", [PrimeField(3), F, RationalField()], ids=lambda f: f.spec_string())
+def test_entry_degrees_count_the_rank_of_each_prefix(fld):
+    rng = random.Random(f"entry:{fld.spec_string()}")
+    for trial in range(40):
+        m, k = rng.choice([0, 1, 3, 6]), rng.randrange(9)
+        rows = [[fld.random(rng) if rng.random() < 0.6 else fld.zero for _ in range(k)]
+                for _ in range(m)]
+        for row in rows:  # some all-zero columns, and some repeated ones
+            for c in range(k):
+                if c % 4 == 3:
+                    row[c] = fld.zero
+                elif c % 5 == 4:
+                    row[c] = row[c - 1]
+        M = fld.array(rows).reshape(m, k)
+        degrees = np.array([rng.randrange(4) for _ in range(k)], dtype=np.intp)
+        got = gradus.points._entry_degrees(fld, M, degrees)
+        assert list(got) == sorted(got)
+        for d in range(-1, 5):
+            want = rank(fld, M[:, degrees <= d], int(np.sum(degrees <= d)))
+            assert int(np.sum(got <= d)) == want, (trial, d, rows, degrees)
+
+
 def _general_by_full_check(X):
     """The check before the early stop: rank = min(C(n+d, n), s) for all d <= s."""
     return all(
-        rank(X.field, X.evaluation_rows(d)) == min(comb(X.n + d, X.n), X.s)
+        rank(X.field, X.evaluation_array(d)) == min(comb(X.n + d, X.n), X.s)
         for d in range(1, X.s + 1)
     )
 
@@ -383,15 +406,20 @@ def test_general_position_early_stop_matches_full_check(monkeypatch):
     assert checked == [False] * 3
 
 
-def test_general_position_needs_the_rank_below_d_star():
-    # rank s at d* but a form of degree d* - 1 through every point: seven
-    # points on the conic x0*x2 = x1^2 (HF 1, 3, 5, 7) and five points on the
-    # plane x3 = 0 of P^3 (HF 1, 3, 5)
+def _short_below_d_star():
+    """(X, d*) with rank s at d* but a form of degree d* - 1 through every
+    point: seven points on the conic x0*x2 = x1^2 (HF 1, 3, 5, 7) and five
+    points on the plane x3 = 0 of P^3 (HF 1, 3, 5)."""
     conic = PointSet(2, F, [(1, t, t * t) for t in range(7)])
     plane = PointSet(3, F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (1, 2, 3, 0)])
-    for X, d_star in ((conic, 3), (plane, 2)):
+    return [(conic, 3), (plane, 2)]
+
+
+def test_general_position_needs_the_rank_below_d_star():
+    for X, d_star in _short_below_d_star():
         assert X.rank_at(d_star) == X.s
-        assert not X.injective_at(d_star - 1) and X.injective_at(d_star - 2)
+        assert X.rank_at(d_star - 1) < comb(X.n + d_star - 1, X.n)
+        assert X.rank_at(d_star - 2) == comb(X.n + d_star - 2, X.n)
         assert not X.is_general_position() and not _general_by_full_check(X)
         assert X.delta() == d_star
 

@@ -6,7 +6,9 @@ The oracle is `socle_degree` and `hilbert_values` of I_X + J, with I_X from
 import random
 import sys
 from collections import Counter
+from math import comb
 
+import numpy as np
 import pytest
 
 import gradus.experiments
@@ -14,16 +16,17 @@ import gradus.field
 import gradus.groebner
 import gradus.points
 from gradus.experiments import build_scan_J, socle_group_scan
-from gradus.field import PrimeField, RationalField, rank
+from gradus.field import PrimeField, RationalField, rank, row_space_basis
 from gradus.groebner import Ideal, ideal_sum
 from gradus.hilbert import hilbert_values, socle_degree
+from gradus.hom import hom_graded_dims
 from gradus.points import (
-    PointSet, PointValues, is_nonzerodivisor, normalize_point, random_general_points,
-    vanishing_ideal,
+    PointSet, PointValues, evaluation_matrix, is_nonzerodivisor, normalize_point,
+    random_general_points, values_of, vanishing_ideal,
 )
-from gradus.ring import Poly, monomials_of_degree
+from gradus.ring import Poly, RingSpec, monomials_of_degree, parse_poly
 from test_hom import _assert_matches_colon
-from test_points import FAMILY_FIELDS, _chart_families, _projective_plane
+from test_points import FAMILY_FIELDS, _chart_families, _projective_plane, _short_below_d_star
 
 
 def _assert_matches_groebner(X, J):
@@ -184,7 +187,7 @@ def _off_general_position(p):
 @pytest.mark.parametrize("p", [32003, 5, 3], ids=("collinear-F32003", "collinear-F5", "P2(F3)"))
 def test_values_match_oracles_off_general_position(p):
     X, flat, g0 = _off_general_position(p)
-    assert not X.is_general_position() and not X.injective_at(flat)
+    assert not X.is_general_position() and X.rank_at(flat) < comb(X.n + flat, X.n)
     assert is_nonzerodivisor(g0, X)
     ring = X.ring()
     rng = random.Random(p)
@@ -194,6 +197,56 @@ def test_values_match_oracles_off_general_position(p):
         J = Ideal(ring, [g0, *J.generators])
         _assert_matches_groebner(X, J)
         _assert_matches_colon(J, X, g0, J.generators[1], range(-1, X.delta() + 3))
+
+
+def _short_spans():
+    """Sets where ev_u is not injective below delta_X: the conic and the
+    plane that need the rank below d*, four collinear points over F_5 and
+    over Q, P^2(F_3), and four points on x1 = x2, one of them on x0 = 0."""
+    sets = [X for X, _ in _short_below_d_star()]
+    for fld in (PrimeField(5), RationalField()):
+        sets.append(PointSet(2, fld, [(1, t, 0) for t in range(4)]))
+    sets.append(PointSet(2, PrimeField(3), _projective_plane(3)))
+    sets.append(PointSet(2, PrimeField(32003), [(0, 1, 1)] + [(1, t, t) for t in range(1, 4)]))
+    return sets
+
+
+@pytest.mark.parametrize("X", _short_spans(), ids=("conic", "plane", "collinear-F5",
+                                                  "collinear-Q", "P2(F3)", "off-x0"))
+def test_spans_off_injectivity_match_row_reduced_bases(X):
+    fld, s = X.field, X.s
+    V = PointValues(X, Ideal(X.ring(), []))
+    delta = X.delta()
+    assert any(X.rank_at(u) < comb(X.n + u, X.n) for u in range(delta))
+    for u in range(-1, delta + 2):
+        span, ann = V.span(u), V.annihilator(u)
+        hf = 0 if u < 0 else rank(fld, X.evaluation_array(u))
+        assert span.shape[1] == ann.shape[1] == s
+        assert rank(fld, span, s) == hf, u
+        if u >= 0:
+            assert row_space_basis(fld, span, s) == \
+                row_space_basis(fld, X.evaluation_array(u).T, s), u
+        assert len(ann) == s - hf, u
+        assert not np.any(fld.reduce(ann.dot(span.T)) != 0), u
+
+
+@pytest.mark.parametrize("ring, text", [
+    (RingSpec(4), "x0+x3"),
+    (RingSpec(3, RationalField()), "1/2*x0+x1"),
+    (RingSpec(3, PrimeField(7)), "x0+3*x1"),
+], ids=("four-variables", "Q", "F7"))
+def test_forms_from_another_ring_are_refused(ring, text):
+    X = random_general_points(4, 2, seed=5)  # over F_32003
+    g = parse_poly(ring, text)
+    J = Ideal(X.ring(), [parse_poly(X.ring(), "x0+x1"), parse_poly(X.ring(), "x2^2")])
+    with pytest.raises(ValueError, match="polynomial from a different ring"):
+        values_of(g, X)
+    with pytest.raises(ValueError, match="polynomial from a different ring"):
+        is_nonzerodivisor(g, X)
+    with pytest.raises(ValueError, match="polynomial from a different ring"):
+        hom_graded_dims(J, X, range(3), witness=g)
+    with pytest.raises(ValueError, match="polynomial from a different ring"):
+        PointValues(X, J).contains(g)
 
 
 def test_scan_slice_makes_no_elimination_and_two_rank_misses_per_set(monkeypatch):
@@ -253,7 +306,7 @@ def test_evaluation_rows_match_repeated_multiplication(field):
                 pts.add(normalize_point(field, coords))
         X = PointSet(n, field, sorted(pts)[:7])
         for d in range(8):
-            rows = X.evaluation_rows(d)
+            rows = evaluation_matrix(X, d)
             assert rows == _loop_rows(X, d), (n, d)
             assert all(type(v) is type(field.one) for row in rows for v in row)
 
@@ -284,7 +337,8 @@ def test_values_filtration_matches_ranks_per_degree(fld):
             per_degree = PointValues(X, J)
             per_degree.chart = None  # force the rank of image_rows(d) in each degree
             top = X.delta() + max((j.degree() for j in J.generators), default=0) + 2
-            want = [len(V.span(d)) - rank(fld, V.image_rows(d), X.s) for d in range(top + 1)]
+            want = [rank(fld, V.span(d), X.s) - rank(fld, V.image_rows(d), X.s)
+                    for d in range(top + 1)]
             assert [V.hilbert_function(d) for d in range(top + 1)] == want, (kind, X.points)
             assert [per_degree.hilbert_function(d) for d in range(top + 1)] == want
             fast = V.socle()
