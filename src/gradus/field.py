@@ -411,7 +411,8 @@ def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.n
         r += 1
     if exact and not rank_only:
         out = np.full((m, n), RationalField.zero, dtype=object)
-        out[:r] = _ratios(A[:r], A[np.arange(r), np.array(pivots, dtype=np.intp)][:, None])
+        rows, cols = A[:r].nonzero()  # zeros stay the shared Fraction(0)
+        out[rows, cols] = _ratios(A[rows, cols], A[rows, np.array(pivots, dtype=np.intp)[rows]])
         A = out
     return A, pivots
 

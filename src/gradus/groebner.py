@@ -38,32 +38,57 @@ as L*row - b*reducer, which is then divided by its content. The final
 RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
 new elements' coefficients and are stored back as integer rows.
 
-Ideal intersections and colons eliminate an auxiliary variable t with
-the same loop. For homogeneous I and J in k[x], the ideal t*I + (h-t)*J of
-k[t, h, x] is homogeneous; under the block order on t, the t-free part of
-its reduced basis generates its contraction to k[h, x], which is
-h*(I ∩ J): setting t = h and t = 0 shows that h divides each element and
-its quotient lies in I and in J, and h*f = t*f + (h-t)*f. So the t-free
-elements are h times the reduced grevlex basis of I ∩ J. This homogenizes
-the affine t*I + (1-t)*J of Cox, Little and O'Shea (Ideals, Varieties, and
-Algorithms, ch. 3) so that it needs no Buchberger. A list of ideals (the
-colons (I : g) of `ideal_quotient`, the single-point ideals of the points
-oracle) is intersected in a balanced tree, as in a subproduct tree (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 10): neighbours pairwise,
-level by level, an odd one carried over. That is still one intersection
-fewer than the list is long, but below the root none meets more than half
-of the list, where a left fold carries all it has met into each one.
+Ideal intersections and colons take no auxiliary variable: I ∩ J is
+found in k[x] itself, one degree d at a time, by linear algebra. Each
+ideal keeps the reduced echelon basis of I_d, over the degree-d monomials
+in descending grevlex order, built from x_v times the basis of I_{d-1}
+and the degree-d elements of its reduced grevlex basis (one row per lead
+of I_d). For reduced echelon rows R with pivots P, the rows with 1 in a
+free column f and -R[:, f] in P span the orthogonal complement of their
+row space, and they are the matrix of the normal form modulo I_d. So
+(I ∩ J)_d is the kernel of the two complements stacked: their RREF, taken
+with the columns reversed so that monomials ascend, gives the kernel rows
+already in reduced echelon form, descending, with no second elimination.
+A row whose lead no earlier lead divides is an element of the reduced
+basis of I ∩ J, whose tail holds standard monomials only.
+
+The loop stops on a Hilbert series. The exact sequence
+0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
+HS(R/I) + HS(R/J) - HS(R/(I+J)), and once the leads G found so far have
+that series, in(G) = in(I ∩ J), as in(G) lies in it and both have the same
+Hilbert function: G is the reduced basis. HS(R/(I+J)) has two sources.
+If dim I_d + dim J_d - dim (I ∩ J)_d = dim R_d in some degree d0, then
+(I+J)_d = R_d from d0 on, so the series is the Hilbert function already
+computed; that holds for every pair of the points oracle, as point sets
+with no common point have an Artinian sum. Otherwise it is read off the
+basis of I + J by F4, in the same variables, and that basis is made only
+once HS(R/I) + HS(R/J) - HS(R/in(G)) could be the series of a common
+quotient of R/I and R/J, with non-negative coefficients and dimension at
+most min(dim R/I, dim R/J): before that, G is incomplete whatever
+HS(R/(I+J)) is. Once the series is known, every dim (I ∩ J)_d is
+checked against it. The generators of I ∩ J are its reduced grevlex
+basis, whatever the ring's order, and the bases of the (I ∩ J)_d found
+are kept on it for the next intersection.
+
+A list of ideals (the colons (I : g) of `ideal_quotient`, the
+single-point ideals of the points oracle) is intersected in a balanced
+tree, as in a subproduct tree (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 10): neighbours pairwise, level by level, an odd one carried
+over. That is still one intersection fewer than the list is long, but
+below the root none meets more than half of the list, where a left fold
+carries all it has met into each one.
 """
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from math import comb
 from operator import add, itemgetter, le, neg, sub
 
 import numpy as np
 
-from .errors import GradusError, ParseError
-from .field import integer_rows, primitive_rows, rref
+from .errors import ParseError, VerificationError
+from .field import _echelon, integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -408,10 +433,11 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
 
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
-    one per term order actually used, each with its prepared form, and the
-    graded quotient R/I built on first use."""
+    one per term order actually used, each with its prepared form, the
+    graded quotient R/I built on first use, and the reduced echelon bases
+    of the I_d that intersections used (`_degree_basis`)."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -428,6 +454,7 @@ class Ideal:
         self._gb: dict[str, list[Poly]] = {}
         self._prepared: dict[str, list] = {}
         self._quotient = None
+        self._graded: dict[int, tuple] = {}  # d -> `_degree_basis(self, d)`
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
         order = order or self.ring.order
@@ -532,10 +559,98 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.generators + J.generators, check=False)
 
 
+_GREVLEX = TermOrder(GREVLEX)
+
+
+def _degree(g: Poly) -> int:
+    return sum(next(iter(g.terms)))
+
+
+def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced echelon basis of I_d and its pivot columns, over the
+    degree-d monomials in descending grevlex order, kept on I. Its rows
+    before the RREF are the elements of I's reduced grevlex basis G of
+    degree d and, for each other monomial of in(G)_d, one x_v times a row
+    of I_{d-1} whose lead it divides: distinct leads covering in(I)_d, so
+    a basis of I_d."""
+    got = I._graded.get(d)
+    if got is not None:
+        return got
+    field, nvars = I.ring.field, I.ring.nvars
+    G = I.groebner(_GREVLEX)
+    col = _columns(nvars, _GREVLEX, d)[2]
+    top = [g for g in G if _degree(g) == d]
+    below, pivots = _degree_basis(I, d - 1) if G and d > _degree(G[0]) else ([], [])
+    k = len(pivots)
+    shifts = [_shift(nvars, _GREVLEX, d - 1, _unit(nvars, v)) for v in range(nvars if k else 0)]
+    # one (v, row) per lead x_v * lead(row): the last of each wins the scatter
+    picked = np.full(len(col), -1)
+    for v, s in enumerate(shifts):
+        picked[s[pivots]] = np.arange(v * k, (v + 1) * k)
+    picked = picked[picked >= 0]
+    A = _zeros(field, len(top) + picked.size, len(col))
+    for r, g in enumerate(top):
+        A[r, [col[e] for e in g.terms]] = list(g.terms.values())
+    v_of, i_of = np.divmod(picked, k or 1)
+    for v, s in enumerate(shifts):
+        hit = np.flatnonzero(v_of == v)
+        A[len(top) + hit[:, None], s] = below[i_of[hit]]
+    R, pivots = _echelon(A, field) if len(A) else (A, [])
+    got = I._graded[d] = (R[:len(pivots)], pivots)
+    return got
+
+
+@lru_cache(maxsize=64)
+def _unit(nvars: int, v: int) -> Exponents:
+    return tuple(int(u == v) for u in range(nvars))
+
+
+def _zeros(field, m: int, n: int) -> np.ndarray:
+    return np.zeros((m, n), dtype=object if field.kind == "rational" else np.int64)
+
+
+def _perp(field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
+    """Rows spanning the orthogonal complement of the row space of reduced
+    echelon rows R with pivot columns `pivots` and n columns, one per other
+    column f: 1 in column f and -R[:, f] in the pivot columns. For the
+    basis of I_d it is the matrix of the normal form modulo I_d, and for
+    the RREF of a matrix a basis of its kernel. Over Q only the non-zero
+    entries are negated."""
+    mask = np.ones(n, dtype=bool)
+    mask[pivots] = False
+    free = np.flatnonzero(mask)
+    N = _zeros(field, free.size, n)
+    N[np.arange(free.size), free] = field.one
+    T = R[:len(pivots), free].T
+    if field.kind == "prime":
+        N[:, pivots] = field.reduce(-T)
+    else:
+        rows, cols = T.nonzero()
+        N[rows, np.asarray(pivots, dtype=np.intp)[cols]] = -T[rows, cols]
+    return N
+
+
+def _meet_in_degree(field, A: tuple, B: tuple, n: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced echelon basis, and its pivots, of the intersection of
+    the row spaces of two reduced echelon bases A and B, each given as
+    (rows, pivots) with n columns: the complement of the sum of their
+    complements, with the columns reversed for the elimination so that the
+    result reads off in reduced echelon form (module docstring)."""
+    S = np.concatenate([_perp(field, *A, n), _perp(field, *B, n)])[:, ::-1]
+    E, pivots = _echelon(S.copy(), field) if len(S) else (S, [])
+    free = sorted(n - 1 - c for c in set(range(n)).difference(pivots))
+    return _perp(field, E, pivots, n)[::-1, ::-1], free
+
+
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J for homogeneous I and J (as `Ideal` requires) by eliminating t
-    from t*I + (h-t)*J in k[t, h, x] under the block order on t; the
-    generators are homogeneous, so F4 gives the basis (module docstring)."""
+    """I ∩ J for homogeneous I and J (as `Ideal` requires) by linear algebra
+    in k[x], one degree d at a time: (I ∩ J)_d is `_meet_in_degree` of the
+    bases of I_d and J_d. The loop stops once the leads found have the
+    Hilbert series HS(R/I) + HS(R/J) - HS(R/(I+J)), which proves them the
+    leads of I ∩ J (module docstring); every dimension of (I ∩ J)_d must
+    match that series, else VerificationError. The generators are the
+    reduced grevlex basis, ascending by lead, and the bases of the
+    (I ∩ J)_d found are kept for the next intersection."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -543,25 +658,71 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return I
     if not J.generators:
         return J
-    ext = RingSpec(ring.nvars + 2, ring.field, TermOrder(ELIM, 1))
-    t, h = ext.variable(0), ext.variable(1)
+    from .hilbert import _coefficient, _minus, _numerator, _reduced, _times_one_minus_t
+    field, nvars = ring.field, ring.nvars
 
-    def up(f: Poly) -> Poly:
-        return Poly(ext, {(0, 0) + e: c for e, c in f.terms.items()})
+    def numerator(leads) -> list[int]:  # HS(R/(leads)) = numerator / (1 - t)^nvars
+        return _numerator([tuple(e) for e in leads])
 
-    gens = [t * up(f) for f in I.groebner()] + [(h - t) * up(g) for g in J.groebner()]
-    key = ext.order.key
-    kept = sorted((g for g in _f4(ext, gens, ext.order) if not next(iter(g.terms))[0]),
-                  key=lambda g: key(next(iter(g.terms))))
-    if any(e[1] != 1 for g in kept for e in g.terms):
-        raise GradusError("intersection: a t-free basis element is not h times a form in x")
-    projected = [Poly(ring, {e[2:]: c for e, c in g.terms.items()}) for g in kept]
-    result = Ideal(ring, projected, check=False)
-    if ring.order.kind == GREVLEX:
-        # elimination theorem: the t-free part is h times the reduced
-        # grevlex basis of the intersection
-        result._gb[ring.order.name()] = projected
+    def check(degrees) -> None:
+        for e in degrees:
+            got = len(kept[e][0]) if e in kept else 0
+            if got != comb(nvars - 1 + e, nvars - 1) - _coefficient(target, nvars, e):
+                raise VerificationError(
+                    f"intersection: dim (I ∩ J)_{e} is {got}, not what the Hilbert series "
+                    "of I, J and I + J give; this is a bug")
+
+    both = [numerator(X.leading_monomials(_GREVLEX)) for X in (I, J)]
+    bound = min(_reduced(K, nvars)[1] for K in both)
+    sides = _minus(both[0], [-c for c in both[1]])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
+    d = min(_degree(g) for X in (I, J) for g in X.generators)
+    quotient_hf = [comb(nvars - 1 + e, nvars - 1) for e in range(d)]  # of R/(I+J)
+    target = None
+    kept: dict[int, tuple] = {}
+    found: list[Poly] = []
+    leads = np.zeros((0, nvars), dtype=np.int64)
+    while True:
+        monos, M, _ = _columns(nvars, _GREVLEX, d)
+        A, B = _degree_basis(I, d), _degree_basis(J, d)
+        K, pivots = kept[d] = _meet_in_degree(field, A, B, len(monos))
+        new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
+        leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
+        for r in reversed(new):
+            nz = K[r].nonzero()[0]
+            found.append(Poly(ring, dict(zip([monos[j] for j in nz.tolist()], K[r, nz].tolist()))))
+        if target is None:
+            quotient_hf.append(len(monos) - len(A[0]) - len(B[0]) + len(K))
+            if not quotient_hf[-1]:  # (I + J)_e = R_e from here on
+                target = _minus(sides, _times_one_minus_t(quotient_hf, nvars))
+            elif new and _could_be_complete(
+                    _reduced(_minus(sides, numerator(leads.tolist())), nvars), bound):
+                target = _minus(sides, numerator(ideal_sum(I, J).leading_monomials(_GREVLEX)))
+            if target is not None:
+                check(range(d + 1))
+                new = True
+        else:
+            check((d,))
+        # the leads' count in degree d + 1 is a cheap necessary condition
+        M = _columns(nvars, _GREVLEX, d + 1)[1]
+        if target is not None and new and \
+                (leads <= M[:, None]).all(axis=2).any(axis=1).sum() == \
+                len(M) - _coefficient(target, nvars, d + 1) and \
+                _reduced(numerator(leads.tolist()), nvars) == _reduced(target, nvars):
+            break
+        d += 1
+    result = Ideal(ring, found, check=False)
+    result._graded.update(kept)
+    result._gb[_GREVLEX.name()] = found
     return result
+
+
+def _could_be_complete(series: tuple, bound: int) -> bool:
+    """Whether h(t) / (1 - t)^dim, as `series` = (h, dim), can be the
+    Hilbert series of R/(I + J), a quotient of R/I and of R/J of dimension
+    at most `bound`: non-negative coefficients, so a positive h(1) when
+    dim > 0."""
+    h, dim = series
+    return all(c >= 0 for c in h) if dim == 0 else sum(h) > 0 and dim <= bound
 
 
 def _intersect_all(ideals: list[Ideal]) -> Ideal:

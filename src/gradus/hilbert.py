@@ -144,18 +144,39 @@ def _numerator(leads: list[Exponents]) -> list[int]:
     return _minus(_numerator(rest), [0] * sum(m) + _numerator(colon))
 
 
+def _reduced(K: list[int], nvars: int) -> tuple[tuple[int, ...], int]:
+    """(h, dim) with K(t) / (1 - t)^nvars = h(t) / (1 - t)^dim and h(1) != 0,
+    trailing zeros dropped; ((0,), 0) for the zero series."""
+    h, dim = list(K), nvars
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    while any(h) and sum(h) == 0:  # divide by 1 - t
+        h, dim = list(accumulate(h))[:-1], dim - 1
+    return (tuple(h), dim) if any(h) else ((0,), 0)
+
+
+def _times_one_minus_t(h, k: int) -> list[int]:
+    """h(t) * (1 - t)^k, constant term first."""
+    h = list(h)
+    for _ in range(k):
+        h = _minus(h, [0] + h)
+    return h
+
+
+def _coefficient(h, dim: int, d: int) -> int:
+    """The coefficient of t^d in h(t) / (1 - t)^dim."""
+    if dim == 0:
+        return h[d] if d < len(h) else 0
+    return sum(c * comb(dim - 1 + d - i, dim - 1) for i, c in enumerate(h[:d + 1]))
+
+
 def hilbert_series(I: Ideal) -> tuple[tuple[int, ...], int]:
     """(h, dim) with HS(R/I) = h(t) / (1 - t)^dim and h(1) != 0, h constant
     term first; dim is the Krull dimension of R/I. The zero ring R/(1) gives
     ((0,), 0). Kept on I's GradedQuotient."""
     Q = I.quotient()
     if Q.series is None:
-        h, dim = _numerator(I.leading_monomials()), I.ring.nvars
-        while len(h) > 1 and h[-1] == 0:
-            h.pop()
-        while any(h) and sum(h) == 0:  # divide by 1 - t
-            h, dim = list(accumulate(h))[:-1], dim - 1
-        Q.series = (tuple(h), dim) if any(h) else ((0,), 0)
+        Q.series = _reduced(_numerator(I.leading_monomials()), I.ring.nvars)
     return Q.series
 
 
@@ -163,10 +184,7 @@ def hilbert_function(I: Ideal, d: int) -> int:
     """dim_k (R/I)_d, the coefficient of t^d in h(t) / (1 - t)^dim."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    h, dim = hilbert_series(I)
-    if dim == 0:
-        return h[d] if d < len(h) else 0
-    return sum(c * comb(dim - 1 + d - i, dim - 1) for i, c in enumerate(h[:d + 1]))
+    return _coefficient(*hilbert_series(I), d)
 
 
 def hilbert_values(I: Ideal, dmax: int) -> list[int]:

@@ -28,10 +28,13 @@ x_v != 0 (Kreuzer & Robbiano, Computational Commutative Algebra 2, section
 6.3). When every coordinate vanishes at some point (all 13 points of
 P^2(F_3), say), each degree takes a rank of its own.
 
-The vanishing ideal comes from evaluation-matrix kernels, with an
-independent oracle that intersects the single-point ideals instead, in a
-balanced tree, so that no intersection below the root carries more than
-half of the points.
+The vanishing ideal comes from evaluation-matrix kernels. An independent
+oracle builds each single-point ideal in closed form instead, x_k minus
+(p_k / p_l) * x_l for k != l and l the last index with p_l != 0, with its
+reduced basis preset, and intersects them in a balanced tree, so that no
+intersection below the root carries more than half of the points. It
+takes no evaluation kernel, and its intersections are linear algebra in
+k[x] (`gradus.groebner.ideal_intersection`).
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
 by the monomials' value vectors for every set, independent or not, so its
@@ -50,7 +53,7 @@ from .errors import GeneralPositionError, GradusError, ParseError, VerificationE
 from .field import (
     DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, rank_profile,
 )
-from .groebner import Ideal, _intersect_all
+from .groebner import Ideal, _columns, _intersect_all
 from .hilbert import SocleReport, hilbert_series
 from .ring import Poly, RingSpec, expect_json, json_key, monomials_of_degree
 
@@ -311,17 +314,36 @@ def vanishing_ideal(X: PointSet) -> Ideal:
     return I
 
 
+def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
+    """The ideal of the one point p, with its reduced basis preset: for l
+    the last index with p_l != 0, the x_k - (p_k / p_l) * x_l for k != l,
+    ascending by lead. Grevlex, lex and the elimination orders all rank
+    x_0 > ... > x_n in degree 1, so the basis is the same in each."""
+    f = ring.field
+    l = max(k for k, c in enumerate(p) if not f.is_zero(c))
+    inv = f.inv(p[l])
+    x = [tuple(int(u == v) for u in range(ring.nvars)) for v in range(ring.nvars)]
+    gens = [Poly(ring, {x[k]: f.one, x[l]: f.neg(f.mul(p[k], inv))})
+            for k in reversed(range(ring.nvars)) if k != l]
+    I = Ideal(ring, gens, check=False)
+    I._gb[ring.order.name()] = gens
+    return I
+
+
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
-    """Independent route: intersect the single-point vanishing ideals, in a
-    balanced tree of s - 1 intersections."""
-    return _intersect_all([vanishing_ideal(PointSet(X.n, X.field, [p])) for p in X.points])
+    """Independent route: intersect the single-point ideals, each in closed
+    form (`_point_ideal`), in a balanced tree of s - 1 intersections by
+    linear algebra in k[x]; no evaluation kernel and no F4 of the points."""
+    ring = X.ring()
+    return _intersect_all([_point_ideal(ring, p) for p in X.points])
 
 
 def values_of(f: Poly, X: PointSet) -> np.ndarray:
     """(f(P_1), ..., f(P_s)) at the normalised points of X, for a homogeneous
     f, in the field's format: the degree-d evaluation matrix times f's
-    coefficient vector. Over F_p each product is reduced before the row sums,
-    which then stay below C(n+d, n) * p."""
+    coefficient vector, scattered through the cached column index. Over F_p
+    each product is reduced before the row sums, which then stay below
+    C(n+d, n) * p."""
     if f.ring != X.ring():
         raise ValueError("polynomial from a different ring")
     if not f.is_homogeneous():
@@ -330,8 +352,9 @@ def values_of(f: Poly, X: PointSet) -> np.ndarray:
     if f.is_zero():
         return fld.array([fld.zero] * X.s)
     d = f.degree()
-    coeffs = fld.array([f.terms.get(e, fld.zero)
-                        for e in monomials_of_degree(X.n + 1, d, X.ring().order)])
+    index = _columns(X.n + 1, X.ring().order, d)[2]
+    coeffs = np.zeros(len(index), dtype=np.int64 if fld.kind == "prime" else object)
+    coeffs[[index[e] for e in f.terms]] = list(f.terms.values())
     return fld.reduce(fld.reduce(X.evaluation_array(d) * coeffs).sum(axis=1))
 
 

@@ -580,12 +580,12 @@ def test_f4_over_q_with_large_coefficients_matches_buchberger(order):
     assert Ideal(ring4, scaled).groebner() == Ideal(ring4, gap).groebner()
 
 
-# -- intersections by the homogeneous F4 route against affine Buchberger ------
+# -- intersections degree by degree against affine Buchberger --------------
 
 
 def _intersection_by_buchberger(I, J):
     """I ∩ J as the t-free part of Buchberger's reduced basis of the affine
-    t*I + (1-t)*J, under the block order on t; the reference the F4 route of
+    t*I + (1-t)*J, under the block order on t; the reference
     `ideal_intersection` must reproduce."""
     ring = I.ring
     ext = RingSpec(ring.nvars + 1, ring.field, TermOrder(ELIM, 1))
@@ -672,8 +672,9 @@ def test_intersection_tree_matches_the_left_fold(fld):
 
 
 def test_intersections_and_colons_run_no_buchberger(monkeypatch):
-    """`ideal_intersection`, `ideal_quotient` and the oracle stay on the F4
-    degree loop."""
+    """`ideal_intersection`, `ideal_quotient` and the oracle run no
+    Buchberger: linear algebra in each degree, and the F4 degree loop for
+    the bases of their inputs."""
     import gradus.groebner as gb_module
     from gradus.points import random_general_points, vanishing_ideal_oracle
     calls = []
@@ -692,15 +693,92 @@ def test_intersections_and_colons_run_no_buchberger(monkeypatch):
     assert calls == []
 
 
-def test_intersection_rejects_a_t_free_element_off_h_degree_one(monkeypatch):
+@pytest.mark.parametrize("A, B, columns, sums", [
+    (("x0-x2", "x1-x2"), ("x0-x1", "x1-2*x2"), 6, 0),
+    (("x0^2", "x1^3"), ("x0*x1",), 10, 1),
+], ids=("two-points", "sum-not-artinian"))
+def test_intersection_rejects_a_degree_of_the_wrong_dimension(monkeypatch, A, B, columns, sums):
+    """Once the target series is known, every (I ∩ J)_d must have the
+    dimension it gives. One row is dropped from (I ∩ J)_d in the degree
+    with `columns` monomials: for two points, whose sum is Artinian, the
+    series is known from degree 1 and degree 2 is refused; for
+    (x0^2, x1^3) ∩ (x0*x1) it comes from the basis of the sum, and the
+    missing x0^2*x1 of degree 3 is refused then."""
     import gradus.groebner as gb_module
-    from gradus.errors import GradusError
-    plain = gb_module._f4
+    from gradus.errors import VerificationError
+    plain_meet, plain_sum = gb_module._meet_in_degree, gb_module.ideal_sum
+    made = []
 
-    def squared_h(ring, gens, order):
-        h = ring.variable(1)
-        return [g if next(iter(g.terms))[0] else g * h for g in plain(ring, gens, order)]
+    def short(field, A, B, n):
+        K, pivots = plain_meet(field, A, B, n)
+        return (K[:-1], pivots[:-1]) if n == columns else (K, pivots)
 
-    monkeypatch.setattr(gb_module, "_f4", squared_h)
-    with pytest.raises(GradusError, match="h times"):
-        ideal_intersection(I("x0"), I("x1"))
+    def counting_sum(*args):
+        made.append(args)
+        return plain_sum(*args)
+
+    monkeypatch.setattr(gb_module, "_meet_in_degree", short)
+    monkeypatch.setattr(gb_module, "ideal_sum", counting_sum)
+    with pytest.raises(VerificationError, match=r"dim \(I ∩ J\)_\d is"):
+        ideal_intersection(I(*A), I(*B))
+    assert len(made) == sums
+
+
+def _meet_cases(fld, ring):
+    """(name, A, B, whether A + B is Artinian) for the intersection property
+    test: point sets with no common point and with one, I_X and a principal
+    (g) with g through a point of X and through none, A ∩ (A + B), and the
+    unit ideal."""
+    from gradus.points import PointSet, vanishing_ideal
+    pts = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 0], [0, 1, 2], [1, 0, 1]]
+
+    def ideal_of(points):
+        gens = vanishing_ideal(PointSet(2, fld, points)).generators
+        return Ideal(ring, [Poly(ring, g.terms) for g in gens])
+
+    X1, X2, X3 = ideal_of(pts[:3]), ideal_of(pts[3:5]), ideal_of(pts[2:4] + pts[5:])
+    off = I("x0^2-x1*x2", "x1^3", ring=ring)
+    yield "disjoint-points", X1, X2, True
+    yield "disjoint-points-reversed", X2, X1, True
+    yield "shared-point", X1, X3, False
+    yield "principal-through-a-point", X2, I("x1*x2-x0*x2", ring=ring), False  # (1:1:1)
+    yield "principal-through-none", X2, I("x0^2", ring=ring), True
+    yield "inside-the-sum", off, ideal_sum(off, X1), False
+    yield "inside-the-sum-reversed", ideal_sum(X1, off), X1, False
+    yield "unit", Ideal(ring, [ring.one()]), X3, True
+
+
+@pytest.mark.parametrize("fld", [PrimeField(3), PrimeField(32003), RationalField()],
+                         ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("order", [TermOrder(GREVLEX), TermOrder(LEX)], ids=lambda o: o.name())
+def test_intersection_by_degree_matches_buchberger_on_both_stops(monkeypatch, fld, order):
+    """`ideal_intersection` equals the affine-Buchberger reference on pairs
+    whose sum is Artinian, where the target series is read off the degrees
+    computed and no basis of I + J is ever made, and on pairs whose sum is
+    not, where it comes from F4 on I + J in the ring's own variables."""
+    import gradus.groebner as gb_module
+    ring = RingSpec(3, fld, order)
+    plain_sum, plain_f4 = gb_module.ideal_sum, gb_module._f4
+    sums, f4_rings = [], []
+
+    def counting_sum(A, B):
+        sums.append((A, B))
+        return plain_sum(A, B)
+
+    def recording_f4(r, gens, o):
+        f4_rings.append(r.nvars)
+        return plain_f4(r, gens, o)
+
+    for name, A, B, artinian in _meet_cases(fld, ring):
+        want = _intersection_by_buchberger(A, B)
+        sums.clear()
+        monkeypatch.setattr(gb_module, "ideal_sum", counting_sum)
+        monkeypatch.setattr(gb_module, "_f4", recording_f4)
+        M = ideal_intersection(A, B)
+        monkeypatch.undo()
+        assert list(M.generators) == want, name
+        assert M.groebner() == Ideal(ring, want).groebner(), name
+        assert (not sums) == artinian, name
+    assert set(f4_rings) <= {3}  # no extension ring
+
+

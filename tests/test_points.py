@@ -159,6 +159,55 @@ def test_oracle_equivalence_small():
         assert equal_ideals(vanishing_ideal(X), vanishing_ideal_oracle(X))
 
 
+def _one_point_cases():
+    """(n, point) for n = 1..3: zeros in the first, a middle and the last
+    coordinate, none, and the last non-zero coordinate not 1."""
+    for n in (1, 2, 3):
+        yield n, [0] + [1] * n
+        yield n, [1] * n + [0]
+        yield n, [1] + [2] * n
+        if n > 1:
+            yield n, [1, 0] + [2] * (n - 1)
+            yield n, [1] + [0] * (n - 1) + [2]
+
+
+@pytest.mark.parametrize("fld", [PrimeField(3), F, RationalField()], ids=lambda f: f.spec_string())
+def test_point_ideals_in_closed_form_are_the_vanishing_ideals(monkeypatch, fld):
+    """The closed-form ideal of one point is `vanishing_ideal` of it: its
+    generators are that ideal's reduced basis, preset, so no F4 runs."""
+    import gradus.groebner
+    for n, p in _one_point_cases():
+        X = PointSet(n, fld, [p])
+        want = vanishing_ideal(X).groebner()
+        with monkeypatch.context() as m:
+            m.setattr(gradus.groebner, "_f4", None)  # a call would raise
+            got = gradus.points._point_ideal(X.ring(), X.points[0])
+            assert list(got.generators) == got.groebner() == want, (n, p)
+        assert equal_ideals(got, vanishing_ideal(X))
+
+
+def test_oracle_intersects_closed_form_leaves_with_no_kernel_and_no_f4(monkeypatch):
+    """The oracle runs s - 1 intersections on the single-point ideals, and
+    neither an evaluation kernel, nor `vanishing_ideal`, nor F4."""
+    import gradus.groebner
+    X = random_general_points(20, 2, seed=1)
+    want = vanishing_ideal(X).groebner()
+    meet = gradus.groebner.ideal_intersection
+    calls = []
+
+    def counting(A, B):
+        calls.append((A, B))
+        return meet(A, B)
+
+    for module, name in ((gradus.points, "vanishing_ideal"), (gradus.points, "_kernel_polys"),
+                         (gradus.groebner, "_f4"), (gradus.groebner, "buchberger")):
+        monkeypatch.setattr(module, name, None)
+    monkeypatch.setattr(gradus.groebner, "ideal_intersection", counting)
+    got = vanishing_ideal_oracle(X)
+    assert len(calls) == X.s - 1
+    assert list(got.generators) == want
+
+
 COLLINEAR = [[1, 0, 0], [1, 1, 0], [1, 2, 0]]
 
 
