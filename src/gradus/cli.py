@@ -65,15 +65,16 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
+    field = args.field
     if args.points:
         X = PointSet.from_json(_load_json(args.points))
+        field = X.field.spec_string()  # the points' field, not --field's
         I = vanishing_ideal(X)
         oracle_agrees = None
         if args.oracle:
             oracle_agrees = equal_ideals(I, vanishing_ideal_oracle(X))
     elif args.gens:
-        field = field_from_string(args.field)
-        ring = RingSpec(args.nvars, field, order_from_string(args.order))
+        ring = RingSpec(args.nvars, field_from_string(field), order_from_string(args.order))
         I = Ideal(ring, [parse_poly(ring, g) for g in args.gens])
         oracle_agrees = None
     else:
@@ -82,7 +83,7 @@ def _cmd_ideal(args) -> int:
     payload["groebner"] = [poly_to_str(g) for g in I.groebner()]
     if oracle_agrees is not None:
         payload["oracle_agrees"] = oracle_agrees
-    payload["config"] = _config(args)
+    payload["config"] = _config(args, field=field)
     _emit(payload, args.out)
     return 0
 

@@ -14,16 +14,23 @@ routine, `_echelon`, row-reduces both; `rank`, `rank_profile`, `rref`,
 `kernel_basis` and `row_space_basis` accept lists or arrays and return an
 int, a list of column indices or lists of canonical field elements.
 
-`rref`, `kernel_basis` and `row_space_basis` run full Gauss-Jordan. `rank`
-and `rank_profile` run `_echelon`'s rank mode, which on int64 residues does
-only what a rank needs: it eliminates below the pivot only, overwrites the
-pivot row with the current top row instead of swapping the two (row
+`rref`, `kernel_basis` (which reads the kernel off the RREF with `_perp`)
+and `row_space_basis` run full Gauss-Jordan. `rank` and `rank_profile` run
+`_echelon`'s rank mode, which eliminates below the pivots only: row
 operations change neither the rank nor which columns depend on the ones
-left of them), and defers the `% p` of the trailing block until the next rank-1
-update could overflow int64. Each update subtracts at most (p - 1)^2 from
-an entry, so that is every second step at p = 2^31 - 1 and never in
-practice at p = 32003; it is the delayed reduction of FFLAS-FFPACK (Dumas,
-Giorgi & Pernet, ACM TOMS 2008).
+left of them.
+
+On int64 residues a step takes two pivots when the leading 2 x 2 block of
+the trailing matrix is invertible mod p: its inverse, adj/det on Python
+ints, gives both pivot rows, and one rank-2 update (a matrix product)
+clears both columns, for about the numpy calls of one pivot. Otherwise it
+takes one. Both modes defer the `% p` of the updated block until the next
+update could overflow int64, the delayed reduction of FFLAS-FFPACK (Dumas,
+Giorgi & Pernet, ACM TOMS 35(3), 2008): a k-pivot step lowers an entry by
+at most k (p - 1)^2, and an entry in [0, p) has room for
+(2^63 - 1) // (p - 1)^2 such units, 2 at p = 2^31 - 1 (a reduction before
+every two-pivot step), 8 at p = 1073741789, ~9e9 at p = 32003. The full
+mode reduces once at the end.
 
 Over Q, `_echelon` creates no Fraction inside its loop. It scales each row
 by the lcm of its denominators and divides it by its content, giving a
@@ -350,70 +357,99 @@ def _echelon(A: np.ndarray, field: Field, rank_only: bool = False) -> tuple[np.n
     """Reduced row echelon form of A (overwritten) and its pivot columns,
     or with `rank_only` the pivot columns alone.
 
-    Each pivot clears its column with one rank-1 update. On int64 residues
-    the update is vectorised over every row, products staying below
-    p^2 < 2^62. Over Q the rows are primitive integer rows (module
-    docstring), and only the rows with a non-zero entry in the pivot column
-    are touched: each becomes a*row - b*pivot_row and is divided by its
-    content. The pivot rows become monic Fractions once, at the end.
-
-    With `rank_only` the returned rows mean nothing, and only the rows below
-    the pivot are updated, on the columns right of it. On int64 residues
-    the pivot row is read out and overwritten by the top row instead of
-    swapped with it, and that block is reduced mod p only when one more
-    update could overflow.
+    On int64 residues `_echelon_mod` does the work. Over Q the rows are
+    primitive integer rows (module docstring), and each pivot clears its
+    column with one rank-1 update of the rows with a non-zero entry in it:
+    each becomes a*row - b*pivot_row and is divided by its content. The
+    pivot rows become monic Fractions once, at the end. With `rank_only`
+    the returned rows mean nothing, and only the rows below the pivot are
+    updated, on the columns right of it.
     """
+    if A.dtype != object:
+        return _echelon_mod(A, field.p, rank_only)
     m, n = A.shape
-    exact = A.dtype == object
-    lazy = rank_only and not exact
-    if lazy:
-        p = field.p
-        room = (2**63 - 1) // (p - 1) ** 2  # updates an entry in [0, p) absorbs
-        pending = 0
-    elif exact:
-        A = integer_rows(A)
+    A = integer_rows(A)
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        col = A[r:, c] % p if lazy else A[r:, c]
-        nz = col.nonzero()[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if lazy:
-            piv = A[i, c + 1:] % p * field.inv(int(col[i - r])) % p
-            if i != r:
-                A[i, c + 1:] = A[r, c + 1:]
-                col[i - r] = col[0]
-            if pending == room:
-                A[r + 1:, c + 1:] %= p
-                pending = 0
-            A[r + 1:, c + 1:] -= col[1:, None] * piv
-            pending += 1
-        else:
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            col = A[:, c].copy()
-            col[r] = 0
-            if not exact:
-                A[r] = field.reduce(A[r] * field.inv(A[r, c]))
-                A = field.reduce(A - np.outer(col, A[r]))
-            else:
-                if rank_only:
-                    col[:r] = 0
-                hit = col.nonzero()[0]
-                if hit.size:
-                    span = slice(c + 1 if rank_only else 0, n)
-                    A[hit, span] = primitive_rows(A[r, c] * A[hit, span] - np.outer(col[hit], A[r, span]))
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        col = A[:, c].copy()
+        col[r] = 0
+        if rank_only:
+            col[:r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            span = slice(c + 1 if rank_only else 0, n)
+            A[hit, span] = primitive_rows(A[r, c] * A[hit, span] - np.outer(col[hit], A[r, span]))
         pivots.append(c)
         r += 1
-    if exact and not rank_only:
+    if not rank_only:
         out = np.full((m, n), RationalField.zero, dtype=object)
         rows, cols = A[:r].nonzero()  # zeros stay the shared Fraction(0)
         out[rows, cols] = _ratios(A[rows, cols], A[rows, np.array(pivots, dtype=np.intp)[rows]])
         A = out
+    return A, pivots
+
+
+def _echelon_mod(A: np.ndarray, p: int, rank_only: bool) -> tuple[np.ndarray, list[int]]:
+    """`_echelon` on int64 residues mod p, one or two pivots a step (module
+    docstring). A two-pivot step sets rows r, r+1 to P = B^-1 A[r:r+2] mod p,
+    B = A[r:r+2, c:c+2] mod p; a one-pivot step takes the first row i >= r
+    non-zero in column c, P = A[i] / A[i, c], and moves row r's content to
+    row i. The update subtracts (A[:, c:c+k] mod p) @ P: in rank mode from
+    the rows below, right of the pivots; else from every row, on the
+    columns from c on, the pivot rows then set to P.
+    """
+    m, n = A.shape
+    room, pending = (2**63 - 1) // (p - 1) ** 2, 0
+    pivots: list[int] = []
+    r = c = 0
+    while r < m and c < n:
+        C = A[:, c:c + 2] % p
+        det = 0
+        if r + 1 < m and c + 1 < n:
+            (a, b), (e, f) = C[r:r + 2].tolist()
+            det = (a * f - b * e) % p
+        if det:
+            i, k, inv = r, 2, pow(det, -1, p)
+            T = np.array([[f * inv, -b * inv], [-e * inv, a * inv]]) % p
+        else:
+            nz = C[r:, 0].nonzero()[0]
+            if not nz.size:  # jump to the next column with a non-zero entry
+                live = (A[r:, c + 1:] % p).any(axis=0).nonzero()[0]
+                if not live.size:
+                    break
+                c += 1 + int(live[0])
+                continue
+            i = r + int(nz[0])
+            k, T = 1, np.array([[pow(int(C[i, 0]), -1, p)]])
+        lo = c + k if rank_only else c
+        P = T @ (A[i:i + k, lo:] % p) % p
+        if i != r:  # row r moves to row i, whose content became P
+            A[i, lo:] = A[r, lo:]
+            C[i] = C[r]
+        if pending + k > room:
+            A[r + k if rank_only else 0:, lo:] %= p
+            pending = 0
+        if rank_only:
+            A[r + k:, lo:] -= C[r + k:, :k] @ P
+        else:
+            C[r:r + k] = 0
+            A[:, lo:] -= C[:, :k] @ P
+            A[r:r + k, lo:] = P
+        pending += k
+        pivots += range(c, c + k)
+        r += k
+        c += k
+    if not rank_only:
+        A %= p
     return A, pivots
 
 
@@ -434,29 +470,45 @@ def rank(field: Field, rows, ncols: int | None = None) -> int:
     return len(rank_profile(field, rows, ncols))
 
 
-def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
-    """Basis of the right null space {v : M v = 0} of the given row matrix.
+def _zeros(field: Field, m: int, n: int) -> np.ndarray:
+    """An m x n zero matrix in the field's format, of canonical zeros."""
+    if field.kind == "prime":
+        return np.zeros((m, n), dtype=np.int64)
+    return np.full((m, n), field.zero, dtype=object)
 
-    An empty row list (with ncols given) has the full space as kernel.
+
+def _perp(field: Field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
+    """Rows spanning the orthogonal complement of the row space of reduced
+    echelon rows R with pivot columns `pivots` and n columns, one per other
+    column f: 1 in column f and -R[:, f] in the pivot columns. For the RREF
+    of a matrix it is a basis of its kernel, and for the basis of an
+    ideal's degree-d part the matrix of the normal form modulo it. Over Q
+    only the non-zero entries are negated."""
+    mask = np.ones(n, dtype=bool)
+    mask[pivots] = False
+    free = np.flatnonzero(mask)
+    N = _zeros(field, free.size, n)
+    N[np.arange(free.size), free] = field.one
+    T = R[:len(pivots), free].T
+    if field.kind == "prime":
+        N[:, pivots] = field.reduce(-T)
+    else:
+        rows, cols = T.nonzero()
+        N[rows, np.asarray(pivots, dtype=np.intp)[cols]] = -T[rows, cols]
+    return N
+
+
+def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
+    """Basis of the right null space {v : M v = 0} of the given row matrix,
+    `_perp` of its RREF. An empty row list (with ncols given) has the full
+    space as kernel.
     """
     if ncols is None:
         if not len(rows):
             raise ValueError("kernel_basis needs ncols when the matrix has no rows")
         ncols = len(rows[0])
-    if not len(rows):
-        R, pivots = [], []
-    else:
-        R, pivots = rref(field, rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = field.neg(R[row_idx][f])
-        basis.append(v)
-    return basis
+    R, pivots = _echelon(_matrix(field, rows, ncols), field)
+    return _perp(field, R, pivots, ncols).tolist()
 
 
 def row_space_basis(field: Field, rows, ncols: int | None = None) -> list[list]:

@@ -88,7 +88,7 @@ from operator import add, itemgetter, le, neg, sub
 import numpy as np
 
 from .errors import ParseError, VerificationError
-from .field import _echelon, integer_rows, primitive_rows, rref
+from .field import _echelon, _perp, _zeros, integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -603,31 +603,6 @@ def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int]]:
 @lru_cache(maxsize=64)
 def _unit(nvars: int, v: int) -> Exponents:
     return tuple(int(u == v) for u in range(nvars))
-
-
-def _zeros(field, m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=object if field.kind == "rational" else np.int64)
-
-
-def _perp(field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
-    """Rows spanning the orthogonal complement of the row space of reduced
-    echelon rows R with pivot columns `pivots` and n columns, one per other
-    column f: 1 in column f and -R[:, f] in the pivot columns. For the
-    basis of I_d it is the matrix of the normal form modulo I_d, and for
-    the RREF of a matrix a basis of its kernel. Over Q only the non-zero
-    entries are negated."""
-    mask = np.ones(n, dtype=bool)
-    mask[pivots] = False
-    free = np.flatnonzero(mask)
-    N = _zeros(field, free.size, n)
-    N[np.arange(free.size), free] = field.one
-    T = R[:len(pivots), free].T
-    if field.kind == "prime":
-        N[:, pivots] = field.reduce(-T)
-    else:
-        rows, cols = T.nonzero()
-        N[rows, np.asarray(pivots, dtype=np.intp)[cols]] = -T[rows, cols]
-    return N
 
 
 def _meet_in_degree(field, A: tuple, B: tuple, n: int) -> tuple[np.ndarray, list[int]]:

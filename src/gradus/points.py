@@ -112,20 +112,19 @@ class PointSet:
         degree and kept, read-only, for the life of the set.
 
         It is read off one power table, pw[k] = P^k entrywise, with one
-        product per variable over the monomials' exponents; over F_p residues
-        stay below p < 2^31, so every product fits in int64.
+        product per variable over the monomials' cached exponent array; over
+        F_p residues stay below p < 2^31, so every product fits in int64.
         """
         got = self._arrays.get(d)
         if got is not None:
             return got
-        monos = monomials_of_degree(self.n + 1, d, self.ring().order)
         f = self.field
         P = f.array(self.points)
         pw = np.empty((d + 1,) + P.shape, dtype=P.dtype)
         pw[0] = f.one
         for k in range(1, d + 1):
             pw[k] = f.reduce(pw[k - 1] * P)
-        E = np.array(monos, dtype=np.intp)
+        E = _columns(self.n + 1, self.ring().order, d)[1]
         vals = pw[E[:, 0], :, 0]
         for v in range(1, self.n + 1):
             vals = f.reduce(vals * pw[E[:, v], :, v])
@@ -143,8 +142,7 @@ class PointSet:
 
     def chart_exponents(self, d: int, v: int) -> np.ndarray:
         """The x_v-exponent of each column of `evaluation_array(d)`."""
-        return np.array([e[v] for e in monomials_of_degree(self.n + 1, d, self.ring().order)],
-                        dtype=np.intp)
+        return _columns(self.n + 1, self.ring().order, d)[1][:, v]
 
     def rank_at(self, d: int) -> int:
         """HF_X(d), the rank of ev_d. A miss with a chart coordinate x_v
@@ -255,10 +253,12 @@ def random_general_points(s: int, n: int, seed: int,
         stall = 0
         while len(pts) < s and stall < 200:
             coords = [field.random(rng) for _ in range(n + 1)]
-            if all(field.is_zero(c) for c in coords):
+            lead = next((c for c in coords if c), None)
+            if lead is None:
                 stall += 1
                 continue
-            p = normalize_point(field, coords)
+            inv = field.inv(lead)
+            p = tuple(field.mul(inv, c) for c in coords)
             if p in pts:
                 stall += 1
                 continue

@@ -42,10 +42,10 @@ class TermOrder:
 
     def key(self, e: Exponents):
         if self.kind == GREVLEX:
-            return (sum(e), tuple(map(neg, e[::-1])))
+            return _grevlex_key(e)
         if self.kind == LEX:
             return e
-        return (sum(e[: self.block]), sum(e), tuple(map(neg, e[::-1])))
+        return (sum(e[: self.block]),) + _grevlex_key(e)
 
     def name(self) -> str:
         return self.kind if self.kind != ELIM else f"elim{self.block}"
@@ -62,6 +62,11 @@ class TermOrder:
 
     def __repr__(self):
         return f"TermOrder({self.name()!r})"
+
+
+@lru_cache(maxsize=4096)
+def _grevlex_key(e: Exponents) -> tuple:
+    return (sum(e), tuple(map(neg, e[::-1])))
 
 
 def order_from_string(text: str) -> TermOrder:

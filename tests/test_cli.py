@@ -68,6 +68,19 @@ def test_ideal_with_oracle(capsys):
     assert len(data["groebner"]) == 2
 
 
+@pytest.mark.parametrize("field", ["Q", "2147483647"])
+def test_ideal_config_names_the_points_field(capsys, monkeypatch, tmp_path, field):
+    pts = tmp_path / "pts.json"
+    run(capsys, "points", "--s", "4", "--n", "2", "--seed", "3", "--field", field,
+        "--out", str(pts))
+    monkeypatch.setenv("GRADUS_FIELD", "32003")  # neither the default nor --field applies
+    code, out, _ = run(capsys, "ideal", "--points", str(pts), "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["field"] == data["ring"]["field"] == field
+    assert data["oracle_agrees"] is True
+
+
 @pytest.mark.parametrize("points", [
     [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"]],
     [["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"], ["1", "3", "0"], ["0", "0", "1"]],

@@ -14,6 +14,7 @@ from gradus.field import (
     is_prime,
     kernel_basis,
     rank,
+    rank_profile,
     row_space_basis,
     rref,
 )
@@ -306,6 +307,82 @@ def test_rank_mode_matches_reference_gauss_jordan(field):
                 assert rank(field, given) == want, name
             assert [list(r) for r in given] == kept, f"{name}: input was modified"
     assert most >= 3  # enough pivots that p = 2^31 - 1 flushes its deferred reduction
+
+
+# -- pivot lists of both modes: one- and two-pivot steps, deferred mod p ----
+
+PIVOT_FIELDS = [PrimeField(3), PrimeField(32003), PrimeField(1073741789), PrimeField(2**31 - 1)]
+
+
+def _det2(field, rows):
+    (a, b), (c, d) = (row[:2] for row in rows[:2])
+    return field.sub(field.mul(a, d), field.mul(b, c))
+
+
+def _pivot_cases(field, rng):
+    """(name, rows, ncols): each shape a step of the elimination can meet,
+    with entries mostly p - 1 and p - 2 so that every update at
+    p = 2^31 - 1 or 1073741789 moves an entry by nearly (p - 1)^2."""
+    one, m1, m2 = field.one, field.neg(field.one), field.neg(field.from_fraction(2))
+
+    def entry():
+        return rng.choice((m1, m2)) if rng.random() < 0.7 else field.random(rng)
+
+    def rows_of(m, n):
+        return [[entry() for _ in range(n)] for _ in range(m)]
+
+    for n in (2, 5, 9):
+        # the leading block [[-1, -1], [1, 1]] is singular; row 2 makes its columns independent
+        yield "singular leading block", [[m1, m1] + rows_of(1, n)[0], [one, one] + rows_of(1, n)[0],
+                                         [m1, m2] + rows_of(1, n)[0]] + rows_of(n // 2, n + 2), n + 2
+        # a = 0 with det = -1 != 0
+        yield "a = 0, det != 0", [[field.zero, m1] + rows_of(1, n)[0],
+                                  [m1, m2] + rows_of(1, n)[0]] + rows_of(n // 2, n + 2), n + 2
+    for m in (3, 8, 14):
+        base = [[entry() for _ in range(m)] for _ in range(5)]
+        zero = [field.zero] * m
+        twice = [field.add(u, v) for u, v in zip(base[0], base[1])]
+        cols = [base[0], zero, base[0], base[1], zero, zero, twice, base[2], base[1], base[3], zero,
+                base[4], base[4]]
+        yield "zero and repeated columns", [list(row) for row in zip(*cols)], len(cols)
+        rows = rows_of(m, m + 3)
+        doubled = rows + [list(row) for row in rows]
+        rng.shuffle(doubled)
+        yield "duplicate rows", doubled, m + 3
+    for m, n, r in ((5, 8, 3), (9, 12, 7), (12, 9, 5), (16, 16, 15), (20, 24, 19), (24, 20, 1)):
+        yield f"{m}x{n} rank {r}", _product_of_rank(field, rng, m, n, r, entry), n
+    for m, n in ((16, 16), (20, 24)):
+        yield f"{m}x{n} random", rows_of(m, n), n
+    # unit rows with a tail of -1 over rows of -1: each pivot lowers the tail
+    # of the bottom rows by exactly (p - 1)^2, so 18 pivots pass any room;
+    # the first bottom row reduces to zero, the others do not
+    k, tail = 18, 4
+    top = [[one if j == i else field.zero for j in range(k)] + [m1] * tail for i in range(k)]
+    bottom = [[m1] * k + [field.from_fraction(k)] * tail] + [[m1] * k + rows_of(1, tail)[0]
+                                                            for _ in range(2)]
+    yield "(p - 1)^2 per pivot", top + bottom, k + tail
+    for n in (1, 2, 7):
+        yield f"1 x {n}", rows_of(1, n), n
+        yield f"{n} x 1", rows_of(n, 1), 1
+        yield f"1 x {n} zero lead", [[field.zero] + rows_of(1, n)[0]], n + 1
+    yield "1 x 1 zero", [[field.zero]], 1
+
+
+@pytest.mark.parametrize("field", PIVOT_FIELDS, ids=lambda f: f.spec_string())
+def test_pivot_lists_match_reference_gauss_jordan(field):
+    rng = random.Random(f"pivots/{field.spec_string()}")
+    parities = set()
+    for name, rows, n in _pivot_cases(field, rng):
+        R, pivots = _reference_rref(field, rows, n)
+        if name == "singular leading block":
+            assert _det2(field, rows) == 0 and pivots[:2] == [0, 1], name
+        if name == "a = 0, det != 0":
+            assert rows[0][0] == 0 and _det2(field, rows) != 0, name
+        parities.add(len(pivots) % 2)
+        for given in (rows, _as_array(field, rows, n)):
+            assert rank_profile(field, given, n) == pivots, name
+            assert rref(field, given, n) == (R, pivots), name
+    assert parities == {0, 1}
 
 
 # -- over Q the elimination runs on Python ints: entries past int64 --------
