@@ -9,13 +9,16 @@ The field also owns the one matrix format: `array(rows)` gives int64
 residues in [0, p) over F_p and an object array of Fractions over Q, and
 `reduce(A)` brings entries back to canonical form after array arithmetic
 (A % p over F_p, nothing over Q). Callers build, add and multiply matrices
-in that format without asking which field they hold. One elimination
-routine, `_echelon`, row-reduces both; `rank`, `rank_profile`, `rref`,
-`kernel_basis` and `row_space_basis` accept lists or arrays and return an
-int, a list of column indices or lists of canonical field elements.
+in that format without asking which field they hold; a matrix product of
+residues, whose inner sums overflow int64 at large p, goes through
+`matmul`. One elimination routine, `_echelon`, row-reduces both; `rank`,
+`rank_profile`, `rref`, `kernel_basis` and `row_space_basis` accept lists
+or arrays and return an int, a list of column indices or lists of
+canonical field elements.
 
-`rref`, `kernel_basis` (which reads the kernel off the RREF with `_perp`)
-and `row_space_basis` run full Gauss-Jordan. `rank` and `rank_profile` run
+`rref`, `kernel_basis` (which reads the kernel off the RREF with `_perp`;
+`_kernel` gives it as an array, with its free columns) and
+`row_space_basis` run full Gauss-Jordan. `rank` and `rank_profile` run
 `_echelon`'s rank mode, which eliminates below the pivots only: row
 operations change neither the rank nor which columns depend on the ones
 left of them.
@@ -131,6 +134,18 @@ class PrimeField:
         """Residues of an int64 array whose entries lie in (-2^63, 2^63)."""
         return A % self.p
 
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The residues of A @ B for residue arrays A and B, exact at every
+        p: the inner sum runs in chunks of (2^63 - 1) // (p - 1)^2 terms,
+        which int64 holds unreduced, and each chunk is reduced before it is
+        added (2 terms a chunk at p = 2^31 - 1, one chunk at p = 32003)."""
+        p = self.p
+        room = (2**63 - 1) // (p - 1) ** 2
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for k in range(0, A.shape[1], room):
+            out = (out + A[:, k:k + room] @ B[k:k + room] % p) % p
+        return out
+
     def from_fraction(self, q: Fraction | int) -> int:
         if isinstance(q, Fraction):
             return self.div(q.numerator % self.p, q.denominator % self.p)
@@ -216,6 +231,10 @@ class RationalField:
     def reduce(self, A: np.ndarray) -> np.ndarray:
         """Fraction arithmetic is exact already: A itself."""
         return A
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B in object arithmetic, exact already."""
+        return A @ B
 
     def from_fraction(self, q):
         return Fraction(q)
@@ -477,6 +496,13 @@ def _zeros(field: Field, m: int, n: int) -> np.ndarray:
     return np.full((m, n), field.zero, dtype=object)
 
 
+def _free(pivots: list[int], n: int) -> np.ndarray:
+    """The columns of 0..n-1 that are not pivots, ascending."""
+    mask = np.ones(n, dtype=bool)
+    mask[pivots] = False
+    return np.flatnonzero(mask)
+
+
 def _perp(field: Field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of the row space of reduced
     echelon rows R with pivot columns `pivots` and n columns, one per other
@@ -484,9 +510,7 @@ def _perp(field: Field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
     of a matrix it is a basis of its kernel, and for the basis of an
     ideal's degree-d part the matrix of the normal form modulo it. Over Q
     only the non-zero entries are negated."""
-    mask = np.ones(n, dtype=bool)
-    mask[pivots] = False
-    free = np.flatnonzero(mask)
+    free = _free(pivots, n)
     N = _zeros(field, free.size, n)
     N[np.arange(free.size), free] = field.one
     T = R[:len(pivots), free].T
@@ -498,17 +522,26 @@ def _perp(field: Field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
     return N
 
 
+def _kernel(field: Field, rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel {v : M v = 0} of the row matrix M with n columns, as the
+    array `_perp` reads off its RREF, and its free columns F: the kernel
+    rows hold the identity on F, so v in the kernel is v[F] times them. A
+    matrix with no rows is not eliminated: its kernel is the unit matrix."""
+    A = _matrix(field, rows, n)
+    R, pivots = _echelon(A, field) if len(A) else (A, [])
+    return _perp(field, R, pivots, n), _free(pivots, n)
+
+
 def kernel_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
     """Basis of the right null space {v : M v = 0} of the given row matrix,
-    `_perp` of its RREF. An empty row list (with ncols given) has the full
+    `_kernel` as lists. An empty row list (with ncols given) has the full
     space as kernel.
     """
     if ncols is None:
         if not len(rows):
             raise ValueError("kernel_basis needs ncols when the matrix has no rows")
         ncols = len(rows[0])
-    R, pivots = _echelon(_matrix(field, rows, ncols), field)
-    return _perp(field, R, pivots, ncols).tolist()
+    return _kernel(field, rows, ncols)[0].tolist()
 
 
 def row_space_basis(field: Field, rows, ncols: int | None = None) -> list[list]:

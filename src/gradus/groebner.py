@@ -43,14 +43,27 @@ found in k[x] itself, one degree d at a time, by linear algebra. Each
 ideal keeps the reduced echelon basis of I_d, over the degree-d monomials
 in descending grevlex order, built from x_v times the basis of I_{d-1}
 and the degree-d elements of its reduced grevlex basis (one row per lead
-of I_d). For reduced echelon rows R with pivots P, the rows with 1 in a
-free column f and -R[:, f] in P span the orthogonal complement of their
-row space, and they are the matrix of the normal form modulo I_d. So
-(I ∩ J)_d is the kernel of the two complements stacked: their RREF, taken
-with the columns reversed so that monomials ascend, gives the kernel rows
-already in reduced echelon form, descending, with no second elimination.
-A row whose lead no earlier lead divides is an element of the reduced
-basis of I ∩ J, whose tail holds standard monomials only.
+of I_d). At the ideal's lowest degree those elements alone are the
+basis, and they are in reduced echelon form already: monic, with
+distinct leads and no lead in a tail, they are only sorted by lead, with
+no elimination. For reduced echelon rows R with pivots P, the rows with
+1 in a free column f and -R[:, f] in P span the orthogonal complement of
+their row space, and they are the matrix of the normal form modulo I_d;
+each ideal keeps this complement next to the basis, so a parent stacks
+its children's complements without rebuilding them. (I ∩ J)_d is the
+kernel of the two complements stacked: their RREF, taken with the
+columns reversed so that monomials ascend, gives the kernel rows already
+in reduced echelon form, descending, with no second elimination. A row
+whose lead no earlier lead divides is an element of the reduced basis of
+I ∩ J, whose tail holds standard monomials only.
+
+The loop starts at the larger of the two initial degrees. Below it one
+of I_e, J_e is 0, so (I ∩ J)_e = 0 and HF(R/(I+J))_e is
+HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two series with no meet.
+Those series are kept on the ideals, where `hilbert_series` reads them:
+an intersection leaves the series it proved on its result, so in a tree
+only the leaves' series are computed from their leads, and a
+single-point ideal has 1/(1 - t) preset.
 
 The loop stops on a Hilbert series. The exact sequence
 0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
@@ -67,8 +80,9 @@ quotient of R/I and R/J, with non-negative coefficients and dimension at
 most min(dim R/I, dim R/J): before that, G is incomplete whatever
 HS(R/(I+J)) is. Once the series is known, every dim (I ∩ J)_d is
 checked against it. The generators of I ∩ J are its reduced grevlex
-basis, whatever the ring's order, and the bases of the (I ∩ J)_d found
-are kept on it for the next intersection.
+basis, whatever the ring's order, and the bases of the (I ∩ J)_d found,
+their complements and the series are kept on it for the next
+intersection.
 
 A list of ideals (the colons (I : g) of `ideal_quotient`, the
 single-point ideals of the points oracle) is intersected in a balanced
@@ -88,7 +102,7 @@ from operator import add, itemgetter, le, neg, sub
 import numpy as np
 
 from .errors import ParseError, VerificationError
-from .field import _echelon, _perp, _zeros, integer_rows, primitive_rows, rref
+from .field import _echelon, _free, _perp, _zeros, integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -434,10 +448,11 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
     one per term order actually used, each with its prepared form, the
-    graded quotient R/I built on first use, and the reduced echelon bases
-    of the I_d that intersections used (`_degree_basis`)."""
+    graded quotient R/I built on first use, the reduced echelon bases of
+    the I_d that intersections used with their complements
+    (`_degree_basis`), and the Hilbert series once known."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded", "_series")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -455,6 +470,7 @@ class Ideal:
         self._prepared: dict[str, list] = {}
         self._quotient = None
         self._graded: dict[int, tuple] = {}  # d -> `_degree_basis(self, d)`
+        self._series = None  # HS(R/I) as (h, dim), set by hilbert_series or an intersection
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
         order = order or self.ring.order
@@ -566,13 +582,15 @@ def _degree(g: Poly) -> int:
     return sum(next(iter(g.terms)))
 
 
-def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int]]:
-    """The reduced echelon basis of I_d and its pivot columns, over the
-    degree-d monomials in descending grevlex order, kept on I. Its rows
-    before the RREF are the elements of I's reduced grevlex basis G of
-    degree d and, for each other monomial of in(G)_d, one x_v times a row
-    of I_{d-1} whose lead it divides: distinct leads covering in(I)_d, so
-    a basis of I_d."""
+def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The reduced echelon basis of I_d, its pivot columns and the `_perp`
+    of it, the complement, over the degree-d monomials in descending
+    grevlex order, kept on I. Its rows before the RREF are the elements of
+    I's reduced grevlex basis G of degree d and, for each other monomial of
+    in(G)_d, one x_v times a row of I_{d-1} whose lead it divides: distinct
+    leads covering in(I)_d, so a basis of I_d. At or below the lowest
+    degree of G the rows are G's own elements, monic, with distinct leads
+    and no lead in a tail: sorted by lead they are the RREF already."""
     got = I._graded.get(d)
     if got is not None:
         return got
@@ -580,7 +598,7 @@ def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int]]:
     G = I.groebner(_GREVLEX)
     col = _columns(nvars, _GREVLEX, d)[2]
     top = [g for g in G if _degree(g) == d]
-    below, pivots = _degree_basis(I, d - 1) if G and d > _degree(G[0]) else ([], [])
+    below, pivots, _ = _degree_basis(I, d - 1) if G and d > _degree(G[0]) else ([], [], None)
     k = len(pivots)
     shifts = [_shift(nvars, _GREVLEX, d - 1, _unit(nvars, v)) for v in range(nvars if k else 0)]
     # one (v, row) per lead x_v * lead(row): the last of each wins the scatter
@@ -595,8 +613,14 @@ def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int]]:
     for v, s in enumerate(shifts):
         hit = np.flatnonzero(v_of == v)
         A[len(top) + hit[:, None], s] = below[i_of[hit]]
-    R, pivots = _echelon(A, field) if len(A) else (A, [])
-    got = I._graded[d] = (R[:len(pivots)], pivots)
+    if k:
+        R, pivots = _echelon(A, field)
+        R = R[:len(pivots)]
+    else:  # G's elements alone
+        leads = (A != 0).argmax(axis=1)
+        by_lead = np.argsort(leads)
+        R, pivots = A[by_lead], leads[by_lead].tolist()
+    got = I._graded[d] = (R, pivots, _perp(field, R, pivots, len(col)))
     return got
 
 
@@ -605,27 +629,27 @@ def _unit(nvars: int, v: int) -> Exponents:
     return tuple(int(u == v) for u in range(nvars))
 
 
-def _meet_in_degree(field, A: tuple, B: tuple, n: int) -> tuple[np.ndarray, list[int]]:
+def _meet_in_degree(field, A: np.ndarray, B: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """The reduced echelon basis, and its pivots, of the intersection of
-    the row spaces of two reduced echelon bases A and B, each given as
-    (rows, pivots) with n columns: the complement of the sum of their
-    complements, with the columns reversed for the elimination so that the
-    result reads off in reduced echelon form (module docstring)."""
-    S = np.concatenate([_perp(field, *A, n), _perp(field, *B, n)])[:, ::-1]
+    two subspaces of k^n given by rows spanning their complements A and B:
+    the complement of the sum of A and B, with the columns reversed for the
+    elimination so that the result reads off in reduced echelon form
+    (module docstring)."""
+    S = np.concatenate([A, B])[:, ::-1]
     E, pivots = _echelon(S.copy(), field) if len(S) else (S, [])
-    free = sorted(n - 1 - c for c in set(range(n)).difference(pivots))
-    return _perp(field, E, pivots, n)[::-1, ::-1], free
+    return _perp(field, E, pivots, n)[::-1, ::-1], (n - 1 - _free(pivots, n)[::-1]).tolist()
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J for homogeneous I and J (as `Ideal` requires) by linear algebra
-    in k[x], one degree d at a time: (I ∩ J)_d is `_meet_in_degree` of the
-    bases of I_d and J_d. The loop stops once the leads found have the
-    Hilbert series HS(R/I) + HS(R/J) - HS(R/(I+J)), which proves them the
-    leads of I ∩ J (module docstring); every dimension of (I ∩ J)_d must
-    match that series, else VerificationError. The generators are the
-    reduced grevlex basis, ascending by lead, and the bases of the
-    (I ∩ J)_d found are kept for the next intersection."""
+    in k[x], one degree d at a time from the larger initial degree:
+    (I ∩ J)_d is `_meet_in_degree` of the complements of I_d and J_d. The
+    loop stops once the leads found have the Hilbert series
+    HS(R/I) + HS(R/J) - HS(R/(I+J)), which proves them the leads of I ∩ J
+    (module docstring); every dimension of (I ∩ J)_d must match that
+    series, else VerificationError. The generators are the reduced grevlex
+    basis, ascending by lead, and the bases of the (I ∩ J)_d found, their
+    complements and the series are kept for the next intersection."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -639,6 +663,13 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     def numerator(leads) -> list[int]:  # HS(R/(leads)) = numerator / (1 - t)^nvars
         return _numerator([tuple(e) for e in leads])
 
+    def series(X: Ideal) -> tuple:
+        # kept on X, where hilbert_series reads it; from the grevlex leads the
+        # degree bases need anyway, not from a basis in the ring's order
+        if X._series is None:
+            X._series = _reduced(numerator(X.leading_monomials(_GREVLEX)), nvars)
+        return X._series
+
     def check(degrees) -> None:
         for e in degrees:
             got = len(kept[e][0]) if e in kept else 0
@@ -647,11 +678,14 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
                     f"intersection: dim (I ∩ J)_{e} is {got}, not what the Hilbert series "
                     "of I, J and I + J give; this is a bug")
 
-    both = [numerator(X.leading_monomials(_GREVLEX)) for X in (I, J)]
-    bound = min(_reduced(K, nvars)[1] for K in both)
-    sides = _minus(both[0], [-c for c in both[1]])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
-    d = min(_degree(g) for X in (I, J) for g in X.generators)
-    quotient_hf = [comb(nvars - 1 + e, nvars - 1) for e in range(d)]  # of R/(I+J)
+    both = [series(X) for X in (I, J)]
+    bound = min(dim for _, dim in both)
+    K_I, K_J = (_times_one_minus_t(h, nvars - dim) for h, dim in both)
+    sides = _minus(K_I, [-c for c in K_J])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
+    # below the larger initial degree one side is 0, and so is (I ∩ J)_e
+    d = max(min(_degree(g) for g in X.generators) for X in (I, J))
+    quotient_hf = [sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1)
+                   for e in range(d)]  # of R/(I+J)
     target = None
     kept: dict[int, tuple] = {}
     found: list[Poly] = []
@@ -659,7 +693,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     while True:
         monos, M, _ = _columns(nvars, _GREVLEX, d)
         A, B = _degree_basis(I, d), _degree_basis(J, d)
-        K, pivots = kept[d] = _meet_in_degree(field, A, B, len(monos))
+        K, pivots = _meet_in_degree(field, A[2], B[2], len(monos))
+        kept[d] = (K, pivots, _perp(field, K, pivots, len(monos)))
         new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
         leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
         for r in reversed(new):
@@ -688,6 +723,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     result = Ideal(ring, found, check=False)
     result._graded.update(kept)
     result._gb[_GREVLEX.name()] = found
+    result._series = _reduced(target, nvars)
     return result
 
 

@@ -55,7 +55,6 @@ class GradedQuotient:
         self.ring = I.ring
         self._gb = I.prepared()
         self._basis: dict[int, list[Exponents]] = {}
-        self.series = None  # (h, dim), set by hilbert_series
         self.nf = _NormalForms(-1, [], self._gb, I.ring.order, I.ring.field)
 
     def basis(self, d: int) -> list[Exponents]:
@@ -173,11 +172,11 @@ def _coefficient(h, dim: int, d: int) -> int:
 def hilbert_series(I: Ideal) -> tuple[tuple[int, ...], int]:
     """(h, dim) with HS(R/I) = h(t) / (1 - t)^dim and h(1) != 0, h constant
     term first; dim is the Krull dimension of R/I. The zero ring R/(1) gives
-    ((0,), 0). Kept on I's GradedQuotient."""
-    Q = I.quotient()
-    if Q.series is None:
-        Q.series = _reduced(_numerator(I.leading_monomials()), I.ring.nvars)
-    return Q.series
+    ((0,), 0). Kept on I, where an intersection also leaves the series it
+    proved."""
+    if I._series is None:
+        I._series = _reduced(_numerator(I.leading_monomials()), I.ring.nvars)
+    return I._series
 
 
 def hilbert_function(I: Ideal, d: int) -> int:

@@ -14,6 +14,18 @@ t = i + deg g the colon modulo I_X is
 the kernel of one small matrix: the annihilator rows of V_t and of each
 target, the latter scaled by j/g. Membership in I_X + J is a span test in
 the same way. No Groebner basis is computed.
+
+`theta_kernel_dims` reads its two checks off that kernel's reduced basis,
+whose rows hold the identity on their free columns F, with no second
+elimination:
+
+- containment: w lies in the span of the rows exactly when w = w[F] times
+  them, so the basis holds (I_X + (g0))_t when g0 * V_{t - deg g0} passes
+  that test, one product (the field's `matmul`, exact at every p);
+- injectivity: g times the rows is the rows with the columns at the zeros
+  of g cleared and the others scaled by units, so its rank is that of the
+  rows on the support of g. That is all of them when the support covers F,
+  which holds whenever g vanishes at no point; otherwise it is one rank.
 """
 from __future__ import annotations
 
@@ -24,7 +36,7 @@ import numpy as np
 from .errors import GradusError
 # row_space_basis is unused here but stays importable from gradus.hom, which
 # perfbench's tracer tests read
-from .field import kernel_basis, rank, row_space_basis  # noqa: F401
+from .field import _kernel, rank, row_space_basis  # noqa: F401
 from .groebner import Ideal
 from .points import PointSet, PointValues, is_nonzerodivisor, values_of
 from .ring import Poly, poly_to_str
@@ -122,7 +134,10 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
     """Per-degree kernel dimension of evaluation-at-g on Hom_{R_X}(J, R_X).
 
     All-zero over the probed range is injectivity evidence; a non-zero
-    divisor g gives an injective map, a zero divisor does not.
+    divisor g gives an injective map, a zero divisor does not. Both the
+    check that the Hom basis holds (I_X + (g0))_t and the kernel of g
+    come from the basis's identity block (module docstring): a product,
+    and a rank only where g vanishes at one of its free columns.
     """
     if not g.is_homogeneous():
         raise ValueError("theta_kernel_dims needs a homogeneous form g")
@@ -133,16 +148,17 @@ def theta_kernel_dims(J: Ideal, g: Poly, X: PointSet, degrees,
     ratios = _ratios(V, g0)
     d0 = g0.degree()
     fld, s = X.field, X.s
-    at_g0, at_g = values_of(g0, X), values_of(g, X)
+    at_g0, support = values_of(g0, X), values_of(g, X) != 0
     out = {}
     for i in degrees:
         t = i + d0
         if t < 0:
             continue
-        hom = V.as_rows(kernel_basis(fld, _colon_rows(V, ratios, t), s))
+        hom, free = _kernel(fld, _colon_rows(V, ratios, t), s)
         # the colon holds (I_X + (g0))_t, which is g0 * V_{t - deg g0} modulo I_X
         sub = V.times(at_g0, V.span(t - d0))
-        if rank(fld, np.concatenate([hom, sub]), s) != len(hom):
+        if not (fld.matmul(sub[:, free], hom) == sub).all():
             raise GradusError("Hom subspace misses (I_X + (g))_t; this is a bug")
-        out[i] = len(hom) - rank(fld, V.times(at_g, hom), s)
+        out[i] = 0 if support[free].all() else \
+            len(hom) - rank(fld, hom[:, support], int(support.sum()))
     return out

@@ -31,10 +31,11 @@ P^2(F_3), say), each degree takes a rank of its own.
 The vanishing ideal comes from evaluation-matrix kernels. An independent
 oracle builds each single-point ideal in closed form instead, x_k minus
 (p_k / p_l) * x_l for k != l and l the last index with p_l != 0, with its
-reduced basis preset, and intersects them in a balanced tree, so that no
-intersection below the root carries more than half of the points. It
-takes no evaluation kernel, and its intersections are linear algebra in
-k[x] (`gradus.groebner.ideal_intersection`).
+reduced basis and its Hilbert series 1/(1 - t) preset, and intersects
+them in a balanced tree, so that no intersection below the root carries
+more than half of the points. It takes no evaluation kernel, and its
+intersections are linear algebra in k[x]
+(`gradus.groebner.ideal_intersection`).
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
 by the monomials' value vectors for every set, independent or not, so its
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import GeneralPositionError, GradusError, ParseError, VerificationError
 from .field import (
-    DEFAULT_PRIME, Field, PrimeField, field_from_string, kernel_basis, rank, rank_profile,
+    DEFAULT_PRIME, Field, PrimeField, _kernel, field_from_string, rank, rank_profile,
 )
 from .groebner import Ideal, _columns, _intersect_all
 from .hilbert import SocleReport, hilbert_series
@@ -232,6 +233,9 @@ class PointSet:
         return f"PointSet(s={self.s}, n={self.n}, seed={self.seed})"
 
 
+_DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
+
+
 def random_general_points(s: int, n: int, seed: int,
                           field: Field | None = None,
                           max_tries: int = 60) -> PointSet:
@@ -246,7 +250,7 @@ def random_general_points(s: int, n: int, seed: int,
         raise ValueError(f"no projective space P^{n}")
     if n == 0 and s > 1:
         raise ValueError(f"P^0 has one point; cannot sample {s}")
-    field = field or PrimeField(DEFAULT_PRIME)
+    field = field or _DEFAULT_FIELD
     rng = random.Random(seed)
     for _ in range(max_tries):
         pts: set[tuple] = set()
@@ -291,7 +295,7 @@ def evaluation_matrix(X: PointSet, d: int) -> list[list]:
 def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
     ring = X.ring()
     monos = monomials_of_degree(X.n + 1, d, ring.order)
-    vecs = kernel_basis(X.field, X.evaluation_array(d), len(monos))
+    vecs = _kernel(X.field, X.evaluation_array(d), len(monos))[0].tolist()
     return [Poly(ring, dict(zip(monos, v))) for v in vecs]
 
 
@@ -315,10 +319,11 @@ def vanishing_ideal(X: PointSet) -> Ideal:
 
 
 def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
-    """The ideal of the one point p, with its reduced basis preset: for l
-    the last index with p_l != 0, the x_k - (p_k / p_l) * x_l for k != l,
-    ascending by lead. Grevlex, lex and the elimination orders all rank
-    x_0 > ... > x_n in degree 1, so the basis is the same in each."""
+    """The ideal of the one point p, with its reduced basis and its
+    Hilbert series 1 / (1 - t) preset: for l the last index with p_l != 0,
+    the x_k - (p_k / p_l) * x_l for k != l, ascending by lead. Grevlex, lex
+    and the elimination orders all rank x_0 > ... > x_n in degree 1, so the
+    basis is the same in each."""
     f = ring.field
     l = max(k for k, c in enumerate(p) if not f.is_zero(c))
     inv = f.inv(p[l])
@@ -327,6 +332,7 @@ def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
             for k in reversed(range(ring.nvars)) if k != l]
     I = Ideal(ring, gens, check=False)
     I._gb[ring.order.name()] = gens
+    I._series = ((1,), 1)
     return I
 
 
@@ -440,7 +446,7 @@ class PointValues:
             elif u >= self.full:  # V_u = k^s: no row
                 got = self.span(-1)
             else:
-                got = self.as_rows(kernel_basis(self.field, self.span(u), self.X.s))
+                got = _kernel(self.field, self.span(u), self.X.s)[0]
             self._annihilators[u] = got
         return got
 
@@ -450,10 +456,12 @@ class PointValues:
         return np.concatenate(blocks) if blocks else self.span(-1)
 
     def contains(self, g: Poly) -> bool:
-        """g in I_X + J, for a homogeneous g: ev(g) lies in W_{deg g}."""
-        rows, s = self.image_rows(g.degree()), self.X.s
-        with_g = np.concatenate([rows, values_of(g, self.X)[None, :]])
-        return rank(self.field, with_g, s) == rank(self.field, rows, s)
+        """g in I_X + J, for a homogeneous g: ev(g) lies in W_{deg g}, that
+        is, the last column of [image_rows; ev(g)] transposed is no pivot of
+        its column rank profile, one elimination."""
+        rows = self.image_rows(g.degree())
+        with_g = np.concatenate([rows, values_of(g, self.X)[None, :]]).T
+        return len(rows) not in rank_profile(self.field, with_g, len(rows) + 1)
 
     def image_degrees(self) -> np.ndarray:
         """The entry degrees of the pivot columns, ascending, of the one

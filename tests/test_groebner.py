@@ -627,6 +627,67 @@ def test_intersection_matches_buchberger_elimination(fld, order):
             _assert_intersection_matches_reference(ideal_sum(B, A), A)
 
 
+def _distinct_points(fld, n, count, rng):
+    """`count` distinct normalised points of P^n with coordinates 0 to 3."""
+    from gradus.points import normalize_point
+    pts: dict = {}
+    while len(pts) < count:
+        coords = [fld.normalize(rng.randrange(4)) for _ in range(n + 1)]
+        if not all(fld.is_zero(c) for c in coords):
+            pts.setdefault(normalize_point(fld, coords), None)
+    return list(pts)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+def test_intersection_from_the_larger_initial_degree_matches_buchberger(fld):
+    """`ideal_intersection` starts at the larger initial degree and reads
+    the degrees below it off the children's series. It equals the
+    elimination reference, both ways round, on the ideals of 16 points and
+    of 4 points (the root of the oracle's tree at s = 20; in P^3 over F_3,
+    whose plane has 13 points) and on two pairs of ideals of no points. In
+    the last the sum is R_1 in degree 1 already, below the start."""
+    from gradus.points import PointSet, vanishing_ideal
+    n = 3 if fld == PrimeField(3) else 2
+    pts = _distinct_points(fld, n, 20, random.Random(f"start/{fld.spec_string()}"))
+    sixteen, four = (vanishing_ideal(PointSet(n, fld, part)) for part in (pts[:16], pts[16:]))
+    assert sixteen.min_generator_degree() > four.min_generator_degree()
+    ring = RingSpec(3, fld)
+    for A, B in ((sixteen, four),
+                 (I("x0^2-x1*x2", "x1^3", ring=ring), I("x0*x1*x2-x2^3", "x1^4", ring=ring)),
+                 (I("x0", "x1", "x2", ring=ring), I("x0*x1-x2^2", "x1^3", ring=ring))):
+        _assert_intersection_matches_reference(A, B)
+        _assert_intersection_matches_reference(B, A)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+def test_degree_basis_at_the_lowest_degree_is_the_reduced_basis(monkeypatch, fld):
+    """At an ideal's lowest degree `_degree_basis` eliminates nothing: the
+    reduced basis elements of that degree, sorted by lead, are the RREF
+    that `_echelon` makes of them, and the complement is its `_perp`."""
+    import gradus.groebner as gb_module
+    from gradus.field import _echelon, _matrix, _perp
+    from gradus.points import PointSet, vanishing_ideal
+    grevlex = TermOrder(GREVLEX)
+    ring = RingSpec(3, fld)
+    pts = _distinct_points(fld, 2, 7, random.Random(f"lowest/{fld.spec_string()}"))
+    ideals = [I("x0^2-x1*x2+x2^2", "x1^2-x0*x2", "x0*x1", ring=ring),
+              I("x0*x1-x2^2", "x1^3", ring=ring),
+              vanishing_ideal(PointSet(2, fld, pts))]
+    calls = []
+    monkeypatch.setattr(gb_module, "_echelon", lambda *a, **k: calls.append(a) or _echelon(*a, **k))
+    for ideal in ideals:
+        G = ideal.groebner(grevlex)
+        d = G[0].degree()
+        R, pivots, N = gb_module._degree_basis(ideal, d)
+        assert calls == []
+        monos = monomials_of_degree(3, d, grevlex)
+        rows = [[g.terms.get(e, fld.zero) for e in monos] for g in G if g.degree() == d]
+        want, want_pivots = _echelon(_matrix(fld, rows, len(monos)), fld)
+        assert pivots == want_pivots
+        assert R.tolist() == want.tolist()
+        assert N.tolist() == _perp(fld, want, want_pivots, len(monos)).tolist()
+
+
 def test_oracle_matches_buchberger_elimination():
     """The intersection oracle, fed by either route, is I_X."""
     from gradus.points import (

@@ -209,7 +209,7 @@ def test_values_route_matches_colon_on_scan_instances(s):
     (RationalField(), 2, 4, 1), (RationalField(), 2, 7, 2),
     (PrimeField(32003), 3, 6, 3), (PrimeField(32003), 3, 11, 4),
     (PrimeField(3), 2, 4, 5), (PrimeField(5), 2, 6, 6), (PrimeField(7), 2, 8, 7),
-    (PrimeField(7), 3, 6, 8),
+    (PrimeField(7), 3, 6, 8), (PrimeField(2**31 - 1), 2, 20, 9), (PrimeField(1073741789), 2, 12, 10),
 ])
 def test_values_route_matches_colon_over_other_fields_and_P3(field, n, s, seed):
     X = random_general_points(s, n, seed=seed, field=field)
@@ -301,3 +301,50 @@ def test_hom_and_theta_compute_no_groebner_basis(monkeypatch):
     hom_graded_dims(J, X, degrees, witness=g1)
     theta_kernel_dims(J, g0, X, degrees)
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("field", [PrimeField(32003), PrimeField(2**31 - 1), RationalField()],
+                         ids=lambda f: f.spec_string())
+def test_theta_refuses_a_hom_basis_short_of_a_row(monkeypatch, field):
+    """theta checks that its Hom basis holds (I_X + (g0))_t by a product
+    that is exact at every p: the full basis passes, and with one row
+    dropped in every degree, the degrees where g0 * V_{t - deg g0} is all
+    of k^s are refused."""
+    import gradus.hom as hom_module
+    X = random_general_points(20 if field.kind == "prime" else 7, 2, seed=64, field=field)
+    J = _nzd_draw(X, (2, 3), random.Random(13))
+    g0 = J.generators[0]
+    degrees = range(0, X.delta() + 1)
+    assert not any(theta_kernel_dims(J, g0, X, degrees).values())
+    plain = hom_module._kernel
+
+    def short(*args):
+        N, free = plain(*args)
+        return N[:-1], free[:-1]
+
+    monkeypatch.setattr(hom_module, "_kernel", short)
+    with pytest.raises(GradusError, match="Hom subspace misses"):
+        theta_kernel_dims(J, g0, X, degrees)
+
+
+def test_theta_takes_a_rank_only_where_g_vanishes(monkeypatch):
+    """A g that vanishes at no point holds the kernel basis's identity block
+    in its support, so theta takes no rank; a zero divisor g takes them
+    where it vanishes at a free column, and finds a kernel."""
+    X = random_general_points(20, 2, seed=65)
+    ring = X.ring()
+    rng = random.Random(14)
+    J = build_scan_J(ring, 20, rng)
+    while not all(is_nonzerodivisor(j, X) for j in J.generators):
+        J = build_scan_J(ring, 20, rng)
+    calls = []
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("gradus") and getattr(mod, "rank", None) is rank:
+            monkeypatch.setattr(mod, "rank", lambda *a, **k: calls.append(a) or rank(*a, **k))
+    degrees = range(0, X.delta() + 4)
+    g0, g1 = J.generators
+    assert not any(theta_kernel_dims(J, g1, X, degrees, witness=g0).values())
+    assert calls == []
+    sep = _separator(X)
+    assert any(theta_kernel_dims(Ideal(ring, [g0, sep]), sep, X, degrees).values())
+    assert calls

@@ -10,7 +10,7 @@ import gradus.points
 from gradus.errors import GeneralPositionError, VerificationError
 from gradus.field import PrimeField, RationalField, rank
 from gradus.groebner import Ideal, equal_ideals, normal_form
-from gradus.hilbert import hilbert_function, standard_monomials
+from gradus.hilbert import hilbert_function, hilbert_series, standard_monomials
 from gradus.points import (
     PointSet,
     evaluation_matrix,
@@ -64,6 +64,13 @@ def test_sampler_deterministic_and_distinct():
     assert len(set(X1.points)) == 6
     X3 = random_general_points(6, 2, seed=43)
     assert X1 != X3
+
+
+def test_sampler_without_a_field_shares_one_default_field():
+    """Draws with no field share one F_32003, and equal draws with it given."""
+    a, b = random_general_points(5, 2, seed=1), random_general_points(6, 3, seed=2)
+    assert a.field is b.field
+    assert a == random_general_points(5, 2, seed=1, field=PrimeField(32003))
 
 
 def test_sampler_certificate_and_tiny_field_exhaustion():
@@ -184,6 +191,8 @@ def test_point_ideals_in_closed_form_are_the_vanishing_ideals(monkeypatch, fld):
             got = gradus.points._point_ideal(X.ring(), X.points[0])
             assert list(got.generators) == got.groebner() == want, (n, p)
         assert equal_ideals(got, vanishing_ideal(X))
+        # its preset series is the one its leads give
+        assert hilbert_series(got) == hilbert_series(vanishing_ideal(X)) == ((1,), 1)
 
 
 def test_oracle_intersects_closed_form_leaves_with_no_kernel_and_no_f4(monkeypatch):

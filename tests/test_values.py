@@ -249,6 +249,41 @@ def test_forms_from_another_ring_are_refused(ring, text):
         PointValues(X, J).contains(g)
 
 
+@pytest.mark.parametrize("fld", [PrimeField(3), PrimeField(32003), PrimeField(2**31 - 1),
+                                 RationalField()], ids=lambda f: f.spec_string())
+def test_membership_in_one_elimination_matches_two_ranks(monkeypatch, fld):
+    """`contains` reads membership off one column rank profile; it agrees
+    with rank([W; ev(g)]) == rank(W) on forms inside I_X + J and outside."""
+    X = random_general_points(4 if fld == PrimeField(3) else 8, 2, seed=66, field=fld)
+    ring = X.ring()
+    rng = random.Random(15)
+    j1, j2 = _nonzero_form(ring, 2, rng), _nonzero_form(ring, 3, rng)
+    V = PointValues(X, Ideal(ring, [j1, j2]))
+
+    def two_ranks(g):
+        rows = V.image_rows(g.degree())
+        with_g = np.concatenate([rows, values_of(g, X)[None, :]])
+        return rank(fld, with_g, X.s) == rank(fld, rows, X.s)
+
+    eliminations = []
+    plain = gradus.field._echelon
+    monkeypatch.setattr(gradus.field, "_echelon",
+                        lambda *a, **k: eliminations.append(a) or plain(*a, **k))
+    seen = Counter()
+    for d in range(1, X.delta() + 4):
+        forms = [ring.random_form(d, rng)]
+        if d >= 2:
+            forms.append(ring.random_form(d - 2, rng) * j1
+                         + (ring.random_form(d - 3, rng) * j2 if d >= 3 else ring.zero()))
+        for g in forms:
+            before = len(eliminations)
+            got = V.contains(g)
+            assert len(eliminations) == before + 1
+            assert got == two_ranks(g), (d, g)
+            seen[got] += 1
+    assert seen[True] and seen[False]
+
+
 def test_scan_slice_makes_no_elimination_and_two_rank_misses_per_set(monkeypatch):
     calls = Counter()
     for name in ("rref", "row_space_basis"):
