@@ -481,8 +481,10 @@ def rref(field: Field, rows, ncols: int | None = None):
 def rank_profile(field: Field, rows, ncols: int | None = None) -> list[int]:
     """The pivot columns of `_echelon`'s rank mode, ascending. Column c is one
     exactly when it is not in the span of the columns left of it, so the
-    pivots below k number the rank of the first k columns."""
-    return _echelon(_matrix(field, rows, ncols), field, rank_only=True)[1]
+    pivots below k number the rank of the first k columns. A matrix with no
+    rows is not eliminated: it has no pivots."""
+    A = _matrix(field, rows, ncols)
+    return _echelon(A, field, rank_only=True)[1] if len(A) else []
 
 
 def rank(field: Field, rows, ncols: int | None = None) -> int:

@@ -39,23 +39,39 @@ RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
 new elements' coefficients and are stored back as integer rows.
 
 Ideal intersections and colons take no auxiliary variable: I ∩ J is
-found in k[x] itself, one degree d at a time, by linear algebra. Each
-ideal keeps the reduced echelon basis of I_d, over the degree-d monomials
-in descending grevlex order, built from x_v times the basis of I_{d-1}
-and the degree-d elements of its reduced grevlex basis (one row per lead
-of I_d). At the ideal's lowest degree those elements alone are the
-basis, and they are in reduced echelon form already: monic, with
-distinct leads and no lead in a tail, they are only sorted by lead, with
-no elimination. For reduced echelon rows R with pivots P, the rows with
-1 in a free column f and -R[:, f] in P span the orthogonal complement of
-their row space, and they are the matrix of the normal form modulo I_d;
-each ideal keeps this complement next to the basis, so a parent stacks
-its children's complements without rebuilding them. (I ∩ J)_d is the
-kernel of the two complements stacked: their RREF, taken with the
-columns reversed so that monomials ascend, gives the kernel rows already
-in reduced echelon form, descending, with no second elimination. A row
-whose lead no earlier lead divides is an element of the reduced basis of
-I ∩ J, whose tail holds standard monomials only.
+found in k[x] itself, one degree d at a time, by linear algebra, and it
+reads only complements. (I ∩ J)_d is the kernel of I_d^⊥ + J_d^⊥, so all
+a meet asks of an ideal is rows spanning I_d^⊥, over the degree-d
+monomials in descending grevlex order (`_complement`). An ideal of points
+is known by the functionals that vanish on it (Marinari, Möller and Mora,
+AAECC 4, 1993), and three kinds of ideal supply these rows:
+
+- The ideal of a point c, with c_l = 1, whose reduced grevlex basis is
+  the nvars - 1 linear forms x_k - c_k * x_l. The normal form of a
+  monomial m is c^m * x_l^d, so I_d^⊥ is the one row (c^m)_m, made from
+  the row of degree d - 1 as c_v times it scattered through "times x_v":
+  no elimination. The point is read off the basis, not off a flag.
+- An intersection result: (I ∩ J)_d^⊥ = I_d^⊥ + J_d^⊥, so its
+  complement is its parts' complements stacked, with no elimination and
+  no `_perp`. The parts are the ideals met to make it, an intersection
+  operand being replaced by its own parts, and the result keeps them for
+  as long as it lives itself.
+- Any other ideal keeps the reduced echelon basis of I_d, built from x_v
+  times the basis of I_{d-1} and the degree-d elements of its reduced
+  grevlex basis (one row per lead of I_d). At the ideal's lowest degree
+  those elements alone are the basis, and they are in reduced echelon
+  form already: monic, with distinct leads and no lead in a tail, they
+  are only sorted by lead, with no elimination. For reduced echelon rows
+  R with pivots P, the rows with 1 in a free column f and -R[:, f] in P
+  span the orthogonal complement of their row space (`_perp`), and they
+  are the matrix of the normal form modulo I_d.
+
+The meet takes the RREF of the two complements stacked, with the columns
+reversed so that monomials ascend: the kernel rows come out already in
+reduced echelon form, descending, with no second elimination, so each
+degree met is one elimination. A row whose lead no earlier lead divides
+is an element of the reduced basis of I ∩ J, whose tail holds standard
+monomials only.
 
 The loop starts at the larger of the two initial degrees. Below it one
 of I_e, J_e is 0, so (I ∩ J)_e = 0 and HF(R/(I+J))_e is
@@ -63,7 +79,8 @@ HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two series with no meet.
 Those series are kept on the ideals, where `hilbert_series` reads them:
 an intersection leaves the series it proved on its result, so in a tree
 only the leaves' series are computed from their leads, and a
-single-point ideal has 1/(1 - t) preset.
+single-point ideal has 1/(1 - t) preset. In the loop's degrees too,
+dim I_d and dim J_d are read off the two series, not off a basis.
 
 The loop stops on a Hilbert series. The exact sequence
 0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
@@ -80,9 +97,8 @@ quotient of R/I and R/J, with non-negative coefficients and dimension at
 most min(dim R/I, dim R/J): before that, G is incomplete whatever
 HS(R/(I+J)) is. Once the series is known, every dim (I ∩ J)_d is
 checked against it. The generators of I ∩ J are its reduced grevlex
-basis, whatever the ring's order, and the bases of the (I ∩ J)_d found,
-their complements and the series are kept on it for the next
-intersection.
+basis, whatever the ring's order, and the result keeps that basis, its
+parts and the series for the next intersection.
 
 A list of ideals (the colons (I : g) of `ideal_quotient`, the
 single-point ideals of the points oracle) is intersected in a balanced
@@ -448,11 +464,14 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
 class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
     one per term order actually used, each with its prepared form, the
-    graded quotient R/I built on first use, the reduced echelon bases of
-    the I_d that intersections used with their complements
-    (`_degree_basis`), and the Hilbert series once known."""
+    graded quotient R/I built on first use, the Hilbert series once known,
+    and what intersections read of I_d^⊥ (`_complement`): the closed-form
+    rows of a point ideal, the parts of an intersection result, or for any
+    other ideal the reduced echelon bases of the I_d with their
+    complements (`_degree_basis`)."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded", "_series")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded",
+                 "_point_rows", "_parts", "_series")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -470,6 +489,8 @@ class Ideal:
         self._prepared: dict[str, list] = {}
         self._quotient = None
         self._graded: dict[int, tuple] = {}  # d -> `_degree_basis(self, d)`
+        self._point_rows: dict[int, np.ndarray] = {}  # d -> the row of a point ideal, from 0 up
+        self._parts: tuple = ()  # an intersection result's: the ideals it is the meet of
         self._series = None  # HS(R/I) as (h, dim), set by hilbert_series or an intersection
 
     def groebner(self, order: TermOrder | None = None) -> list[Poly]:
@@ -629,6 +650,51 @@ def _unit(nvars: int, v: int) -> Exponents:
     return tuple(int(u == v) for u in range(nvars))
 
 
+def _point_of(I: Ideal) -> list | None:
+    """The point c, with c_l = 1, when I's reduced grevlex basis is nvars - 1
+    linear forms: their leads are nvars - 1 distinct variables and their
+    tails standard, so each is x_k - c_k * x_l for the one variable x_l
+    that is no lead, and I is the ideal of c. None for any other ideal."""
+    ring = I.ring
+    G = I.groebner(_GREVLEX)
+    if not G or len(G) != ring.nvars - 1 or any(_degree(g) != 1 for g in G):
+        return None
+    field = ring.field
+    leads = [min(e.index(1) for e in g.terms) for g in G]
+    l = (set(range(ring.nvars)) - set(leads)).pop()
+    c = [field.zero] * ring.nvars
+    c[l] = field.one
+    for k, g in zip(leads, G):
+        c[k] = field.neg(g.terms.get(_unit(ring.nvars, l), field.zero))
+    return c
+
+
+def _complement(I: Ideal, d: int) -> np.ndarray:
+    """Rows spanning the orthogonal complement of I_d, over the degree-d
+    monomials in descending grevlex order: for an intersection result its
+    parts' complements stacked; for the ideal of a point c the one row
+    (c^m)_m, the normal form modulo I_d, built from the row of degree
+    d - 1 as c_v times it scattered through "times x_v"; for any other
+    ideal the `_perp` of `_degree_basis`. The row of degree 1 is c itself."""
+    if I._parts:
+        return np.concatenate([_complement(X, d) for X in I._parts])
+    rows = I._point_rows
+    field, nvars = I.ring.field, I.ring.nvars
+    if not rows:
+        c = _point_of(I)
+        if c is None:
+            return _degree_basis(I, d)[2]
+        rows[0], rows[1] = _zeros(field, 1, 1), field.array([c])
+        rows[0][0, 0] = field.one
+    c = rows[1][0]
+    for e in range(len(rows), d + 1):
+        below, row = rows[e - 1][0], _zeros(field, 1, len(_columns(nvars, _GREVLEX, e)[0]))
+        for v in range(nvars):
+            row[0, _shift(nvars, _GREVLEX, e - 1, _unit(nvars, v))] = field.reduce(c[v] * below)
+        rows[e] = row
+    return rows[d]
+
+
 def _meet_in_degree(field, A: np.ndarray, B: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """The reduced echelon basis, and its pivots, of the intersection of
     two subspaces of k^n given by rows spanning their complements A and B:
@@ -648,8 +714,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     HS(R/I) + HS(R/J) - HS(R/(I+J)), which proves them the leads of I ∩ J
     (module docstring); every dimension of (I ∩ J)_d must match that
     series, else VerificationError. The generators are the reduced grevlex
-    basis, ascending by lead, and the bases of the (I ∩ J)_d found, their
-    complements and the series are kept for the next intersection."""
+    basis, ascending by lead; the result keeps its parts, whose
+    complements stack to its own, and the series for the next
+    intersection. dim I_d and dim J_d come from the operands' series."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -672,7 +739,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     def check(degrees) -> None:
         for e in degrees:
-            got = len(kept[e][0]) if e in kept else 0
+            got = dims.get(e, 0)
             if got != comb(nvars - 1 + e, nvars - 1) - _coefficient(target, nvars, e):
                 raise VerificationError(
                     f"intersection: dim (I ∩ J)_{e} is {got}, not what the Hilbert series "
@@ -684,26 +751,28 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     sides = _minus(K_I, [-c for c in K_J])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
     # below the larger initial degree one side is 0, and so is (I ∩ J)_e
     d = max(min(_degree(g) for g in X.generators) for X in (I, J))
-    quotient_hf = [sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1)
-                   for e in range(d)]  # of R/(I+J)
     target = None
-    kept: dict[int, tuple] = {}
+    dims: dict[int, int] = {}  # d -> dim (I ∩ J)_d
+
+    def quotient_hf(e) -> int:  # HF(R/(I+J))(e), once (I ∩ J)_e is known
+        return sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1) \
+            + dims.get(e, 0)
+
     found: list[Poly] = []
     leads = np.zeros((0, nvars), dtype=np.int64)
     while True:
         monos, M, _ = _columns(nvars, _GREVLEX, d)
-        A, B = _degree_basis(I, d), _degree_basis(J, d)
-        K, pivots = _meet_in_degree(field, A[2], B[2], len(monos))
-        kept[d] = (K, pivots, _perp(field, K, pivots, len(monos)))
+        K, pivots = _meet_in_degree(field, _complement(I, d), _complement(J, d), len(monos))
+        dims[d] = len(K)
         new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
         leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
         for r in reversed(new):
             nz = K[r].nonzero()[0]
             found.append(Poly(ring, dict(zip([monos[j] for j in nz.tolist()], K[r, nz].tolist()))))
         if target is None:
-            quotient_hf.append(len(monos) - len(A[0]) - len(B[0]) + len(K))
-            if not quotient_hf[-1]:  # (I + J)_e = R_e from here on
-                target = _minus(sides, _times_one_minus_t(quotient_hf, nvars))
+            if not quotient_hf(d):  # (I + J)_e = R_e from here on
+                target = _minus(sides, _times_one_minus_t([quotient_hf(e) for e in range(d + 1)],
+                                                          nvars))
             elif new and _could_be_complete(
                     _reduced(_minus(sides, numerator(leads.tolist())), nvars), bound):
                 target = _minus(sides, numerator(ideal_sum(I, J).leading_monomials(_GREVLEX)))
@@ -721,7 +790,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
             break
         d += 1
     result = Ideal(ring, found, check=False)
-    result._graded.update(kept)
+    result._parts = (I._parts or (I,)) + (J._parts or (J,))
     result._gb[_GREVLEX.name()] = found
     result._series = _reduced(target, nvars)
     return result

@@ -33,9 +33,13 @@ oracle builds each single-point ideal in closed form instead, x_k minus
 (p_k / p_l) * x_l for k != l and l the last index with p_l != 0, with its
 reduced basis and its Hilbert series 1/(1 - t) preset, and intersects
 them in a balanced tree, so that no intersection below the root carries
-more than half of the points. It takes no evaluation kernel, and its
-intersections are linear algebra in k[x]
-(`gradus.groebner.ideal_intersection`).
+more than half of the points. Its intersections are linear algebra in
+k[x] (`gradus.groebner.ideal_intersection`), which reads a leaf only
+through the complement of its degree-d part: the normal form modulo the
+point ideal, the one row (c^m)_m for c = p / p_l, read off the ideal's
+reduced basis. So the oracle takes no `evaluation_array`, no kernel and
+no F4; a node above the leaves stacks its parts' rows, and each degree
+it meets in is one elimination.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
 by the monomials' value vectors for every set, independent or not, so its
@@ -339,7 +343,11 @@ def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
     """Independent route: intersect the single-point ideals, each in closed
     form (`_point_ideal`), in a balanced tree of s - 1 intersections by
-    linear algebra in k[x]; no evaluation kernel and no F4 of the points."""
+    linear algebra in k[x]. A leaf's complement in degree d is the normal
+    form modulo its point ideal, one row read off the reduced basis, and a
+    node's is its parts' rows stacked, so each degree met is one
+    elimination; no `evaluation_array`, no kernel and no F4 of the
+    points."""
     ring = X.ring()
     return _intersect_all([_point_ideal(ring, p) for p in X.points])
 

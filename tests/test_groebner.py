@@ -843,3 +843,98 @@ def test_intersection_by_degree_matches_buchberger_on_both_stops(monkeypatch, fl
     assert set(f4_rings) <= {3}  # no extension ring
 
 
+def _points_with_zeros(fld, n, rng):
+    """Points of P^n for the closed-form rows: the coordinate points, points
+    whose last non-zero coordinate is not the last one (l < n) and some
+    zero coordinates below it, and random points."""
+    pts = [tuple(int(k == v) for k in range(n + 1)) for v in range(n + 1)]
+    pts += [(2, 1) + (0,) * (n - 1), (0, 2, 0) + (1,) * (n - 2), (1, 0) + (2,) * (n - 1)]
+    pts += [tuple(fld.random(rng) for _ in range(n)) + (1,) for _ in range(3)]
+    return [tuple(fld.normalize(c) for c in p) for p in pts]
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+def test_point_complement_is_the_perp_of_the_shift_built_basis(fld):
+    """`_complement` of a point ideal is the closed-form row (c^m)_m, built
+    degree by degree; in P^2 and P^3 and degrees 1 to 7 it equals, entry
+    for entry, the `_perp` of the generic shift-built `_degree_basis` of
+    the same ideal. The point is found from the reduced basis, so an ideal
+    given by other generators of the same linear space is one too, and an
+    ideal of a line or of non-linear forms is none."""
+    import gradus.groebner as gb_module
+    from gradus.points import _point_ideal
+    rng = random.Random(f"point-rows/{fld.spec_string()}")
+    for n in (2, 3):
+        ring = RingSpec(n + 1, fld)
+        for p in _points_with_zeros(fld, n, rng):
+            closed = _point_ideal(ring, p)
+            gens = closed.generators  # mixed: each plus non-zero multiples of the later ones
+            mixed = Ideal(ring, [sum((g.scale(fld.random(rng) or fld.one) for g in gens[k + 1:]),
+                                     gens[k]) for k in range(n)])
+            for ideal in (closed, mixed):
+                for d in range(1, 8):
+                    got = gb_module._complement(ideal, d)
+                    assert d in ideal._point_rows, (p, d)
+                    assert got.shape[0] == 1
+                    assert got.tolist() == gb_module._degree_basis(ideal, d)[2].tolist(), (p, d)
+        line = I(*[f"x{k}" for k in range(n - 1)], ring=ring)
+        squared = I("x0^2", *[f"x{k}" for k in range(1, n)], ring=ring)
+        assert gb_module._point_of(line) is gb_module._point_of(squared) is None
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+def test_stacked_complements_span_the_complement_of_the_meet(monkeypatch, fld):
+    """An intersection result's complement is its operands' complements
+    stacked, with no elimination: on every `_meet_cases` pair, below the
+    loop's start degree, in each degree the loop meets in and above its
+    stop, the stack annihilates the reduced echelon basis of (I ∩ J)_d
+    (the shift build from the result's own basis) and has rank
+    dim R_d - dim (I ∩ J)_d."""
+    import gradus.groebner as gb_module
+    from gradus.field import rank
+    ring = RingSpec(3, fld)
+    plain = gb_module._meet_in_degree
+    sizes = {len(monomials_of_degree(3, d, ring.order)): d for d in range(12)}
+    met = []
+    monkeypatch.setattr(gb_module, "_meet_in_degree",
+                        lambda field, A, B, n: met.append(sizes[n]) or plain(field, A, B, n))
+    below = 0
+    for name, A, B, _ in _meet_cases(fld, ring):
+        met.clear()
+        M = ideal_intersection(A, B)
+        assert M._parts == (A, B)
+        for d in range(max(met) + 3):
+            n = len(monomials_of_degree(3, d, ring.order))
+            S = gb_module._complement(M, d)
+            R, pivots, _ = gb_module._degree_basis(M, d)
+            assert not (fld.matmul(S, R.T) != 0).any(), (name, d)
+            assert rank(fld, S, n) == n - len(pivots), (name, d)
+        below += min(met) > 0
+    assert below  # some pair starts above degree 0
+
+
+def test_oracle_eliminates_once_per_meet(monkeypatch):
+    """A 20-point oracle makes one elimination per degree met, all in
+    `_meet_in_degree`: none for a point ideal's complement (one closed-form
+    row) and none for an intersection result's (its parts' stacked)."""
+    from collections import Counter
+    import sys
+
+    import gradus.field as field_module
+    import gradus.groebner as gb_module
+    from gradus.points import random_general_points, vanishing_ideal_oracle
+    X = random_general_points(20, 2, seed=1)
+    callers = Counter()
+    meets = []
+    plain_echelon, plain_meet = field_module._echelon, gb_module._meet_in_degree
+
+    def attributed(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return plain_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(field_module, "_echelon", attributed)
+    monkeypatch.setattr(gb_module, "_echelon", attributed)
+    monkeypatch.setattr(gb_module, "_meet_in_degree", lambda *a: meets.append(a) or plain_meet(*a))
+    vanishing_ideal_oracle(X)
+    assert len(meets) >= 19
+    assert callers == Counter({"_meet_in_degree": len(meets)})

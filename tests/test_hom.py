@@ -277,6 +277,38 @@ def test_values_membership_matches_groebner_membership(field):
         assert fast.contains(f) == expected, f
 
 
+def test_hom_ranks_eliminate_only_non_empty_colon_matrices(monkeypatch):
+    """From delta_X on the colon in a degree can have no rows; its rank is 0
+    with no elimination. For s = 20 in P^2 over degrees 0..delta_X + 3 the
+    ranks make one `_echelon` call per non-empty colon matrix, and some
+    colon matrices are empty."""
+    import gradus.field as field_module
+    import gradus.hom as hom_module
+    X = random_general_points(20, 2, seed=63)
+    rng = random.Random(12)
+    J = build_scan_J(X.ring(), 20, rng)
+    while not all(is_nonzerodivisor(j, X) for j in J.generators):
+        J = build_scan_J(X.ring(), 20, rng)
+    colons, ranked = [], []
+    plain_rows, plain_echelon = hom_module._colon_rows, field_module._echelon
+
+    def recorded_rows(*args):
+        rows = plain_rows(*args)
+        colons.append(len(rows))
+        return rows
+
+    def attributed(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "rank_profile":
+            ranked.append(args[0].shape)
+        return plain_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(hom_module, "_colon_rows", recorded_rows)
+    monkeypatch.setattr(field_module, "_echelon", attributed)
+    hom_graded_dims(J, X, range(0, X.delta() + 4))
+    assert 0 in colons
+    assert len(ranked) == sum(map(bool, colons))
+
+
 def test_hom_and_theta_compute_no_groebner_basis(monkeypatch):
     X = random_general_points(20, 2, seed=63)
     ring = X.ring()
