@@ -16,9 +16,12 @@ residues, whose inner sums overflow int64 at large p, goes through
 or arrays and return an int, a list of column indices or lists of
 canonical field elements.
 
-`rref`, `kernel_basis` (which reads the kernel off the RREF with `_perp`;
-`_kernel` gives it as an array, with its free columns) and
-`row_space_basis` run full Gauss-Jordan. `rank` and `rank_profile` run
+`rref`, `kernel_basis` and `row_space_basis` run full Gauss-Jordan, and
+`kernel_basis` reads the kernel off the RREF with `_perp`. `_kernel`
+gives that kernel as an array, with its free columns, to the vanishing
+ideal's degree-d forms and the values' annihilators (`gradus.points`),
+theta's colon kernels (`gradus.hom`) and the meets of
+`ideal_intersection` (`gradus.groebner`). `rank` and `rank_profile` run
 `_echelon`'s rank mode, which eliminates below the pivots only: row
 operations change neither the rank nor which columns depend on the ones
 left of them.
@@ -509,9 +512,8 @@ def _perp(field: Field, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of the row space of reduced
     echelon rows R with pivot columns `pivots` and n columns, one per other
     column f: 1 in column f and -R[:, f] in the pivot columns. For the RREF
-    of a matrix it is a basis of its kernel, and for the basis of an
-    ideal's degree-d part the matrix of the normal form modulo it. Over Q
-    only the non-zero entries are negated."""
+    of a matrix it is a basis of its kernel. Over Q only the non-zero
+    entries are negated."""
     free = _free(pivots, n)
     N = _zeros(field, free.size, n)
     N[np.arange(free.size), free] = field.one

@@ -46,32 +46,28 @@ monomials in descending grevlex order (`_complement`). An ideal of points
 is known by the functionals that vanish on it (Marinari, Möller and Mora,
 AAECC 4, 1993), and three kinds of ideal supply these rows:
 
-- The ideal of a point c, with c_l = 1, whose reduced grevlex basis is
-  the nvars - 1 linear forms x_k - c_k * x_l. The normal form of a
-  monomial m is c^m * x_l^d, so I_d^⊥ is the one row (c^m)_m, made from
-  the row of degree d - 1 as c_v times it scattered through "times x_v":
-  no elimination. The point is read off the basis, not off a flag.
-- An intersection result: (I ∩ J)_d^⊥ = I_d^⊥ + J_d^⊥, so its
-  complement is its parts' complements stacked, with no elimination and
-  no `_perp`. The parts are the ideals met to make it, an intersection
-  operand being replaced by its own parts, and the result keeps them for
-  as long as it lives itself.
-- Any other ideal keeps the reduced echelon basis of I_d, built from x_v
-  times the basis of I_{d-1} and the degree-d elements of its reduced
-  grevlex basis (one row per lead of I_d). At the ideal's lowest degree
-  those elements alone are the basis, and they are in reduced echelon
-  form already: monic, with distinct leads and no lead in a tail, they
-  are only sorted by lead, with no elimination. For reduced echelon rows
-  R with pivots P, the rows with 1 in a free column f and -R[:, f] in P
-  span the orthogonal complement of their row space (`_perp`), and they
-  are the matrix of the normal form modulo I_d.
+- The ideal of a point c, with c_l = 1, whose reduced basis is the
+  nvars - 1 linear forms x_k - c_k * x_l in every order of the ring. The
+  normal form of a monomial m is c^m * x_l^d, so I_d^⊥ is the one row
+  (c^m)_m, made from the row of degree d - 1 as c_v times it scattered
+  through "times x_v". The point is read off the basis, not off a flag.
+- An intersection result: (I ∩ J)_d^⊥ = I_d^⊥ + J_d^⊥, so its complement
+  is its parts' complements stacked. The parts are the ideals met to
+  make it, an intersection operand being replaced by its own parts, and
+  the result keeps them for as long as it lives itself.
+- Any other ideal: the normal forms of the degree-d monomials modulo its
+  reduced basis in the ring's order, one column each
+  (`GradedQuotient.normal_forms`, `gradus.hilbert`). The normal form is
+  a linear map R_d -> (R/I)_d with kernel I_d, so the rows of its matrix
+  span I_d^⊥ whatever the order.
 
-The meet takes the RREF of the two complements stacked, with the columns
-reversed so that monomials ascend: the kernel rows come out already in
-reduced echelon form, descending, with no second elimination, so each
-degree met is one elimination. A row whose lead no earlier lead divides
-is an element of the reduced basis of I ∩ J, whose tail holds standard
-monomials only.
+None of the three eliminates. The meet is the kernel
+(`gradus.field._kernel`) of the two complements stacked, with the
+columns reversed so that monomials ascend: the kernel rows come out
+already in reduced echelon form, descending, with no second elimination,
+so each degree met is one elimination. A row whose lead no earlier lead
+divides is an element of the reduced basis of I ∩ J, whose tail holds
+standard monomials only.
 
 The loop starts at the larger of the two initial degrees. Below it one
 of I_e, J_e is 0, so (I ∩ J)_e = 0 and HF(R/(I+J))_e is
@@ -79,8 +75,10 @@ HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two series with no meet.
 Those series are kept on the ideals, where `hilbert_series` reads them:
 an intersection leaves the series it proved on its result, so in a tree
 only the leaves' series are computed from their leads, and a
-single-point ideal has 1/(1 - t) preset. In the loop's degrees too,
-dim I_d and dim J_d are read off the two series, not off a basis.
+single-point ideal has 1/(1 - t) preset; any other operand's comes from
+its leads in the ring's order, the basis its normal forms divide by. In
+the loop's degrees too, dim I_d and dim J_d are read off the two series,
+not off a basis.
 
 The loop stops on a Hilbert series. The exact sequence
 0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
@@ -90,11 +88,12 @@ Hilbert function: G is the reduced basis. HS(R/(I+J)) has two sources.
 If dim I_d + dim J_d - dim (I ∩ J)_d = dim R_d in some degree d0, then
 (I+J)_d = R_d from d0 on, so the series is the Hilbert function already
 computed; that holds for every pair of the points oracle, as point sets
-with no common point have an Artinian sum. Otherwise it is read off the
-basis of I + J by F4, in the same variables, and that basis is made only
-once HS(R/I) + HS(R/J) - HS(R/in(G)) could be the series of a common
-quotient of R/I and R/J, with non-negative coefficients and dimension at
-most min(dim R/I, dim R/J): before that, G is incomplete whatever
+with no common point have an Artinian sum. Otherwise it is the
+`hilbert_series` of I + J, read off its basis by F4 in the same
+variables, and that basis is made only once
+HS(R/I) + HS(R/J) - HS(R/in(G)) could be the series of a common quotient
+of R/I and R/J, with non-negative coefficients and dimension at most
+min(dim R/I, dim R/J): before that, G is incomplete whatever
 HS(R/(I+J)) is. Once the series is known, every dim (I ∩ J)_d is
 checked against it. The generators of I ∩ J are its reduced grevlex
 basis, whatever the ring's order, and the result keeps that basis, its
@@ -118,7 +117,7 @@ from operator import add, itemgetter, le, neg, sub
 import numpy as np
 
 from .errors import ParseError, VerificationError
-from .field import _echelon, _free, _perp, _zeros, integer_rows, primitive_rows, rref
+from .field import _kernel, _zeros, integer_rows, primitive_rows, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -465,12 +464,11 @@ class Ideal:
     """Homogeneous ideal: generator list plus cached reduced Groebner bases,
     one per term order actually used, each with its prepared form, the
     graded quotient R/I built on first use, the Hilbert series once known,
-    and what intersections read of I_d^⊥ (`_complement`): the closed-form
-    rows of a point ideal, the parts of an intersection result, or for any
-    other ideal the reduced echelon bases of the I_d with their
-    complements (`_degree_basis`)."""
+    and what intersections read of I_d^⊥ (`_complement`) beyond the
+    quotient's normal forms: the closed-form rows of a point ideal, or the
+    parts of an intersection result."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_graded",
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient",
                  "_point_rows", "_parts", "_series")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
@@ -487,8 +485,7 @@ class Ideal:
         self.generators = gens
         self._gb: dict[str, list[Poly]] = {}
         self._prepared: dict[str, list] = {}
-        self._quotient = None
-        self._graded: dict[int, tuple] = {}  # d -> `_degree_basis(self, d)`
+        self._quotient = None  # the GradedQuotient, also a generic operand's complements
         self._point_rows: dict[int, np.ndarray] = {}  # d -> the row of a point ideal, from 0 up
         self._parts: tuple = ()  # an intersection result's: the ideals it is the meet of
         self._series = None  # HS(R/I) as (h, dim), set by hilbert_series or an intersection
@@ -603,60 +600,20 @@ def _degree(g: Poly) -> int:
     return sum(next(iter(g.terms)))
 
 
-def _degree_basis(I: Ideal, d: int) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The reduced echelon basis of I_d, its pivot columns and the `_perp`
-    of it, the complement, over the degree-d monomials in descending
-    grevlex order, kept on I. Its rows before the RREF are the elements of
-    I's reduced grevlex basis G of degree d and, for each other monomial of
-    in(G)_d, one x_v times a row of I_{d-1} whose lead it divides: distinct
-    leads covering in(I)_d, so a basis of I_d. At or below the lowest
-    degree of G the rows are G's own elements, monic, with distinct leads
-    and no lead in a tail: sorted by lead they are the RREF already."""
-    got = I._graded.get(d)
-    if got is not None:
-        return got
-    field, nvars = I.ring.field, I.ring.nvars
-    G = I.groebner(_GREVLEX)
-    col = _columns(nvars, _GREVLEX, d)[2]
-    top = [g for g in G if _degree(g) == d]
-    below, pivots, _ = _degree_basis(I, d - 1) if G and d > _degree(G[0]) else ([], [], None)
-    k = len(pivots)
-    shifts = [_shift(nvars, _GREVLEX, d - 1, _unit(nvars, v)) for v in range(nvars if k else 0)]
-    # one (v, row) per lead x_v * lead(row): the last of each wins the scatter
-    picked = np.full(len(col), -1)
-    for v, s in enumerate(shifts):
-        picked[s[pivots]] = np.arange(v * k, (v + 1) * k)
-    picked = picked[picked >= 0]
-    A = _zeros(field, len(top) + picked.size, len(col))
-    for r, g in enumerate(top):
-        A[r, [col[e] for e in g.terms]] = list(g.terms.values())
-    v_of, i_of = np.divmod(picked, k or 1)
-    for v, s in enumerate(shifts):
-        hit = np.flatnonzero(v_of == v)
-        A[len(top) + hit[:, None], s] = below[i_of[hit]]
-    if k:
-        R, pivots = _echelon(A, field)
-        R = R[:len(pivots)]
-    else:  # G's elements alone
-        leads = (A != 0).argmax(axis=1)
-        by_lead = np.argsort(leads)
-        R, pivots = A[by_lead], leads[by_lead].tolist()
-    got = I._graded[d] = (R, pivots, _perp(field, R, pivots, len(col)))
-    return got
-
-
 @lru_cache(maxsize=64)
 def _unit(nvars: int, v: int) -> Exponents:
     return tuple(int(u == v) for u in range(nvars))
 
 
 def _point_of(I: Ideal) -> list | None:
-    """The point c, with c_l = 1, when I's reduced grevlex basis is nvars - 1
-    linear forms: their leads are nvars - 1 distinct variables and their
-    tails standard, so each is x_k - c_k * x_l for the one variable x_l
-    that is no lead, and I is the ideal of c. None for any other ideal."""
+    """The point c, with c_l = 1, when I's reduced basis is nvars - 1 linear
+    forms: their leads are nvars - 1 distinct variables and their tails
+    standard, so each is x_k - c_k * x_l for the one variable x_l that is
+    no lead, and I is the ideal of c. Every order of the ring ranks
+    x_0 > ... > x_{nvars-1} in degree 1, so the lead is the variable of
+    least index and the basis the same in each. None for any other ideal."""
     ring = I.ring
-    G = I.groebner(_GREVLEX)
+    G = I.groebner()
     if not G or len(G) != ring.nvars - 1 or any(_degree(g) != 1 for g in G):
         return None
     field = ring.field
@@ -675,7 +632,8 @@ def _complement(I: Ideal, d: int) -> np.ndarray:
     parts' complements stacked; for the ideal of a point c the one row
     (c^m)_m, the normal form modulo I_d, built from the row of degree
     d - 1 as c_v times it scattered through "times x_v"; for any other
-    ideal the `_perp` of `_degree_basis`. The row of degree 1 is c itself."""
+    ideal the matrix of its normal forms, from `I.quotient()`. The row of
+    degree 1 is c itself."""
     if I._parts:
         return np.concatenate([_complement(X, d) for X in I._parts])
     rows = I._point_rows
@@ -683,7 +641,7 @@ def _complement(I: Ideal, d: int) -> np.ndarray:
     if not rows:
         c = _point_of(I)
         if c is None:
-            return _degree_basis(I, d)[2]
+            return I.quotient().normal_forms(_columns(nvars, _GREVLEX, d)[0], d)
         rows[0], rows[1] = _zeros(field, 1, 1), field.array([c])
         rows[0][0, 0] = field.one
     c = rows[1][0]
@@ -698,12 +656,11 @@ def _complement(I: Ideal, d: int) -> np.ndarray:
 def _meet_in_degree(field, A: np.ndarray, B: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """The reduced echelon basis, and its pivots, of the intersection of
     two subspaces of k^n given by rows spanning their complements A and B:
-    the complement of the sum of A and B, with the columns reversed for the
+    the kernel of A and B stacked, with the columns reversed for the
     elimination so that the result reads off in reduced echelon form
     (module docstring)."""
-    S = np.concatenate([A, B])[:, ::-1]
-    E, pivots = _echelon(S.copy(), field) if len(S) else (S, [])
-    return _perp(field, E, pivots, n)[::-1, ::-1], (n - 1 - _free(pivots, n)[::-1]).tolist()
+    K, free = _kernel(field, np.concatenate([A, B])[:, ::-1], n)
+    return K[::-1, ::-1], (n - 1 - free[::-1]).tolist()
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -724,18 +681,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return I
     if not J.generators:
         return J
-    from .hilbert import _coefficient, _minus, _numerator, _reduced, _times_one_minus_t
+    from .hilbert import (
+        _coefficient, _minus, _numerator, _reduced, _times_one_minus_t, hilbert_series)
     field, nvars = ring.field, ring.nvars
 
     def numerator(leads) -> list[int]:  # HS(R/(leads)) = numerator / (1 - t)^nvars
         return _numerator([tuple(e) for e in leads])
-
-    def series(X: Ideal) -> tuple:
-        # kept on X, where hilbert_series reads it; from the grevlex leads the
-        # degree bases need anyway, not from a basis in the ring's order
-        if X._series is None:
-            X._series = _reduced(numerator(X.leading_monomials(_GREVLEX)), nvars)
-        return X._series
 
     def check(degrees) -> None:
         for e in degrees:
@@ -745,7 +696,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
                     f"intersection: dim (I ∩ J)_{e} is {got}, not what the Hilbert series "
                     "of I, J and I + J give; this is a bug")
 
-    both = [series(X) for X in (I, J)]
+    both = [hilbert_series(X) for X in (I, J)]
     bound = min(dim for _, dim in both)
     K_I, K_J = (_times_one_minus_t(h, nvars - dim) for h, dim in both)
     sides = _minus(K_I, [-c for c in K_J])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
@@ -775,7 +726,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
                                                           nvars))
             elif new and _could_be_complete(
                     _reduced(_minus(sides, numerator(leads.tolist())), nvars), bound):
-                target = _minus(sides, numerator(ideal_sum(I, J).leading_monomials(_GREVLEX)))
+                h, dim = hilbert_series(ideal_sum(I, J))
+                target = _minus(sides, _times_one_minus_t(h, nvars - dim))
             if target is not None:
                 check(range(d + 1))
                 new = True

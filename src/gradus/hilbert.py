@@ -5,8 +5,9 @@ All four are read from one Hilbert series. HS(R/I) = HS(R/in(I))
 K(M + (m)) = K(M) - t^deg m * K(M : m), a product of the (1 - t^deg m) once
 the generators are pairwise coprime (Bayer & Stillman, "Computation of
 Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The
-GradedQuotient's standard-monomial bases serve Betti only: Hom works on the
-points' values (`gradus.points.PointValues`).
+GradedQuotient's normal forms serve Betti and the intersections' generic
+operands (`gradus.groebner._complement`): Hom works on the points' values
+(`gradus.points.PointValues`).
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import comb
+
+import numpy as np
 
 from .errors import GradusError
 from .field import rank
@@ -47,8 +50,9 @@ class GradedQuotient:
     normal forms of single monomials, each reduced once against I's prepared
     GB; a normal form modulo a GB is unique, so they equal `normal_form`
     followed by a scatter. The memo `nf` keeps one degree, since every call
-    works in one degree: an ideal that outlives its work (a PointSet's
-    vanishing ideal) keeps one degree's normal forms, not all it ever used.
+    works in one degree: an ideal that outlives its work (one a caller
+    holds, or one kept as an intersection's part) keeps one degree's normal
+    forms, not all it ever used.
     """
 
     def __init__(self, I: Ideal):
@@ -95,17 +99,30 @@ class GradedQuotient:
         # an ideal that outlives its work holds no monomials of its own
         return [e for e in monomials_of_degree(n, k, self.ring.order) if e in standard]
 
+    def _memo(self, d: int) -> _NormalForms:
+        """The memo `nf`, switched to degree d if it holds another."""
+        if self.nf.degree != d:
+            self.nf = _NormalForms(d, self.basis(d), self._gb, self.ring.order, self.ring.field)
+        return self.nf
+
     def coords(self, f: Poly, d: int):
         """Coordinates over basis(d) of the degree-d form f modulo I, as an
         array in the field's format."""
-        if self.nf.degree != d:
-            self.nf = _NormalForms(d, self.basis(d), self._gb, self.ring.order, self.ring.field)
+        nf = self._memo(d)
         fld = self.ring.field
-        out = fld.array([fld.zero] * len(self.nf.index))
+        out = fld.array([fld.zero] * len(nf.index))
         for e, c in f.terms.items():
             # a product of residues stays below 2^62; reduce it before summing
-            out += fld.reduce(c * self.nf[e])
+            out += fld.reduce(c * nf[e])
         return fld.reduce(out)
+
+    def normal_forms(self, monos, d: int):
+        """The map R_d -> (R/I)_d on the degree-d monomials `monos`, shape
+        (len basis(d), len monos), in the field's matrix format; column k
+        is the coordinates of monos[k]. On all of R_d the map's kernel is
+        I_d, so its rows span the orthogonal complement of I_d."""
+        nf = self._memo(d)
+        return np.array([nf[e] for e in monos]).reshape(len(monos), len(nf.index)).T
 
     def mult(self, form: Poly, d: int):
         """Multiplication by `form`: (R/I)_d -> (R/I)_{d + deg form}, shape

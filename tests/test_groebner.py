@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradus.field import PrimeField, RationalField
+from gradus.field import PrimeField, RationalField, rank
 from gradus.groebner import (
     Ideal,
     _f4,
@@ -659,35 +659,6 @@ def test_intersection_from_the_larger_initial_degree_matches_buchberger(fld):
         _assert_intersection_matches_reference(B, A)
 
 
-@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
-def test_degree_basis_at_the_lowest_degree_is_the_reduced_basis(monkeypatch, fld):
-    """At an ideal's lowest degree `_degree_basis` eliminates nothing: the
-    reduced basis elements of that degree, sorted by lead, are the RREF
-    that `_echelon` makes of them, and the complement is its `_perp`."""
-    import gradus.groebner as gb_module
-    from gradus.field import _echelon, _matrix, _perp
-    from gradus.points import PointSet, vanishing_ideal
-    grevlex = TermOrder(GREVLEX)
-    ring = RingSpec(3, fld)
-    pts = _distinct_points(fld, 2, 7, random.Random(f"lowest/{fld.spec_string()}"))
-    ideals = [I("x0^2-x1*x2+x2^2", "x1^2-x0*x2", "x0*x1", ring=ring),
-              I("x0*x1-x2^2", "x1^3", ring=ring),
-              vanishing_ideal(PointSet(2, fld, pts))]
-    calls = []
-    monkeypatch.setattr(gb_module, "_echelon", lambda *a, **k: calls.append(a) or _echelon(*a, **k))
-    for ideal in ideals:
-        G = ideal.groebner(grevlex)
-        d = G[0].degree()
-        R, pivots, N = gb_module._degree_basis(ideal, d)
-        assert calls == []
-        monos = monomials_of_degree(3, d, grevlex)
-        rows = [[g.terms.get(e, fld.zero) for e in monos] for g in G if g.degree() == d]
-        want, want_pivots = _echelon(_matrix(fld, rows, len(monos)), fld)
-        assert pivots == want_pivots
-        assert R.tolist() == want.tolist()
-        assert N.tolist() == _perp(fld, want, want_pivots, len(monos)).tolist()
-
-
 def test_oracle_matches_buchberger_elimination():
     """The intersection oracle, fed by either route, is I_X."""
     from gradus.points import (
@@ -853,33 +824,116 @@ def _points_with_zeros(fld, n, rng):
     return [tuple(fld.normalize(c) for c in p) for p in pts]
 
 
+ORDERS = [TermOrder(GREVLEX), TermOrder(LEX), TermOrder(ELIM, 1)]
+
+
+def _grevlex_monomials(ring, d):
+    """The degree-d monomials in descending grevlex order, the columns of
+    every complement and meet."""
+    return monomials_of_degree(ring.nvars, d, TermOrder(GREVLEX))
+
+
+def _normal_form_rows(ideal, d):
+    """Reference complement of I_d: the normal form of each degree-d
+    monomial by `normal_form`, scattered over the standard monomials, one
+    column per monomial in descending grevlex order."""
+    ring, gb = ideal.ring, ideal.groebner()
+    basis, monos = ideal.quotient().basis(d), _grevlex_monomials(ring, d)
+    index = {e: k for k, e in enumerate(basis)}
+    rows = [[ring.field.zero] * len(monos) for _ in basis]
+    for j, m in enumerate(monos):
+        for e, c in normal_form(_monomial(ring, m), gb).terms.items():
+            rows[index[e]][j] = c
+    return rows
+
+
+def _multiples(ideal, d):
+    """The degree-d multiples m * g of the reduced basis of I in the ring's
+    order, each as a row over the degree-d monomials in descending grevlex
+    order; they span I_d."""
+    ring = ideal.ring
+    col = {e: j for j, e in enumerate(_grevlex_monomials(ring, d))}
+    rows = []
+    for g in ideal.groebner():
+        if g.degree() <= d:
+            for m in monomials_of_degree(ring.nvars, d - g.degree(), ring.order):
+                row = [ring.field.zero] * len(col)
+                for e, c in g.terms.items():
+                    row[col[tuple(a + b for a, b in zip(m, e))]] = c
+                rows.append(row)
+    return rows
+
+
+def _assert_complement_of(ideal, S, d, label):
+    """S annihilates I_d and has rank dim R_d - dim I_d: its rows span the
+    orthogonal complement of I_d."""
+    fld = ideal.ring.field
+    n = len(_grevlex_monomials(ideal.ring, d))
+    rows = _multiples(ideal, d)
+    assert S.shape[1] == n, label
+    if rows:
+        assert not (fld.matmul(S, fld.array(rows).T) != 0).any(), label
+    assert rank(fld, S, n) == n - rank(fld, rows, n), label
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
 def test_point_complement_is_the_perp_of_the_shift_built_basis(fld):
     """`_complement` of a point ideal is the closed-form row (c^m)_m, built
-    degree by degree; in P^2 and P^3 and degrees 1 to 7 it equals, entry
-    for entry, the `_perp` of the generic shift-built `_degree_basis` of
-    the same ideal. The point is found from the reduced basis, so an ideal
-    given by other generators of the same linear space is one too, and an
-    ideal of a line or of non-linear forms is none."""
+    degree by degree; in P^2 and P^3, degrees 1 to 7 and every order of
+    the ring it equals, entry for entry, the matrix of the normal form
+    modulo the ideal by division, which is the orthogonal complement of
+    I_d. The point is found from the reduced basis in the ring's order, so
+    an ideal given by other generators of the same linear space is one
+    too, and an ideal of a line or of non-linear forms is none."""
     import gradus.groebner as gb_module
     from gradus.points import _point_ideal
     rng = random.Random(f"point-rows/{fld.spec_string()}")
     for n in (2, 3):
-        ring = RingSpec(n + 1, fld)
-        for p in _points_with_zeros(fld, n, rng):
-            closed = _point_ideal(ring, p)
-            gens = closed.generators  # mixed: each plus non-zero multiples of the later ones
-            mixed = Ideal(ring, [sum((g.scale(fld.random(rng) or fld.one) for g in gens[k + 1:]),
-                                     gens[k]) for k in range(n)])
-            for ideal in (closed, mixed):
+        for order in ORDERS:
+            ring = RingSpec(n + 1, fld, order)
+            for p in _points_with_zeros(fld, n, rng):
+                closed = _point_ideal(ring, p)
+                gens = closed.generators  # mixed: each plus non-zero multiples of the later ones
+                mixed = Ideal(ring, [sum((g.scale(fld.random(rng) or fld.one)
+                                          for g in gens[k + 1:]), gens[k]) for k in range(n)])
                 for d in range(1, 8):
-                    got = gb_module._complement(ideal, d)
-                    assert d in ideal._point_rows, (p, d)
-                    assert got.shape[0] == 1
-                    assert got.tolist() == gb_module._degree_basis(ideal, d)[2].tolist(), (p, d)
-        line = I(*[f"x{k}" for k in range(n - 1)], ring=ring)
-        squared = I("x0^2", *[f"x{k}" for k in range(1, n)], ring=ring)
-        assert gb_module._point_of(line) is gb_module._point_of(squared) is None
+                    want = _normal_form_rows(closed, d)
+                    for ideal in (closed, mixed):
+                        got = gb_module._complement(ideal, d)
+                        assert d in ideal._point_rows, (p, d)
+                        assert got.tolist() == want, (p, d, order.name())
+                assert set(mixed._gb) == {order.name()}
+            line = I(*[f"x{k}" for k in range(n - 1)], ring=ring)
+            squared = I("x0^2", *[f"x{k}" for k in range(1, n)], ring=ring)
+            assert gb_module._point_of(line) is gb_module._point_of(squared) is None
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
+def test_generic_complement_spans_the_complement_in_every_order(fld):
+    """For an ideal that is neither a point ideal nor an intersection
+    result, `_complement` is the matrix of its normal forms from
+    `I.quotient()`, in every order of the ring: HF(R/I)(d) rows that
+    annihilate every degree-d multiple of the reduced basis and have full
+    rank, also for the unit ideal, whose complement is empty. An
+    intersection reads such an operand in the ring's order alone: no
+    grevlex basis is made on the side."""
+    import gradus.groebner as gb_module
+    rng = random.Random(f"generic-rows/{fld.spec_string()}")
+    for order in ORDERS:
+        ring = RingSpec(3, fld, order)
+        operands = [Ideal(ring, gens) for gens in _graded_cases(ring, rng)]
+        operands.append(Ideal(ring, [ring.one()]))
+        for k, ideal in enumerate(operands):
+            for d in range(6):
+                S = gb_module._complement(ideal, d)
+                label = (order.name(), k, d)
+                assert S.shape[0] == hilbert_function(ideal, d), label
+                _assert_complement_of(ideal, S, d, label)
+        for A in operands:
+            B = operands[rng.randrange(len(operands))]
+            M = ideal_intersection(A, B)
+            assert M.groebner() == Ideal(ring, _intersection_by_buchberger(A, B)).groebner()
+            assert set(A._gb) == set(B._gb) == {order.name()}, order.name()
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
@@ -887,11 +941,9 @@ def test_stacked_complements_span_the_complement_of_the_meet(monkeypatch, fld):
     """An intersection result's complement is its operands' complements
     stacked, with no elimination: on every `_meet_cases` pair, below the
     loop's start degree, in each degree the loop meets in and above its
-    stop, the stack annihilates the reduced echelon basis of (I ∩ J)_d
-    (the shift build from the result's own basis) and has rank
-    dim R_d - dim (I ∩ J)_d."""
+    stop, the stack annihilates (I ∩ J)_d, the degree-d multiples of the
+    result's own basis, and has rank dim R_d - dim (I ∩ J)_d."""
     import gradus.groebner as gb_module
-    from gradus.field import rank
     ring = RingSpec(3, fld)
     plain = gb_module._meet_in_degree
     sizes = {len(monomials_of_degree(3, d, ring.order)): d for d in range(12)}
@@ -904,19 +956,16 @@ def test_stacked_complements_span_the_complement_of_the_meet(monkeypatch, fld):
         M = ideal_intersection(A, B)
         assert M._parts == (A, B)
         for d in range(max(met) + 3):
-            n = len(monomials_of_degree(3, d, ring.order))
-            S = gb_module._complement(M, d)
-            R, pivots, _ = gb_module._degree_basis(M, d)
-            assert not (fld.matmul(S, R.T) != 0).any(), (name, d)
-            assert rank(fld, S, n) == n - len(pivots), (name, d)
+            _assert_complement_of(M, gb_module._complement(M, d), d, (name, d))
         below += min(met) > 0
     assert below  # some pair starts above degree 0
 
 
 def test_oracle_eliminates_once_per_meet(monkeypatch):
-    """A 20-point oracle makes one elimination per degree met, all in
-    `_meet_in_degree`: none for a point ideal's complement (one closed-form
-    row) and none for an intersection result's (its parts' stacked)."""
+    """A 20-point oracle makes one elimination per degree met, all in the
+    `_kernel` of `_meet_in_degree`: none for a point ideal's complement
+    (one closed-form row) and none for an intersection result's (its
+    parts' stacked)."""
     from collections import Counter
     import sys
 
@@ -929,12 +978,11 @@ def test_oracle_eliminates_once_per_meet(monkeypatch):
     plain_echelon, plain_meet = field_module._echelon, gb_module._meet_in_degree
 
     def attributed(*args, **kwargs):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        callers[sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name] += 1
         return plain_echelon(*args, **kwargs)
 
     monkeypatch.setattr(field_module, "_echelon", attributed)
-    monkeypatch.setattr(gb_module, "_echelon", attributed)
     monkeypatch.setattr(gb_module, "_meet_in_degree", lambda *a: meets.append(a) or plain_meet(*a))
     vanishing_ideal_oracle(X)
     assert len(meets) >= 19
-    assert callers == Counter({"_meet_in_degree": len(meets)})
+    assert callers == Counter({("_kernel", "_meet_in_degree"): len(meets)})

@@ -72,6 +72,15 @@ def test_coords_and_mult_match_normal_form_scatter(fld):
                 if fld.kind == "prime":
                     assert isinstance(got, np.ndarray) and got.dtype == np.int64
                 assert list(got) == _scatter(f, gb, Q.basis(d))
+            # the normal forms of monomials in any order, one column each
+            every = monomials_of_degree(ring.nvars, d, ring.order)
+            monos = rng.sample(every, min(d + 2, len(every)))
+            N = Q.normal_forms(monos, d)
+            if fld.kind == "prime":
+                assert isinstance(N, np.ndarray) and N.dtype == np.int64
+            assert N.shape == (len(Q.basis(d)), len(monos))
+            cols = [_scatter(Poly(ring, {m: fld.one}), gb, Q.basis(d)) for m in monos]
+            assert N.tolist() == [[col[r] for col in cols] for r in range(len(Q.basis(d)))]
             for k in (1, 2):
                 g = ring.random_form(k, rng)
                 if g.is_zero():
