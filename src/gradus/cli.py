@@ -35,13 +35,17 @@ def _default_field() -> str:
     return os.environ.get("GRADUS_FIELD", str(DEFAULT_PRIME))
 
 
-def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out_path: str | None):
+    """text and a newline to `out_path`, else to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload: dict, out_path: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True), out_path)
 
 
 def _load_json(path: str) -> dict:
@@ -90,7 +94,7 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     I = Ideal.from_json(_load_json(args.ideal))
-    payload = hilbert_report(I, args.max_degree, args.probe_limit)
+    payload = hilbert_report(I, args.max_degree)
     payload["config"] = _config(args, max_degree=args.max_degree)
     _emit(payload, args.out)
     return 0
@@ -104,12 +108,7 @@ def _cmd_betti(args) -> int:
         payload["config"] = _config(args)
         _emit(payload, args.out)
     else:
-        text = render_betti(table)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(render_betti(table), args.out)
     return 0
 
 
@@ -175,12 +174,7 @@ def _emit_report(report, args) -> int:
     if args.format == "json":
         _emit(report.to_json(), args.out)
     else:
-        text = report.to_text()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(report.to_text(), args.out)
     return 0 if report.passed else 1
 
 
@@ -249,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert function and polynomial of R/I")
     p.add_argument("--ideal", required=True)
     p.add_argument("--max-degree", type=_non_negative, default=12)
-    p.add_argument("--probe-limit", type=_non_negative, default=40,
-                   help="print a null polynomial and stable_from when stable_from + "
-                        "nvars + 3 exceeds this")
     common(p, field=False)
     p.set_defaults(func=_cmd_hilbert)
 

@@ -4,10 +4,15 @@ All four are read from one Hilbert series. HS(R/I) = HS(R/in(I))
 (Macaulay), and the series of a monomial ideal M is K(t)/(1 - t)^nvars with
 K(M + (m)) = K(M) - t^deg m * K(M : m), a product of the (1 - t^deg m) once
 the generators are pairwise coprime (Bayer & Stillman, "Computation of
-Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The
-GradedQuotient's normal forms serve Betti and the intersections' generic
-operands (`gradus.groebner._complement`): Hom works on the points' values
-(`gradus.points.PointValues`).
+Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The series
+proves the Hilbert polynomial and the degree it holds from for every ideal,
+so both are always returned.
+
+`GradedQuotient.normal_forms` is the one normal-form map: the matrix of
+the normal forms of a list of monomials. The multiplication maps Betti
+reads are sums of its column selections, and it gives the intersections'
+generic operands their complements (`gradus.groebner._complement`). Hom
+works on the points' values (`gradus.points.PointValues`).
 """
 from __future__ import annotations
 
@@ -19,47 +24,29 @@ from math import comb
 import numpy as np
 
 from .errors import GradusError
-from .field import rank
+from .field import _zeros, rank
 from .groebner import Ideal, _nf_terms
-from .ring import Exponents, Poly, monomials_of_degree
-
-
-class _NormalForms(dict):
-    """Monomial of one degree -> coordinates of its normal form over that
-    degree's standard basis, as an array in the field's format. Each
-    monomial is reduced on its first lookup and kept."""
-
-    def __init__(self, degree: int, basis: list, gb: list, order, field):
-        super().__init__()
-        self.degree, self.gb, self.order, self.field = degree, gb, order, field
-        self.index = {e: k for k, e in enumerate(basis)}
-
-    def __missing__(self, e: Exponents):
-        fld = self.field
-        vec = [fld.zero] * len(self.index)
-        for m, c in _nf_terms({e: fld.one}, self.gb, self.order, fld).items():
-            vec[self.index[m]] = c
-        vec = fld.array(vec)
-        self[e] = vec
-        return vec
+from .ring import Exponents, Poly, mono_mul, monomials_of_degree
 
 
 class GradedQuotient:
     """R/I degree by degree over its standard monomials; built by
-    `Ideal.quotient` and alive as long as I. Coordinates come from the
+    `Ideal.quotient` and alive as long as I. Every map is read from the
     normal forms of single monomials, each reduced once against I's prepared
     GB; a normal form modulo a GB is unique, so they equal `normal_form`
-    followed by a scatter. The memo `nf` keeps one degree, since every call
-    works in one degree: an ideal that outlives its work (one a caller
-    holds, or one kept as an intersection's part) keeps one degree's normal
-    forms, not all it ever used.
+    followed by a scatter. The memo `nf`, monomial -> coordinates over
+    basis(d), keeps one degree, since every call works in one degree: an
+    ideal that outlives its work (one a caller holds, or one kept as an
+    intersection's part) keeps one degree's normal forms, not all it ever
+    used.
     """
 
     def __init__(self, I: Ideal):
         self.ring = I.ring
         self._gb = I.prepared()
         self._basis: dict[int, list[Exponents]] = {}
-        self.nf = _NormalForms(-1, [], self._gb, I.ring.order, I.ring.field)
+        self.nf: dict[Exponents, np.ndarray] = {}
+        self._degree, self._index = -1, {}  # nf's degree, and basis(d) -> position
 
     def basis(self, d: int) -> list[Exponents]:
         """Degree-d monomials outside the leading-term ideal, descending in
@@ -99,39 +86,38 @@ class GradedQuotient:
         # an ideal that outlives its work holds no monomials of its own
         return [e for e in monomials_of_degree(n, k, self.ring.order) if e in standard]
 
-    def _memo(self, d: int) -> _NormalForms:
-        """The memo `nf`, switched to degree d if it holds another."""
-        if self.nf.degree != d:
-            self.nf = _NormalForms(d, self.basis(d), self._gb, self.ring.order, self.ring.field)
-        return self.nf
-
-    def coords(self, f: Poly, d: int):
-        """Coordinates over basis(d) of the degree-d form f modulo I, as an
-        array in the field's format."""
-        nf = self._memo(d)
-        fld = self.ring.field
-        out = fld.array([fld.zero] * len(nf.index))
-        for e, c in f.terms.items():
-            # a product of residues stays below 2^62; reduce it before summing
-            out += fld.reduce(c * nf[e])
-        return fld.reduce(out)
-
     def normal_forms(self, monos, d: int):
         """The map R_d -> (R/I)_d on the degree-d monomials `monos`, shape
         (len basis(d), len monos), in the field's matrix format; column k
         is the coordinates of monos[k]. On all of R_d the map's kernel is
         I_d, so its rows span the orthogonal complement of I_d."""
-        nf = self._memo(d)
-        return np.array([nf[e] for e in monos]).reshape(len(monos), len(nf.index)).T
+        fld = self.ring.field
+        if self._degree != d:
+            self.nf, self._degree = {}, d
+            self._index = {e: k for k, e in enumerate(self.basis(d))}
+        nf, index = self.nf, self._index
+        out = _zeros(fld, len(monos), len(index))
+        for k, e in enumerate(monos):
+            if e not in nf:
+                vec = nf[e] = _zeros(fld, 1, len(index))[0]
+                for m, c in _nf_terms({e: fld.one}, self._gb, self.ring.order, fld).items():
+                    vec[index[m]] = c
+            out[k] = nf[e]
+        return out.T
 
     def mult(self, form: Poly, d: int):
         """Multiplication by `form`: (R/I)_d -> (R/I)_{d + deg form}, shape
         (len basis(d + deg form), len basis(d)), in the field's matrix
-        format; column k is the image of basis(d)[k]."""
-        top = d + form.degree()
-        one = self.ring.field.one
-        cols = [self.coords(form.mul_term(b, one), top) for b in self.basis(d)]
-        return self.ring.field.array(cols).reshape(len(cols), len(self.basis(top))).T
+        format; column k is the image of basis(d)[k]: the sum over the
+        terms c * m of `form` of c times the normal forms of basis(d)
+        shifted by m."""
+        top, fld = d + form.degree(), self.ring.field
+        out = _zeros(fld, len(self.basis(top)), len(self.basis(d)))
+        for m, c in form.terms.items():
+            N = self.normal_forms([mono_mul(b, m) for b in self.basis(d)], top)
+            # a product of residues stays below 2^62; reduce it before summing
+            out += fld.reduce(c * N)
+        return fld.reduce(out)
 
 
 def standard_monomials(I: Ideal, d: int) -> list:
@@ -268,21 +254,12 @@ class HilbertPolynomial:
         return out
 
 
-class StabilizationError(GradusError):
-    """HF first equals HP too late for the probe limit."""
-
-    def __init__(self, message, values):
-        super().__init__(message)
-        self.values = values
-
-
-def hilbert_polynomial(I: Ideal, probe_limit: int = 40) -> HilbertPolynomial:
+def hilbert_polynomial(I: Ideal) -> HilbertPolynomial:
     """The polynomial HF agrees with for large d, plus the first degree of
-    agreement. Expanding sum_i h_i * C(dim - 1 + d - i, dim - 1) in d gives
-    a polynomial equal to HF for d >= deg h - dim + 1, where every binomial
-    is a true count or a zero of it; `stable_from` is found by scanning down
-    from there. Raises StabilizationError iff stable_from + nvars + 3
-    exceeds `probe_limit`."""
+    agreement, both proven by the series. Expanding
+    sum_i h_i * C(dim - 1 + d - i, dim - 1) in d gives a polynomial equal
+    to HF for d >= deg h - dim + 1, where every binomial is a true count or
+    a zero of it; `stable_from` is found by scanning down from there."""
     h, dim = hilbert_series(I)
     coeffs = [Fraction(0)] * dim
     for i, c in enumerate(h):
@@ -293,10 +270,6 @@ def hilbert_polynomial(I: Ideal, probe_limit: int = 40) -> HilbertPolynomial:
     hp = HilbertPolynomial(tuple(coeffs), max(0, len(h) - dim))
     while hp.stable_from > 0 and hp(hp.stable_from - 1) == hilbert_function(I, hp.stable_from - 1):
         hp.stable_from -= 1
-    if hp.stable_from + I.ring.nvars + 3 > probe_limit:
-        raise StabilizationError(
-            f"Hilbert function stabilizes at degree {hp.stable_from}, past probe limit "
-            f"{probe_limit}", hilbert_values(I, probe_limit - 1))
     return hp
 
 
@@ -335,15 +308,8 @@ def delta_X(X) -> int:
     return X.delta()
 
 
-def hilbert_report(I: Ideal, dmax: int, probe_limit: int = 40) -> dict:
+def hilbert_report(I: Ideal, dmax: int) -> dict:
     """CLI payload: values, polynomial, stabilization, Artinian data."""
-    values = hilbert_values(I, dmax)
-    out = {"values": values, "artinian": is_artinian(I)}
-    try:
-        hp = hilbert_polynomial(I, probe_limit)
-        out["polynomial"] = str(hp)
-        out["stable_from"] = hp.stable_from
-    except StabilizationError:
-        out["polynomial"] = None
-        out["stable_from"] = None
-    return out
+    hp = hilbert_polynomial(I)
+    return {"values": hilbert_values(I, dmax), "artinian": is_artinian(I),
+            "polynomial": str(hp), "stable_from": hp.stable_from}

@@ -334,13 +334,13 @@ def test_negative_max_degree_exits_2(capsys, command):
     assert "non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-3", "x"])
-def test_bad_probe_limit_exits_2(capsys, value):
+def test_hilbert_rejects_the_deleted_limit_flag(capsys):
+    # the polynomial is proven for every ideal, so no limit is left to set
     with pytest.raises(SystemExit) as exc:
         dispatch(["hilbert", "--ideal", str(GOLDEN_DIR / "ideal_2pts.json"),
-                  "--probe-limit", value])
+                  "--probe-limit", "40"])
     assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_betti_json_certificate(capsys):
@@ -451,3 +451,13 @@ def test_hilbert_of_a_late_stabilizing_ideal(tmp_path, capsys):
     assert code == 0
     assert '"polynomial": "12"' in out and '"stable_from": 11' in out
     assert json.loads(out)["values"] == list(range(1, 13)) + [12]
+
+
+def test_hilbert_prints_the_polynomial_however_late_it_holds(tmp_path, capsys):
+    code, out, _ = run(capsys, "ideal", "--gens", "x0", "x1^2*x2^40", "--nvars", "3")
+    assert code == 0
+    src = tmp_path / "I.json"
+    src.write_text(out)
+    code, out, _ = run(capsys, "hilbert", "--ideal", str(src))
+    assert code == 0
+    assert '"polynomial": "42"' in out and '"stable_from": 41' in out

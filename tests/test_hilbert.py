@@ -8,7 +8,6 @@ from gradus.experiments import reference_J
 from gradus.field import field_from_string
 from gradus.groebner import Ideal, ideal_sum, leading_term_ideal
 from gradus.hilbert import (
-    StabilizationError,
     delta_X,
     hilbert_function,
     hilbert_polynomial,
@@ -84,19 +83,14 @@ def test_hilbert_polynomial_artinian_zero():
     assert str(hp) == "0"
 
 
-def test_hilbert_polynomial_probe_limit():
-    X = random_general_points(9, 2, seed=5)
-    with pytest.raises(StabilizationError):
-        hilbert_polynomial(vanishing_ideal(X), probe_limit=4)
-
-
-def test_hilbert_polynomial_probe_limit_boundary():
-    # stable_from is 3 for 9 general points of P^2; the limit must reach
-    # stable_from + nvars + 3 = 9
-    I = vanishing_ideal(random_general_points(9, 2, seed=5))
-    assert hilbert_polynomial(I, probe_limit=9).stable_from == 3
-    with pytest.raises(StabilizationError):
-        hilbert_polynomial(I, probe_limit=8)
+def test_hilbert_polynomial_has_no_degree_limit():
+    # R/(x0, x1^2*x2^40) is k[x1, x2]/(x1^2*x2^40): HF is d+1 through
+    # degree 41, then 42; the series proves both, however late
+    I = Ideal(R, [P("x0"), P("x1^2*x2^40")])
+    hp = hilbert_polynomial(I)
+    assert str(hp) == "42"
+    assert hp.stable_from == 41
+    assert hilbert_function(I, 40) == 41
 
 
 def test_hilbert_polynomial_of_a_late_stabilizing_ideal():

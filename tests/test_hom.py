@@ -149,28 +149,43 @@ def test_theta_rejects_a_non_homogeneous_g():
 # -- the colon route, rebuilt here as the reference ---------------------------
 
 
+def _coordinates(Q, forms, d):
+    """Coordinates over Q.basis(d) of the degree-d `forms`, one row each,
+    read from the one normal-form matrix of the monomials they use."""
+    fld = Q.ring.field
+    monos = list({e: None for f in forms for e in f.terms})
+    col = {e: k for k, e in enumerate(monos)}
+    nf = Q.normal_forms(monos, d).T  # row k: the coordinates of monos[k]
+    return [fld.reduce(sum(fld.reduce(c * nf[col[e]]) for e, c in f.terms.items()))
+            for f in forms]
+
+
 def _colon_route(J, X, g0, g, degrees):
     """(Hom dims, theta_g kernel dims) from the colon ((I_X + (g0)) : (I_X + J))
     by Groebner bases: Hilbert-function differences, and the rank of g times
-    a basis of the colon's degree-t part in R/I_X."""
+    a basis of the colon's degree-t part in R/I_X. The degrees u run upwards
+    so that each one's normal forms are computed once: degree u holds the
+    colon's part for t = u and the images of the part for t = u - deg g."""
     I_X = vanishing_ideal(X)
     ring, fld = I_X.ring, I_X.ring.field
     colon = ideal_quotient(ideal_sum(I_X, Ideal(ring, [g0])), ideal_sum(I_X, J))
     Q = I_X.quotient()
-    dims, theta = {}, {}
-    for i in degrees:
-        t = i + g0.degree()
-        if t < 0:
-            continue
-        dims[i] = hilbert_function(I_X, t) - hilbert_function(colon, t)
-        rows = [Q.coords(c.mul_term(m, fld.one), t)
-                for c in colon.groebner() if c.degree() <= t
-                for m in monomials_of_degree(ring.nvars, t - c.degree(), ring.order)]
-        sub = row_space_basis(fld, rows, len(Q.basis(t)))
-        assert len(sub) == dims[i]
-        images = [g * Poly(ring, dict(zip(Q.basis(t), v))) for v in sub]
-        theta[i] = len(sub) - (rank(fld, [Q.coords(h, t + g.degree()) for h in images])
-                               if images and not g.is_zero() else 0)
+    index = {i + g0.degree(): i for i in degrees if i + g0.degree() >= 0}  # t -> i
+    dg = 0 if g.is_zero() else g.degree()
+    dims, theta, subs = {}, {}, {}
+    for u in range(min(index, default=0), max(index, default=-1) + dg + 1):
+        if u in index:
+            dims[index[u]] = hilbert_function(I_X, u) - hilbert_function(colon, u)
+            forms = [c.mul_term(m, fld.one)
+                     for c in colon.groebner() if c.degree() <= u
+                     for m in monomials_of_degree(ring.nvars, u - c.degree(), ring.order)]
+            subs[u] = row_space_basis(fld, _coordinates(Q, forms, u), len(Q.basis(u)))
+            assert len(subs[u]) == dims[index[u]]
+        if u - dg in index:
+            sub = subs[u - dg]
+            images = [g * Poly(ring, dict(zip(Q.basis(u - dg), v))) for v in sub]
+            theta[index[u - dg]] = len(sub) - (rank(fld, _coordinates(Q, images, u))
+                                               if images and not g.is_zero() else 0)
     return dims, theta
 
 
