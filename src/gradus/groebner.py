@@ -69,16 +69,18 @@ so each degree met is one elimination. A row whose lead no earlier lead
 divides is an element of the reduced basis of I ∩ J, whose tail holds
 standard monomials only.
 
-The loop starts at the larger of the two initial degrees. Below it one
-of I_e, J_e is 0, so (I ∩ J)_e = 0 and HF(R/(I+J))_e is
-HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two series with no meet.
-Those series are kept on the ideals, where `hilbert_series` reads them:
-an intersection leaves the series it proved on its result, so in a tree
-only the leaves' series are computed from their leads, and a
-single-point ideal has 1/(1 - t) preset; any other operand's comes from
-its leads in the ring's order, the basis its normal forms divide by. In
-the loop's degrees too, dim I_d and dim J_d are read off the two series,
-not off a basis.
+The loop starts at the larger of the two initial degrees, each the least
+d with HF(R/I)_d < dim R_d, read off its ideal's series; the series also
+tells the zero ideal, HS(R/0) = 1/(1 - t)^nvars, so no generator list is
+read. Below the start one of I_e, J_e is 0, so (I ∩ J)_e = 0 and
+HF(R/(I+J))_e is HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two
+series with no meet. Those series are kept on the ideals, where
+`hilbert_series` reads them: an intersection leaves the series it proved
+on its result, so in a tree only the leaves' series are computed from
+their leads, and a single-point ideal has 1/(1 - t) preset; any other
+operand's comes from its leads in the ring's order, the basis its normal
+forms divide by. In the loop's degrees too, dim I_d and dim J_d are read
+off the two series, not off a basis.
 
 The loop stops on a Hilbert series. The exact sequence
 0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
@@ -87,10 +89,10 @@ that series, in(G) = in(I ∩ J), as in(G) lies in it and both have the same
 Hilbert function: G is the reduced basis. HS(R/(I+J)) has two sources.
 If dim I_d + dim J_d - dim (I ∩ J)_d = dim R_d in some degree d0, then
 (I+J)_d = R_d from d0 on, so the series is the Hilbert function already
-computed; that holds for every pair of the points oracle, as point sets
-with no common point have an Artinian sum. Otherwise it is the
-`hilbert_series` of I + J, read off its basis by F4 in the same
-variables, and that basis is made only once
+computed (`_meet_series`); that holds for every meet of the points
+oracle, as point sets with no common point have an Artinian sum.
+Otherwise it is the `hilbert_series` of I + J, read off its basis by F4
+in the same variables, and that basis is made only once
 HS(R/I) + HS(R/J) - HS(R/in(G)) could be the series of a common quotient
 of R/I and R/J, with non-negative coefficients and dimension at most
 min(dim R/I, dim R/J): before that, G is incomplete whatever
@@ -99,13 +101,25 @@ checked against it. The generators of I ∩ J are its reduced grevlex
 basis, whatever the ring's order, and the result keeps that basis, its
 parts and the series for the next intersection.
 
-A list of ideals (the colons (I : g) of `ideal_quotient`, the
-single-point ideals of the points oracle) is intersected in a balanced
-tree, as in a subproduct tree (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 10): neighbours pairwise, level by level, an odd one carried
-over. That is still one intersection fewer than the list is long, but
-below the root none meets more than half of the list, where a left fold
-carries all it has met into each one.
+A list of ideals (the colons (I : g) of `ideal_quotient`) is intersected
+in a balanced tree (`_intersect_all`), as in a subproduct tree (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 10): neighbours
+pairwise, level by level, an odd one carried over. That is still one
+intersection fewer than the list is long, but below the root none meets
+more than half of the list, where a left fold carries all it has met into
+each one.
+
+The points oracle (`gradus.points.vanishing_ideal_oracle`) pairs its
+single-point ideals in the same tree, but builds one reduced basis only,
+at the root. What the next meet reads of a node is its complement, its
+parts' rows stacked, and its series, so a node below the root keeps only
+those (`_Meet`) and proves its series from ranks alone (`_series_meet`):
+from the larger initial degree, HF(R/(I ∩ J))_d is the rank of the
+complements stacked, with no kernel, no leads and no polynomial, until
+HF(R/(I+J))_d = 0, and the series is then `_meet_series`, the same
+arithmetic as the Artinian stop above. The root is the one
+`ideal_intersection`; a node has no generators to sum, so there its
+target series comes from the Artinian sum too, never from F4 of I + J.
 """
 from __future__ import annotations
 
@@ -117,7 +131,7 @@ from operator import add, itemgetter, le, neg, sub
 import numpy as np
 
 from .errors import ParseError, VerificationError
-from .field import _kernel, _zeros, integer_rows, primitive_rows, rref
+from .field import _kernel, _zeros, integer_rows, primitive_rows, rank, rref
 from .ring import (
     ELIM,
     GREVLEX,
@@ -628,12 +642,12 @@ def _point_of(I: Ideal) -> list | None:
 
 def _complement(I: Ideal, d: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of I_d, over the degree-d
-    monomials in descending grevlex order: for an intersection result its
-    parts' complements stacked; for the ideal of a point c the one row
-    (c^m)_m, the normal form modulo I_d, built from the row of degree
-    d - 1 as c_v times it scattered through "times x_v"; for any other
-    ideal the matrix of its normal forms, from `I.quotient()`. The row of
-    degree 1 is c itself."""
+    monomials in descending grevlex order: for an intersection result or
+    a node of the points oracle its parts' complements stacked; for the
+    ideal of a point c the one row (c^m)_m, the normal form modulo I_d,
+    built from the row of degree d - 1 as c_v times it scattered through
+    "times x_v"; for any other ideal the matrix of its normal forms, from
+    `I.quotient()`. The row of degree 1 is c itself."""
     if I._parts:
         return np.concatenate([_complement(X, d) for X in I._parts])
     rows = I._point_rows
@@ -673,14 +687,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     series, else VerificationError. The generators are the reduced grevlex
     basis, ascending by lead; the result keeps its parts, whose
     complements stack to its own, and the series for the next
-    intersection. dim I_d and dim J_d come from the operands' series."""
+    intersection. dim I_d and dim J_d, the initial degrees and whether an
+    operand is 0 come from the operands' series, so either may also be a
+    node of the points oracle (`_series_meet`), whose sums are Artinian."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not I.generators:
-        return I
-    if not J.generators:
-        return J
     from .hilbert import (
         _coefficient, _minus, _numerator, _reduced, _times_one_minus_t, hilbert_series)
     field, nvars = ring.field, ring.nvars
@@ -690,42 +702,40 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 
     def check(degrees) -> None:
         for e in degrees:
-            got = dims.get(e, 0)
-            if got != comb(nvars - 1 + e, nvars - 1) - _coefficient(target, nvars, e):
+            if dims[e] != comb(nvars - 1 + e, nvars - 1) - _coefficient(target, nvars, e):
                 raise VerificationError(
-                    f"intersection: dim (I ∩ J)_{e} is {got}, not what the Hilbert series "
+                    f"intersection: dim (I ∩ J)_{e} is {dims[e]}, not what the Hilbert series "
                     "of I, J and I + J give; this is a bug")
 
-    both = [hilbert_series(X) for X in (I, J)]
+    both = []
+    for X in (I, J):
+        both.append(hilbert_series(X))
+        if both[-1] == ((1,), nvars):  # HF(R/X) is dim R_d in every degree: X = 0
+            return X
     bound = min(dim for _, dim in both)
-    K_I, K_J = (_times_one_minus_t(h, nvars - dim) for h, dim in both)
-    sides = _minus(K_I, [-c for c in K_J])  # HS(R/I) + HS(R/J), times (1 - t)^nvars
+    sides = _sides(both, nvars)
     # below the larger initial degree one side is 0, and so is (I ∩ J)_e
-    d = max(min(_degree(g) for g in X.generators) for X in (I, J))
+    d = max(_initial_degree(hs, nvars) for hs in both)
     target = None
-    dims: dict[int, int] = {}  # d -> dim (I ∩ J)_d
-
-    def quotient_hf(e) -> int:  # HF(R/(I+J))(e), once (I ∩ J)_e is known
-        return sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1) \
-            + dims.get(e, 0)
-
+    dims = [0] * d  # dims[e] = dim (I ∩ J)_e
     found: list[Poly] = []
     leads = np.zeros((0, nvars), dtype=np.int64)
     while True:
         monos, M, _ = _columns(nvars, _GREVLEX, d)
         K, pivots = _meet_in_degree(field, _complement(I, d), _complement(J, d), len(monos))
-        dims[d] = len(K)
+        dims.append(len(K))
         new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
         leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
         for r in reversed(new):
             nz = K[r].nonzero()[0]
             found.append(Poly(ring, dict(zip([monos[j] for j in nz.tolist()], K[r, nz].tolist()))))
         if target is None:
-            if not quotient_hf(d):  # (I + J)_e = R_e from here on
-                target = _minus(sides, _times_one_minus_t([quotient_hf(e) for e in range(d + 1)],
-                                                          nvars))
-            elif new and _could_be_complete(
-                    _reduced(_minus(sides, numerator(leads.tolist())), nvars), bound):
+            if not _sum_hf(both, nvars, d, dims[d]):  # (I + J)_e = R_e from here on
+                target = _meet_series(both, dims, nvars)
+            # a node has no generators to sum, and its sums are Artinian
+            elif new and not isinstance(I, _Meet) and not isinstance(J, _Meet) and \
+                    _could_be_complete(_reduced(_minus(sides, numerator(leads.tolist())), nvars),
+                                       bound):
                 h, dim = hilbert_series(ideal_sum(I, J))
                 target = _minus(sides, _times_one_minus_t(h, nvars - dim))
             if target is not None:
@@ -746,6 +756,82 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     result._gb[_GREVLEX.name()] = found
     result._series = _reduced(target, nvars)
     return result
+
+
+def _initial_degree(series: tuple, nvars: int) -> int:
+    """The least d with I_d != 0, that is HF(R/I)_d < dim R_d, for a
+    non-zero I with HS(R/I) = `series`."""
+    from .hilbert import _coefficient
+    d = 0
+    while _coefficient(*series, d) == comb(nvars - 1 + d, nvars - 1):
+        d += 1
+    return d
+
+
+def _sides(both: list, nvars: int) -> list[int]:
+    """HS(R/I) + HS(R/J) times (1 - t)^nvars, for `both` their two series."""
+    from .hilbert import _minus, _times_one_minus_t
+    K_I, K_J = (_times_one_minus_t(h, nvars - dim) for h, dim in both)
+    return _minus(K_I, [-c for c in K_J])
+
+
+def _sum_hf(both: list, nvars: int, e: int, meet: int) -> int:
+    """HF(R/(I+J))_e = HF(R/I)_e + HF(R/J)_e - dim R_e + dim (I ∩ J)_e, for
+    `both` the series of R/I and R/J and `meet` = dim (I ∩ J)_e."""
+    from .hilbert import _coefficient
+    return sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1) + meet
+
+
+def _meet_series(both: list, dims: list[int], nvars: int) -> list[int]:
+    """HS(R/(I ∩ J)) times (1 - t)^nvars once (I + J)_e = R_e for every
+    e >= d = len(dims) - 1, by the exact sequence: HS(R/I) + HS(R/J) less
+    HS(R/(I+J)), the polynomial of the `_sum_hf` of degrees 0 to d, where
+    dims[e] = dim (I ∩ J)_e."""
+    from .hilbert import _minus, _times_one_minus_t
+    return _minus(_sides(both, nvars), _times_one_minus_t(
+        [_sum_hf(both, nvars, e, meet) for e, meet in enumerate(dims)], nvars))
+
+
+class _Meet:
+    """A node of the points oracle's tree below the root: the ideal of a
+    set of points known only by what the next meet reads of it, its parts
+    (the point ideals whose complements stack to its own, `_complement`)
+    and its proven Hilbert series (`hilbert_series`). It is no `Ideal`,
+    which with no generators would be the zero ideal, and no public
+    function returns one."""
+
+    __slots__ = ("ring", "_parts", "_series")
+
+    def __init__(self, ring: RingSpec, parts: tuple):
+        self.ring = ring
+        self._parts = parts
+        self._series = None
+
+
+def _series_meet(I, J) -> _Meet:
+    """I ∩ J for the ideals (or nodes) of two disjoint sets of distinct
+    points, of a and b points, by its Hilbert series alone: no kernel, no
+    leads, no basis. From the larger initial degree, HF(R/(I ∩ J))_d is the
+    rank of the meet's complement, I_d^⊥ + J_d^⊥ stacked, so
+    dim (I ∩ J)_d is dim R_d less it. V(I + J) is empty, so HF(R/(I+J))
+    reaches 0, by degree a + b - 1 at the latest, where HF of the a + b
+    points is a + b, and (I + J)_e = R_e from there on: the series is
+    `_meet_series` of the degrees met."""
+    from .hilbert import _reduced, hilbert_series
+    ring = I.ring
+    field, nvars = ring.field, ring.nvars
+    both = [hilbert_series(X) for X in (I, J)]
+    meet = _Meet(ring, (I._parts or (I,)) + (J._parts or (J,)))
+    start = max(_initial_degree(hs, nvars) for hs in both)
+    dims = [0] * start
+    for d in range(start, sum(both[0][0]) + sum(both[1][0])):
+        n = comb(nvars - 1 + d, nvars - 1)
+        dims.append(n - rank(field, _complement(meet, d), n))
+        if not _sum_hf(both, nvars, d, dims[d]):
+            meet._series = _reduced(_meet_series(both, dims, nvars), nvars)
+            return meet
+    raise VerificationError("points oracle: the sum of two disjoint point sets' ideals "
+                            "is not Artinian by their regularity; this is a bug")
 
 
 def _could_be_complete(series: tuple, bound: int) -> bool:

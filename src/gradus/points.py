@@ -31,15 +31,19 @@ P^2(F_3), say), each degree takes a rank of its own.
 The vanishing ideal comes from evaluation-matrix kernels. An independent
 oracle builds each single-point ideal in closed form instead, x_k minus
 (p_k / p_l) * x_l for k != l and l the last index with p_l != 0, with its
-reduced basis and its Hilbert series 1/(1 - t) preset, and intersects
-them in a balanced tree, so that no intersection below the root carries
-more than half of the points. Its intersections are linear algebra in
-k[x] (`gradus.groebner.ideal_intersection`), which reads a leaf only
+reduced basis and its Hilbert series 1/(1 - t) preset, and meets them in
+a balanced tree, so that no meet below the root carries more than half of
+the points. Its meets are linear algebra in k[x], which read a leaf only
 through the complement of its degree-d part: the normal form modulo the
 point ideal, the one row (c^m)_m for c = p / p_l, read off the ideal's
-reduced basis. So the oracle takes no `evaluation_array`, no kernel and
-no F4; a node above the leaves stacks its parts' rows, and each degree
-it meets in is one elimination.
+reduced basis. Below the root a node keeps only its parts, whose rows
+stack to its complement, and its Hilbert series, proven from one rank of
+those rows per degree (`gradus.groebner._series_meet`) up to the degree
+where the sum of its two sides' ideals is Artinian, as two disjoint sets
+of distinct points have no common zero. Only the root is an
+`ideal_intersection`, one kernel per degree and the one reduced basis
+built. So the oracle takes no `evaluation_array`, no kernel of it and no
+F4.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
 by the monomials' value vectors for every set, independent or not, so its
@@ -58,7 +62,7 @@ from .errors import GeneralPositionError, GradusError, ParseError, VerificationE
 from .field import (
     DEFAULT_PRIME, Field, PrimeField, _kernel, field_from_string, rank, rank_profile,
 )
-from .groebner import Ideal, _columns, _intersect_all
+from .groebner import Ideal, _columns, _series_meet, ideal_intersection
 from .hilbert import SocleReport, hilbert_series
 from .ring import Poly, RingSpec, expect_json, json_key, monomials_of_degree
 
@@ -341,15 +345,21 @@ def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
 
 
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
-    """Independent route: intersect the single-point ideals, each in closed
-    form (`_point_ideal`), in a balanced tree of s - 1 intersections by
-    linear algebra in k[x]. A leaf's complement in degree d is the normal
-    form modulo its point ideal, one row read off the reduced basis, and a
-    node's is its parts' rows stacked, so each degree met is one
-    elimination; no `evaluation_array`, no kernel and no F4 of the
-    points."""
+    """Independent route: meet the single-point ideals, each in closed form
+    (`_point_ideal`), in a balanced tree by linear algebra in k[x], with no
+    `evaluation_array`, no kernel of it and no F4 of the points. A leaf's
+    complement in degree d is the normal form modulo its point ideal, one
+    row read off the reduced basis, and a node's is its parts' rows
+    stacked. Each node below the root keeps only those parts and its
+    proven series (`_series_meet`, one rank per degree); the root is the
+    one `ideal_intersection`, one kernel per degree, and builds the one
+    reduced basis."""
     ring = X.ring()
-    return _intersect_all([_point_ideal(ring, p) for p in X.points])
+    level = [_point_ideal(ring, p) for p in X.points]
+    while len(level) > 2:
+        paired = [_series_meet(a, b) for a, b in zip(level[::2], level[1::2])]
+        level = paired + level[2 * len(paired):]
+    return ideal_intersection(*level) if len(level) == 2 else level[0]
 
 
 def values_of(f: Poly, X: PointSet) -> np.ndarray:

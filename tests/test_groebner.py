@@ -962,27 +962,49 @@ def test_stacked_complements_span_the_complement_of_the_meet(monkeypatch, fld):
 
 
 def test_oracle_eliminates_once_per_meet(monkeypatch):
-    """A 20-point oracle makes one elimination per degree met, all in the
-    `_kernel` of `_meet_in_degree`: none for a point ideal's complement
-    (one closed-form row) and none for an intersection result's (its
-    parts' stacked)."""
+    """A 20-point oracle makes one elimination per degree met. Each of the
+    s - 2 nodes below the root takes one rank-only elimination of its
+    complement per degree, in `_series_meet`, degree after degree; the
+    root's eliminations are all the `_kernel` of `_meet_in_degree`. None is
+    made for a point ideal's complement (one closed-form row) or a node's
+    (its parts' rows stacked)."""
     from collections import Counter
+    from math import comb
     import sys
 
     import gradus.field as field_module
     import gradus.groebner as gb_module
+    import gradus.points
     from gradus.points import random_general_points, vanishing_ideal_oracle
     X = random_general_points(20, 2, seed=1)
     callers = Counter()
-    meets = []
+    meets, nodes = [], []
     plain_echelon, plain_meet = field_module._echelon, gb_module._meet_in_degree
+    plain_rank, plain_node = gb_module.rank, gradus.points._series_meet
 
-    def attributed(*args, **kwargs):
-        callers[sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name] += 1
-        return plain_echelon(*args, **kwargs)
+    def attributed(A, field, rank_only=False):
+        frame = sys._getframe(1)  # the first caller outside the field and this test
+        while frame.f_globals["__name__"] in ("gradus.field", __name__):
+            frame = frame.f_back
+        callers[frame.f_code.co_name, rank_only] += 1
+        return plain_echelon(A, field, rank_only)
+
+    def node(A, B):
+        nodes.append([])
+        return plain_node(A, B)
+
+    def ranked(field, rows, n):
+        nodes[-1].append(n)
+        return plain_rank(field, rows, n)
 
     monkeypatch.setattr(field_module, "_echelon", attributed)
     monkeypatch.setattr(gb_module, "_meet_in_degree", lambda *a: meets.append(a) or plain_meet(*a))
+    monkeypatch.setattr(gb_module, "rank", ranked)
+    monkeypatch.setattr(gradus.points, "_series_meet", node)
     vanishing_ideal_oracle(X)
-    assert len(meets) >= 19
-    assert callers == Counter({("_kernel", "_meet_in_degree"): len(meets)})
+    assert len(nodes) == X.s - 2 and meets
+    for columns in nodes:
+        start = next(d for d in range(X.s) if comb(d + 2, 2) == columns[0])
+        assert columns == [comb(d + 2, 2) for d in range(start, start + len(columns))]
+    assert callers == Counter({("_series_meet", True): sum(map(len, nodes)),
+                               ("_meet_in_degree", False): len(meets)})

@@ -196,24 +196,23 @@ def test_point_ideals_in_closed_form_are_the_vanishing_ideals(monkeypatch, fld):
 
 
 def test_oracle_intersects_closed_form_leaves_with_no_kernel_and_no_f4(monkeypatch):
-    """The oracle runs s - 1 intersections on the single-point ideals, and
-    neither an evaluation kernel, nor `vanishing_ideal`, nor F4."""
+    """The oracle runs s - 2 series-only meets below the root and one
+    `ideal_intersection` at it, and neither an evaluation kernel, nor
+    `vanishing_ideal`, nor F4, nor Buchberger."""
     import gradus.groebner
     X = random_general_points(20, 2, seed=1)
     want = vanishing_ideal(X).groebner()
-    meet = gradus.groebner.ideal_intersection
-    calls = []
-
-    def counting(A, B):
-        calls.append((A, B))
-        return meet(A, B)
-
+    calls = {"_series_meet": [], "ideal_intersection": []}
+    for name, log in calls.items():
+        plain = getattr(gradus.points, name)
+        monkeypatch.setattr(gradus.points, name,
+                            lambda A, B, plain=plain, log=log: log.append((A, B)) or plain(A, B))
     for module, name in ((gradus.points, "vanishing_ideal"), (gradus.points, "_kernel_polys"),
                          (gradus.groebner, "_f4"), (gradus.groebner, "buchberger")):
         monkeypatch.setattr(module, name, None)
-    monkeypatch.setattr(gradus.groebner, "ideal_intersection", counting)
     got = vanishing_ideal_oracle(X)
-    assert len(calls) == X.s - 1
+    assert len(calls["_series_meet"]) == X.s - 2
+    assert len(calls["ideal_intersection"]) == 1
     assert list(got.generators) == want
 
 
@@ -498,3 +497,65 @@ def test_oracle_is_the_vanishing_ideal_off_general_position(X):
     assert got.groebner() == want
     if X.s > 1:  # the root of the tree is an intersection: its reduced grevlex basis
         assert list(got.generators) == want
+
+
+def _oracle_tree_sets():
+    """(id, X) for the oracle's property test: s = 1..6 (no meet at s = 1,
+    only the root at s = 2, a node carried over at odd s) and the collinear
+    sets over F_32003, F_(2^31 - 1) and Q; over F_3, s = 1..6 drawn from
+    the plane, three collinear points, all 13 points of P^2(F_3), and 8
+    points of P^3(F_3) with no chart."""
+    for fld in (F, PrimeField(2**31 - 1), RationalField()):
+        for s in range(1, 7):
+            yield f"{fld.spec_string()}-s{s}", random_general_points(s, 2, seed=s, field=fld)
+        for extra in ([], [[1, 3, 0], [0, 0, 1]]):
+            yield f"{fld.spec_string()}-collinear{3 + len(extra)}", PointSet(2, fld, COLLINEAR + extra)
+    f3 = PrimeField(3)
+    plane = _projective_plane(3)
+    for s in range(1, 7):
+        yield f"3-s{s}", PointSet(2, f3, random.Random(s).sample(plane, s))
+    yield "3-collinear3", PointSet(2, f3, COLLINEAR)
+    yield "3-P2-all", PointSet(2, f3, plane)
+    yield "3-P3-s8", random_general_points(8, 3, seed=1, field=f3)
+
+
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _oracle_tree_sets()])
+def test_oracle_nodes_carry_the_series_of_their_points(monkeypatch, X):
+    """Every series-only node below the root has the series of the
+    vanishing ideal of its points, and the oracle's basis is that of the
+    full-meet tree (`_intersect_all` of the same point ideals) and of
+    `vanishing_ideal`."""
+    import gradus.groebner as gb_module
+    if X.n == 3:  # the P^3 set has a point on every coordinate hyperplane
+        assert X.chart() is None
+    nodes = []
+    plain = gradus.points._series_meet
+    monkeypatch.setattr(gradus.points, "_series_meet",
+                        lambda A, B: nodes.append(plain(A, B)) or nodes[-1])
+    got = vanishing_ideal_oracle(X)
+    assert len(nodes) == max(X.s - 2, 0)
+    for node in nodes:
+        points = [gb_module._point_of(P) for P in node._parts]
+        assert hilbert_series(node) == hilbert_series(vanishing_ideal(PointSet(X.n, X.field, points)))
+    ring = X.ring()
+    tree = gb_module._intersect_all([gradus.points._point_ideal(ring, p) for p in X.points])
+    want = vanishing_ideal(X).groebner()
+    assert got.groebner() == tree.groebner() == want
+    assert list(got.generators) == list(tree.generators)
+
+
+@pytest.mark.parametrize("X", [
+    PointSet(2, PrimeField(3), _projective_plane(3)),
+    random_general_points(8, 3, seed=1, field=PrimeField(3)),
+    random_general_points(20, 2, seed=1),
+    PointSet(2, RationalField(), COLLINEAR + [[1, 3, 0], [0, 0, 1]]),
+], ids=("P2-F3", "P3-F3-s8", "s20", "collinear5-Q"))
+def test_oracle_root_proves_its_series_from_the_artinian_sum(monkeypatch, X):
+    """With no F4, no Buchberger and no ideal sum, the oracle is still I_X:
+    the root meets nodes, whose sum is Artinian, and reads its target
+    series off the degrees it has met."""
+    import gradus.groebner as gb_module
+    want = vanishing_ideal(X).groebner()
+    for name in ("_f4", "buchberger", "ideal_sum"):
+        monkeypatch.setattr(gb_module, name, None)
+    assert vanishing_ideal_oracle(X).groebner() == want
