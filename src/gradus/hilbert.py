@@ -2,9 +2,10 @@
 
 All four are read from one Hilbert series. HS(R/I) = HS(R/in(I))
 (Macaulay), and the series of a monomial ideal M is K(t)/(1 - t)^nvars with
-K(M + (m)) = K(M) - t^deg m * K(M : m), a product of the (1 - t^deg m) once
-the generators are pairwise coprime (Bayer & Stillman, "Computation of
-Hilbert functions", JSC 1992; Bigatti, Comm. Algebra 1997). The series
+K(M) = K(M + (p)) + t^deg p * K(M : p) for a pivot p = x_v^k not in M, a
+product of the (1 - t^deg m) once the generators are pairwise coprime
+(Bayer & Stillman, "Computation of Hilbert functions", JSC 1992; Bigatti,
+"Computation of Hilbert-Poincare series", JPAA 119, 1997). The series
 proves the Hilbert polynomial and the degree it holds from for every ideal,
 so both are always returned.
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import comb
+from operator import le
 
 import numpy as np
 
@@ -131,19 +133,35 @@ def _minus(a: list[int], b: list[int]) -> list[int]:
 
 
 def _numerator(leads: list[Exponents]) -> list[int]:
-    """K(t) with HS(k[x]/(leads)) = K(t) / (1 - t)^nvars."""
+    """K(t) with HS(k[x]/(leads)) = K(t) / (1 - t)^nvars, for M the ideal
+    of the monomials `leads`.
+
+    Pairwise coprime minimal generators give the product of the
+    (1 - t^deg g). Otherwise M splits on a pivot p = x_v^k (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119, 1997): x_v is the
+    variable in the most minimal generators, and k the median exponent of
+    x_v among those that are not pure powers of x_v. The exact sequence
+    0 -> R/(M : p)(-k) -> R/M -> R/(M + p) -> 0 gives
+    K(M) = K(M + p) + t^k * K(M : p). x_v lies in two generators, at most
+    one of them a power x_v^a, and every other has its x_v-exponent below
+    a, so p is not in M: both sides are strictly larger monomial ideals,
+    and the recursion ends."""
     gens: list[Exponents] = []
     for e in sorted(set(leads), key=sum):  # the minimal generators
-        if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
+        if not any(all(map(le, g, e)) for g in gens):
             gens.append(e)
-    if not gens or all(sum(g[v] > 0 for g in gens) <= 1 for v in range(len(gens[0]))):
+    counts = [len(column) - column.count(0) for column in zip(*gens)] or [0]
+    v = counts.index(max(counts))
+    if counts[v] <= 1:
         K = [1]
         for g in gens:  # pairwise coprime: the product of the (1 - t^deg g)
             K = _minus(K, [0] * sum(g) + K)
         return K
-    m, rest = gens[-1], gens[:-1]
-    colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest]
-    return _minus(_numerator(rest), [0] * sum(m) + _numerator(colon))
+    exps = sorted(g[v] for g in gens if 0 < g[v] < sum(g))
+    k = exps[len(exps) // 2]
+    p = tuple(k if u == v else 0 for u in range(len(gens[0])))
+    colon = [g[:v] + (max(g[v] - k, 0),) + g[v + 1:] for g in gens]
+    return _minus(_numerator(gens + [p]), [0] * k + [-c for c in _numerator(colon)])
 
 
 def _reduced(K: list[int], nvars: int) -> tuple[tuple[int, ...], int]:

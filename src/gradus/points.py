@@ -28,12 +28,21 @@ x_v != 0 (Kreuzer & Robbiano, Computational Commutative Algebra 2, section
 6.3). When every coordinate vanishes at some point (all 13 points of
 P^2(F_3), say), each degree takes a rank of its own.
 
-The vanishing ideal comes from evaluation-matrix kernels. An independent
-oracle builds each single-point ideal in closed form instead, x_k minus
-(p_k / p_l) * x_l for k != l and l the last index with p_l != 0, with its
-reduced basis and its Hilbert series 1/(1 - t) preset, and meets them in
-a balanced tree, so that no meet below the root carries more than half of
-the points. Its meets are linear algebra in k[x], which read a leaf only
+The vanishing ideal comes from evaluation-matrix kernels, and so does its
+reduced basis, with no F4 (Abbott, Bigatti, Kreuzer & Robbiano, JSC 30,
+2000). The kernel block K_d spans (I_X)_d, so its RREF with the columns
+descending has the leads in(I_X)_d as pivots and rows m - NF(m); those
+whose lead no lower lead divides are the basis elements of degree d. The
+blocks stop once those leads have the series Delta HF_X / (1 - t), which
+proves the basis: in(G) = in(I_X) with G in the span of the generators.
+With a point on x_n = 0 the stop can pass delta_X + 1; there a block is
+the x_v times the block below, whose rank proves (F)_d = (I_X)_d.
+
+An independent oracle builds each single-point ideal in closed form
+instead, x_k minus (p_k / p_l) * x_l for k != l and l the last index with
+p_l != 0, with its reduced basis and its Hilbert series 1/(1 - t) preset,
+and meets them in a balanced tree, so that no meet below the root carries
+more than half of the points. Its meets are linear algebra in k[x], which read a leaf only
 through the complement of its degree-d part: the normal form modulo the
 point ideal, the one row (c^m)_m for c = p / p_l, read off the ideal's
 reduced basis. Below the root a node keeps only its parts, whose rows
@@ -60,11 +69,12 @@ import numpy as np
 
 from .errors import GeneralPositionError, GradusError, ParseError, VerificationError
 from .field import (
-    DEFAULT_PRIME, Field, PrimeField, _kernel, field_from_string, rank, rank_profile,
+    DEFAULT_PRIME, Field, PrimeField, _echelon, _kernel, _matrix, _zeros, field_from_string, rank,
+    rank_profile,
 )
-from .groebner import Ideal, _columns, _series_meet, ideal_intersection
-from .hilbert import SocleReport, hilbert_series
-from .ring import Poly, RingSpec, expect_json, json_key, monomials_of_degree
+from .groebner import Ideal, _columns, _series_meet, _shift, _unit, ideal_intersection
+from .hilbert import SocleReport, _numerator, _reduced
+from .ring import Poly, RingSpec, expect_json, json_key
 
 
 def normalize_point(field: Field, coords) -> tuple:
@@ -90,9 +100,19 @@ class PointSet:
     __slots__ = ("n", "field", "points", "seed", "_arrays", "_ranks", "_ring")
 
     def __init__(self, n: int, field: Field, points, seed: int | None = None):
+        self._set(n, field, [normalize_point(field, p) for p in points], seed)
+
+    @classmethod
+    def _normalised(cls, n: int, field: Field, pts: list[tuple], seed: int | None) -> "PointSet":
+        """The set of points that are already normalised (the sampler's),
+        with every check of the constructor but the normalisation."""
+        X = cls.__new__(cls)
+        X._set(n, field, pts, seed)
+        return X
+
+    def _set(self, n: int, field: Field, pts: list[tuple], seed: int | None) -> None:
         self.n = n
         self.field = field
-        pts = [normalize_point(field, p) for p in points]
         if not pts:
             raise ValueError("need at least one point")
         if len(set(pts)) != len(pts):
@@ -277,7 +297,7 @@ def random_general_points(s: int, n: int, seed: int,
             pts.add(p)
         if len(pts) < s:
             continue
-        X = PointSet(n, field, sorted(pts), seed=seed)
+        X = PointSet._normalised(n, field, sorted(pts), seed)
         if X.is_general_position():
             return X
     raise GeneralPositionError(
@@ -300,30 +320,99 @@ def evaluation_matrix(X: PointSet, d: int) -> list[list]:
     return X.evaluation_array(d).tolist()
 
 
-def _kernel_polys(X: PointSet, d: int) -> list[Poly]:
+def _form(ring: RingSpec, monos: tuple, row: np.ndarray) -> Poly:
+    """The form with coefficient row[j] on monos[j], read off the row's
+    non-zero entries."""
+    nz = np.flatnonzero(row)
+    return Poly._nonzero(ring, dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist())))
+
+
+def _kernel_polys(X: PointSet, d: int) -> list[tuple[Poly, np.ndarray]]:
+    """The kernel of ev_d, (I_X)_d, in ascending reduced echelon form
+    (`field._kernel`), each row with its form."""
     ring = X.ring()
-    monos = monomials_of_degree(X.n + 1, d, ring.order)
-    vecs = _kernel(X.field, X.evaluation_array(d), len(monos))[0].tolist()
-    return [Poly(ring, dict(zip(monos, v))) for v in vecs]
+    monos = _columns(X.n + 1, ring.order, d)[0]
+    return [(_form(ring, monos, row), row)
+            for row in _kernel(X.field, X.evaluation_array(d), len(monos))[0]]
 
 
 def vanishing_ideal(X: PointSet) -> Ideal:
-    """I_X from evaluation kernels in degrees <= delta_X + 1 = reg(I_X), then
-    proven: the kernels span I_d within (I_X)_d, so equal Hilbert series,
-    h = Delta HF_X with dim 1, give I = I_X in every degree. A kernel is
-    taken in every degree where HF_X(d) < C(n+d, n), so points off general
-    position (collinear ones, say) get their low-degree generators too. Each
-    call builds it afresh; X does not keep it."""
+    """I_X, generated by the evaluation kernels F_d = ker ev_d in the degrees
+    d <= delta_X + 1 = reg(I_X) where HF_X(d) < C(n+d, n), so points off
+    general position (collinear ones, say) get their low-degree generators
+    too; with its reduced basis G and its Hilbert series preset, so no F4
+    runs. Each call builds it afresh; X does not keep it.
+
+    G comes degree by degree from blocks of rows spanning (F)_d (Abbott,
+    Bigatti, Kreuzer & Robbiano, JSC 30, 2000): F_d itself up to
+    delta_X + 1, and above it the x_v times the block below, as F has no
+    generator there. A block lies in (I_X)_d, so once its rank is
+    dim (I_X)_d = C(n+d, n) - HF_X(d) (VerificationError otherwise) it
+    spans (F)_d = (I_X)_d, and its RREF with the columns descending has the
+    leads in(I_X)_d as pivots, each row m - NF(m) with a standard tail. The
+    rows whose lead no lead of lower degree divides are G's elements of
+    degree d. The loop stops once those leads have the series
+    HS(R/I_X) = Delta HF_X / (1 - t): then in(G) = in(I_X), and G, in (F),
+    is the reduced basis of I_X, so (F) = I_X. The stop can pass
+    delta_X + 1 when a point lies on x_n = 0 (so on every set with no
+    chart). It gives up after degree s: by Gotzmann's persistence theorem
+    the leads of degree <= s (>= delta_X) already have the constant
+    Hilbert function s from there on, so no lead of G has a higher
+    degree."""
     delta = X.delta()
     hf = [X.rank_at(d) for d in range(delta + 1)]  # HF_X, and s from delta_X on
+    series = (tuple(a - b for a, b in zip(hf, [0] + hf)), 1)
+    ring, n = X.ring(), X.n
     gens: list[Poly] = []
-    for d in range(1, delta + 2):
-        if hf[min(d, delta)] < comb(X.n + d, X.n):
-            gens.extend(_kernel_polys(X, d))
-    I = Ideal(X.ring(), gens)
-    if hilbert_series(I) != (tuple(a - b for a, b in zip(hf, [0] + hf)), 1):
-        raise VerificationError("vanishing ideal's Hilbert series is not the points'; this is a bug")
+    basis: list[Poly] = []
+    leads: list[tuple] = []
+    for d in range(1, max(delta + 1, X.s) + 1):
+        dim = comb(n + d, n) - hf[min(d, delta)]  # dim (I_X)_d
+        if d > delta + 1:
+            K = _times_variables(ring, K, d - 1)
+        elif dim:
+            block = _kernel_polys(X, d)
+            gens += [g for g, _ in block]
+            K = [row for _, row in block]
+        if dim:
+            K = _block_basis(ring, K, d, dim, leads, basis)
+        if d > delta and _reduced(_numerator(leads), n + 1) == series:
+            break
+    else:
+        raise VerificationError("vanishing ideal: the block leads miss the points' Hilbert "
+                                "series; this is a bug")
+    I = Ideal(ring, gens, check=False)
+    I._gb[ring.order.name()] = basis
+    I._series = series
     return I
+
+
+def _block_basis(ring: RingSpec, K, d: int, dim: int, leads: list, basis: list) -> np.ndarray:
+    """The RREF rows of a block K of rows (a list or an array) in (I_X)_d,
+    its columns descending, whose rank must be dim (I_X)_d = `dim`. Appends
+    to `leads` and `basis`, which hold the leads and the elements of I_X's
+    reduced basis in lower degrees, those of degree d, ascending: the RREF
+    rows whose lead no lower lead divides."""
+    monos, M, _ = _columns(ring.nvars, ring.order, d)
+    R, pivots = _echelon(_matrix(ring.field, K, len(monos)), ring.field)
+    if len(pivots) != dim:
+        raise VerificationError(f"vanishing ideal: a block of degree {d} has rank {len(pivots)}, "
+                                f"not dim (I_X)_{d} = {dim}; this is a bug")
+    low = np.array(leads, dtype=np.int64).reshape(len(leads), ring.nvars)
+    new = np.flatnonzero(~(low <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
+    leads += [monos[pivots[r]] for r in new]
+    basis += [_form(ring, monos, R[r]) for r in reversed(new)]
+    return R[:dim]
+
+
+def _times_variables(ring: RingSpec, K: np.ndarray, d: int) -> np.ndarray:
+    """The rows x_v * k, for every variable x_v and row k of K, over the
+    degree-d monomials, as rows over those of degree d + 1."""
+    nvars = ring.nvars
+    out = _zeros(ring.field, nvars * len(K), comb(nvars + d, d + 1))
+    for v in range(nvars):
+        out[v * len(K):(v + 1) * len(K), _shift(nvars, ring.order, d, _unit(nvars, v))] = K
+    return out
 
 
 def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:

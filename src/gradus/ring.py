@@ -243,6 +243,15 @@ class Poly:
         f = ring.field
         self.terms = {e: c for e, c in terms.items() if not f.is_zero(c)}
 
+    @classmethod
+    def _nonzero(cls, ring: RingSpec, terms: dict) -> "Poly":
+        """The polynomial of `terms`, whose coefficients are already
+        canonical and non-zero (read off an array's non-zero entries), kept
+        as given with no test per term."""
+        g = cls.__new__(cls)
+        g.ring, g.terms = ring, terms
+        return g
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -461,3 +461,22 @@ def test_hilbert_prints_the_polynomial_however_late_it_holds(tmp_path, capsys):
     code, out, _ = run(capsys, "hilbert", "--ideal", str(src))
     assert code == 0
     assert '"polynomial": "42"' in out and '"stable_from": 41' in out
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=("plain", "oracle"))
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_ideal_of_points_runs_no_f4(capsys, monkeypatch, tmp_path, oracle, field):
+    """`gradus ideal --points` reads its basis off the kernel blocks (and
+    the oracle off its meets): F4 runs only for `--gens`."""
+    import gradus.groebner
+    calls = []
+    plain = gradus.groebner._f4
+    monkeypatch.setattr(gradus.groebner, "_f4", lambda *a: calls.append(a) or plain(*a))
+    pts = tmp_path / "pts.json"
+    run(capsys, "points", "--s", "12", "--n", "3", "--seed", "5", "--field", field,
+        "--out", str(pts))
+    code, out, _ = run(capsys, "ideal", "--points", str(pts), *oracle)
+    assert code == 0 and json.loads(out)["groebner"]
+    assert not calls
+    run(capsys, "ideal", "--gens", "x0^2-x1*x2", "x1^2", "--nvars", "3")
+    assert len(calls) == 1

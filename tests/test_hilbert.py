@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from gradus.experiments import reference_J
 from gradus.field import field_from_string
 from gradus.groebner import Ideal, ideal_sum, leading_term_ideal
 from gradus.hilbert import (
+    _minus,
+    _numerator,
+    _reduced,
+    _times_one_minus_t,
     delta_X,
     hilbert_function,
     hilbert_polynomial,
@@ -207,3 +212,65 @@ def test_unit_ideal_is_artinian_zero_ring():
     U = Ideal(R, [R.one()], check=False)
     assert is_artinian(U)
     assert hilbert_values(U, 2) == [0, 0, 0]
+
+
+def _last_generator_split(leads):
+    """The numerator by the textbook split on the last minimal generator m,
+    K(M) = K(M') - t^deg m * K(M' : m) for M = M' + (m), kept here as the
+    reference for the pivot split."""
+    gens = []
+    for e in sorted(set(leads), key=sum):
+        if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
+            gens.append(e)
+    if not gens or all(sum(g[v] > 0 for g in gens) <= 1 for v in range(len(gens[0]))):
+        K = [1]
+        for g in gens:
+            K = _minus(K, [0] * sum(g) + K)
+        return K
+    m, rest = gens[-1], gens[:-1]
+    colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest]
+    return _minus(_last_generator_split(rest), [0] * sum(m) + _last_generator_split(colon))
+
+
+def _trimmed(K):
+    K = list(K)
+    while len(K) > 1 and K[-1] == 0:
+        K.pop()
+    return K
+
+
+def _counted_numerator(gens, nvars):
+    """K(t) from a count of the standard monomials of each degree up to the
+    degree of the lcm of the generators, which bounds deg K (the Taylor
+    resolution), so the count through it proves K."""
+    top = sum(max((g[v] for g in gens), default=0) for v in range(nvars))
+    G = np.array(gens, dtype=np.int64).reshape(len(gens), nvars)
+    counts = []
+    for d in range(top + 1):
+        monos = np.array(monomials_of_degree(nvars, d), dtype=np.int64).reshape(-1, nvars)
+        counts.append(int((~(G <= monos[:, None]).all(axis=2).any(axis=1)).sum()))
+    return _trimmed(_times_one_minus_t(counts, nvars)[:top + 1])
+
+
+def test_numerator_pivot_split_matches_a_count_and_the_last_generator_split():
+    rng = random.Random(27)
+    for _ in range(320):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(rng.randint(0, 7))]
+        K = _trimmed(_numerator(gens))
+        assert K == _counted_numerator(gens, nvars), gens
+        assert K == _trimmed(_last_generator_split(gens)), gens
+
+
+@pytest.mark.parametrize("gens", [
+    [(1000, 0), (0, 1000), (500, 500)],
+    [(10**6, 0), (0, 10**6), (5, 5)],
+], ids=("x^1000", "x^10^6"))
+def test_numerator_pivot_split_finishes_on_high_pure_powers(gens):
+    K = _trimmed(_numerator(gens))
+    assert K == _trimmed(_last_generator_split(gens))
+    # (x^a, y^a, x^b * y^b) is Artinian, its standard monomials those of the
+    # a x a square but its (a - b) x (a - b) corner
+    a, b = gens[0][0], gens[2][0]
+    h, dim = _reduced(K, 2)
+    assert dim == 0 and sum(h) == a * a - (a - b) ** 2

@@ -559,3 +559,114 @@ def test_oracle_root_proves_its_series_from_the_artinian_sum(monkeypatch, X):
     for name in ("_f4", "buchberger", "ideal_sum"):
         monkeypatch.setattr(gb_module, name, None)
     assert vanishing_ideal_oracle(X).groebner() == want
+
+
+# five points of P^2 with a chart, x_1, but one point on x_2 = 0: the
+# reduced basis has an element of degree 4 > delta_X + 1 = 3
+PAST_DELTA = [[1, 2, 0], [1, 5, 7], [0, 1, 3], [1, 1, 1], [2, 3, 5]]
+
+
+def _block_basis_sets():
+    """(id, X) for the block-basis property test: general sets in P^2 and
+    P^3 over F_32003, F_(2^31 - 1) and Q, and off general position the
+    collinear sets and PAST_DELTA; over F_3, sets drawn from the plane, the
+    collinear set with one more point, all 13 points of P^2(F_3), and 8
+    points of P^3(F_3) with no chart."""
+    for fld in (F, PrimeField(2**31 - 1), RationalField()):
+        for n, s in ((2, 1), (2, 6), (2, 12), (3, 5), (3, 14)):
+            yield f"{fld.spec_string()}-P{n}-s{s}", random_general_points(s, n, seed=s, field=fld)
+        for extra in ([], [[1, 3, 0], [0, 0, 1]]):
+            yield f"{fld.spec_string()}-collinear{3 + len(extra)}", PointSet(2, fld, COLLINEAR + extra)
+        yield f"{fld.spec_string()}-past-delta", PointSet(2, fld, PAST_DELTA)
+    f3 = PrimeField(3)
+    plane = _projective_plane(3)
+    for s in (2, 4, 7, 10):
+        yield f"3-s{s}", PointSet(2, f3, random.Random(s).sample(plane, s))
+    yield "3-collinear4", PointSet(2, f3, COLLINEAR + [[0, 0, 1]])
+    yield "3-P2-all", PointSet(2, f3, plane)
+    yield "3-P3-s8", random_general_points(8, 3, seed=1, field=f3)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _block_basis_sets()])
+def test_vanishing_ideal_presets_the_reduced_basis_of_its_kernel_blocks(monkeypatch, X):
+    """The basis read off the kernel blocks, with no F4 and no Buchberger,
+    is the one F4 builds from the generators, term by term in order, and
+    the preset series is the one its leads give."""
+    import gradus.groebner
+    with monkeypatch.context() as m:
+        for name in ("_f4", "buchberger"):
+            m.setattr(gradus.groebner, name, _no_call)
+        I = vanishing_ideal(X)
+        got = I.groebner()
+    F4 = Ideal(X.ring(), I.generators)
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in F4.groebner()]
+    assert hilbert_series(I) == hilbert_series(F4)
+    if X.n == 3 and X.field == PrimeField(3):
+        assert X.chart() is None
+
+
+@pytest.mark.parametrize("fld", [F, RationalField()], ids=lambda f: f.spec_string())
+def test_block_basis_stop_passes_delta_plus_one(fld):
+    """With a point on x_2 = 0 the stop goes past delta_X + 1, where the
+    block is the x_v times the block below, whose rank proves
+    (F)_d = (I_X)_d, and the basis is still F4's."""
+    X = PointSet(2, fld, PAST_DELTA)
+    assert X.chart() == 1
+    I = vanishing_ideal(X)
+    assert max(g.degree() for g in I.groebner()) == X.delta() + 2 == 4
+    assert max(g.degree() for g in I.generators) == X.delta() + 1
+    assert I.groebner() == Ideal(X.ring(), I.generators).groebner()
+
+
+def _cut_rows_of(monkeypatch, name: str, size: int, cut):
+    """Patch gradus.points.<name>, `_kernel` or `_times_variables`, to
+    return only cut(rows) of the rows it makes on `size` columns."""
+    plain = getattr(gradus.points, name)
+
+    def short(*args):
+        got = plain(*args)
+        rows = got[0] if name == "_kernel" else got
+        if rows.shape[1] != size:
+            return got
+        return (cut(rows),) + got[1:] if name == "_kernel" else cut(rows)
+    monkeypatch.setattr(gradus.points, name, short)
+
+
+@pytest.mark.parametrize("name, degree, cut", [
+    ("_kernel", 2, lambda K: K[1:]),  # the generator block at delta_X, one row
+    ("_kernel", 3, lambda K: K[1:]),  # the generator block at delta_X + 1
+    ("_times_variables", 4, lambda B: B[:len(B) // 3]),  # x_0 times the block of degree 3 only
+], ids=("block-at-delta", "block-at-delta+1", "multiples-past-delta+1"))
+def test_vanishing_ideal_rejects_a_block_short_of_rows(monkeypatch, name, degree, cut):
+    X = PointSet(2, F, PAST_DELTA)
+    _cut_rows_of(monkeypatch, name, comb(2 + degree, 2), cut)
+    with pytest.raises(VerificationError, match="this is a bug"):
+        vanishing_ideal(X)
+
+
+@pytest.mark.parametrize("fld", [F, RationalField()], ids=lambda f: f.spec_string())
+def test_sampler_skips_only_the_normalisation(monkeypatch, fld):
+    """The sampler's points are already normalised, so its set takes no
+    `normalize_point`, and equals the set the public constructor makes of
+    them; the private path still refuses a repeated point."""
+    with monkeypatch.context() as m:
+        m.setattr(gradus.points, "normalize_point", _no_call)
+        X = random_general_points(9, 2, seed=4, field=fld)
+    assert X == PointSet(2, fld, X.points, X.seed) and X.seed == 4
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointSet._normalised(2, fld, [X.points[0], X.points[0]], None)
+
+
+def test_vanishing_ideal_gives_up_by_degree_s(monkeypatch):
+    """The leads of I_X's reduced basis have degree <= s (Gotzmann's
+    persistence), so a series that never matches raises by then."""
+    checks = []
+    monkeypatch.setattr(gradus.points, "_numerator", lambda leads: checks.append(leads) or [0])
+    X = random_general_points(6, 2, seed=1)
+    with pytest.raises(VerificationError, match="miss the points' Hilbert series"):
+        vanishing_ideal(X)
+    assert len(checks) == X.s - X.delta()  # one check in each degree from delta_X + 1 to s
