@@ -113,7 +113,7 @@ def _section(I: Ideal) -> Ideal | None:
     In grevlex, x_last is a non-zero divisor on R/I iff no lead of the
     reduced GB involves it (Bayer-Stillman), and then setting x_last = 0 in
     that GB keeps every lead and gives the reduced GB of the section, which
-    is preset so no Buchberger runs.
+    is preset so no F4 runs.
     """
     ring = I.ring
     if ring.order.kind != GREVLEX or ring.nvars < 2:
@@ -123,9 +123,7 @@ def _section(I: Ideal) -> Ideal | None:
     sub = RingSpec(ring.nvars - 1, ring.field, ring.order)
     gb = [Poly(sub, {e[:-1]: c for e, c in g.terms.items() if not e[-1]})
           for g in I.groebner()]
-    J = Ideal(sub, gb, check=False)
-    J._gb[sub.order.name()] = gb
-    return J
+    return Ideal._preset(sub, gb, gb)
 
 
 def _certified(I: Ideal) -> tuple[Ideal, BettiCertificate]:

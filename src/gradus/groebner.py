@@ -27,9 +27,10 @@ Every selected S-polynomial then lies in the span of rows with distinct
 leads, each a monomial times a basis element, so it has a standard
 representation, which is Buchberger's criterion. The output is already
 the reduced basis: no later lead divides a monomial of lower degree, so
-`Ideal.groebner` only sorts it by lead. Non-homogeneous generators go to
-Buchberger, which takes one pair at a time from the same queue, and then
-to `reduce_basis`.
+`Ideal.groebner` only sorts it by lead. Each ideal has that one basis, in
+its ring's order, made once. Buchberger, which takes one pair at a time
+from the same queue, and `reduce_basis` are the reference F4 is tested
+against; no ideal's basis comes from them.
 
 Over Q the loop creates no Fraction. The rows are primitive vectors of
 Python ints (`gradus.field.integer_rows`), each basis element is kept as
@@ -98,8 +99,10 @@ of R/I and R/J, with non-negative coefficients and dimension at most
 min(dim R/I, dim R/J): before that, G is incomplete whatever
 HS(R/(I+J)) is. Once the series is known, every dim (I ∩ J)_d is
 checked against it. The generators of I ∩ J are its reduced grevlex
-basis, whatever the ring's order, and the result keeps that basis, its
-parts and the series for the next intersection.
+basis, whatever the ring's order, and the result keeps its parts and the
+series for the next intersection, and that basis as its own when the
+ring's order is grevlex; in any other order its basis is made by F4 from
+those generators on first use.
 
 A list of ideals (the colons (I : g) of `ideal_quotient`) is intersected
 in a balanced tree (`_intersect_all`), as in a subproduct tree (von zur
@@ -161,15 +164,16 @@ def _heap_key(order: TermOrder):
     return lambda e: tuple(map(neg, e))
 
 
-def _nf_terms(terms: dict, basis: list, order: TermOrder, field, quotients=None):
-    """Normal form of a term dict against basis = [(lead_exps, terms_dict), ...].
+def _nf_terms(terms: dict, basis: list, ring: RingSpec, quotients=None):
+    """Normal form of a term dict of `ring` against basis = [(lead_exps, terms_dict), ...].
 
-    Basis polynomials must be monic with `lead_exps` maximal under `order`.
-    If `quotients` is a list of dicts it accumulates the cofactors. The
+    Basis polynomials must be monic with `lead_exps` maximal in the ring's
+    order. If `quotients` is a list of dicts it accumulates the cofactors. The
     remainder's keys come out in descending order, so its first key is its
     lead. Over F_p the working coefficients are left unreduced until popped.
     """
-    key = _heap_key(order)
+    field = ring.field
+    key = _heap_key(ring.order)
     p = field.p if field.kind == "prime" else 0
     leads = [lead for lead, _ in basis]
     work = dict(terms)
@@ -206,32 +210,30 @@ def _nf_terms(terms: dict, basis: list, order: TermOrder, field, quotients=None)
     return remainder
 
 
-def normal_form(f: Poly, G: list[Poly], order: TermOrder | None = None,
-                with_quotients: bool = False):
-    """Remainder of f on division by G; no remainder term is divisible by a
-    lead of G and f - remainder lies in (G)."""
-    order = order or f.ring.order
+def normal_form(f: Poly, G: list[Poly], with_quotients: bool = False):
+    """Remainder of f on division by G in the ring's order; no remainder
+    term is divisible by a lead of G and f - remainder lies in (G)."""
     field = f.ring.field
     live = [g for g in G if not g.is_zero()]
     if not live:
         return (f, []) if with_quotients else f
-    monic = [g.monic(order) for g in live]
-    basis = [(g.leading(order)[0], g.terms) for g in monic]
+    monic = [g.monic() for g in live]
+    basis = [(g.leading()[0], g.terms) for g in monic]
     quotients = [{} for _ in monic] if with_quotients else None
-    rem = _nf_terms(f.terms, basis, order, field, quotients)
+    rem = _nf_terms(f.terms, basis, f.ring, quotients)
     r = Poly(f.ring, rem)
     if not with_quotients:
         return r
     # cofactors are against the monic basis; rescale back to the given G
     qs = []
     for g, mono_g, qd in zip(live, monic, quotients):
-        _, lc = g.leading(order)
+        _, lc = g.leading()
         scale = field.inv(lc)
         qs.append(Poly(f.ring, {e: field.mul(c, scale) for e, c in qd.items()}))
     return r, qs
 
 
-def _spoly_terms(gi, gj, order, field):
+def _spoly_terms(gi, gj, field):
     """S-polynomial term dict for monic gi, gj given as (lead, terms)."""
     li, ti = gi
     lj, tj = gj
@@ -247,13 +249,9 @@ def _spoly_terms(gi, gj, order, field):
     return out
 
 
-def s_polynomial(f: Poly, g: Poly, order: TermOrder | None = None) -> Poly:
-    order = order or f.ring.order
-    field = f.ring.field
-    fm, gm = f.monic(order), g.monic(order)
-    terms = _spoly_terms(
-        (fm.leading(order)[0], fm.terms), (gm.leading(order)[0], gm.terms), order, field
-    )
+def s_polynomial(f: Poly, g: Poly) -> Poly:
+    fm, gm = f.monic(), g.monic()
+    terms = _spoly_terms((fm.leading()[0], fm.terms), (gm.leading()[0], gm.terms), f.ring.field)
     return Poly(f.ring, terms)
 
 
@@ -303,24 +301,24 @@ class _PairQueue:
         return None
 
 
-def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
-    """A (non-reduced) Groebner basis, one S-pair at a time from the pair
-    queue, so with normal selection and the coprime and chain criteria."""
+def buchberger(gens: list[Poly]) -> list[Poly]:
+    """A (non-reduced) Groebner basis in the ring's order, one S-pair at a
+    time from the pair queue, so with normal selection and the coprime and
+    chain criteria: the reference the tests hold F4 to."""
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return []
     ring = live[0].ring
-    order = order or ring.order
     field = ring.field
-    G = [g.monic(order) for g in live]
-    basis = [(g.leading(order)[0], g.terms) for g in G]
-    pairs = _PairQueue(order)
+    G = [g.monic() for g in live]
+    basis = [(g.leading()[0], g.terms) for g in G]
+    pairs = _PairQueue(ring.order)
     for lead, _ in basis:
         pairs.add(lead)
     while (pair := pairs.pop()) is not None:
         i, j, _ = pair
-        s_terms = _spoly_terms(basis[i], basis[j], order, field)
-        rem = _nf_terms(s_terms, basis, order, field)
+        s_terms = _spoly_terms(basis[i], basis[j], field)
+        rem = _nf_terms(s_terms, basis, ring)
         if not rem:
             continue
         lead = next(iter(rem))  # the remainder comes out in descending order
@@ -332,13 +330,13 @@ def buchberger(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     return G
 
 
-def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
-    """The unique reduced Groebner basis equivalent to the given basis G."""
+def reduce_basis(G: list[Poly]) -> list[Poly]:
+    """The unique reduced Groebner basis, in the ring's order, equivalent
+    to the given basis G."""
     if not G:
         return []
     ring = G[0].ring
-    order = order or ring.order
-    field = ring.field
+    order, field = ring.order, ring.field
     one = field.one
     by_lead = []
     for g in G:
@@ -363,7 +361,7 @@ def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
             reduced.append(Poly(ring, terms))  # no lead divides a tail term
             continue
         # canonical form: lead minus the normal form of the lead monomial
-        rem = _nf_terms({lead: one}, kept, order, field)
+        rem = _nf_terms({lead: one}, kept, ring)
         terms = {lead: one}
         for e, c in rem.items():
             terms[e] = field.neg(c)
@@ -371,8 +369,8 @@ def reduce_basis(G: list[Poly], order: TermOrder | None = None) -> list[Poly]:
     return reduced
 
 
-def reduced_groebner_from_gens(gens: list[Poly], order: TermOrder | None = None) -> list[Poly]:
-    return reduce_basis(buchberger(gens, order), order)
+def reduced_groebner_from_gens(gens: list[Poly]) -> list[Poly]:
+    return reduce_basis(buchberger(gens))
 
 
 def _frozen(A: np.ndarray) -> np.ndarray:
@@ -398,12 +396,13 @@ def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
                             dtype=np.intp))
 
 
-def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
-    """The reduced Groebner basis of the ideal of the homogeneous forms
-    `gens`, one degree at a time (module docstring), in order of discovery.
-    Each element is monic and lists its terms in descending order, and no
-    lead divides another lead or a tail term."""
-    field, nvars = ring.field, ring.nvars
+def _f4(ring: RingSpec, gens: list[Poly]) -> list[Poly]:
+    """The reduced Groebner basis in the ring's order of the ideal of the
+    non-zero homogeneous forms `gens`, one degree at a time (module
+    docstring), in order of discovery. Each element is monic and lists its
+    terms in descending order, and no lead divides another lead or a tail
+    term."""
+    field, nvars, order = ring.field, ring.nvars, ring.order
     exact = field.kind == "rational"
     by_degree: dict[int, list[Poly]] = {}
     for g in gens:
@@ -475,12 +474,12 @@ def _f4(ring: RingSpec, gens: list[Poly], order: TermOrder) -> list[Poly]:
 
 
 class Ideal:
-    """Homogeneous ideal: generator list plus cached reduced Groebner bases,
-    one per term order actually used, each with its prepared form, the
-    graded quotient R/I built on first use, the Hilbert series once known,
-    and what intersections read of I_d^⊥ (`_complement`) beyond the
-    quotient's normal forms: the closed-form rows of a point ideal, or the
-    parts of an intersection result."""
+    """Homogeneous ideal: generator list plus, each built on first use, its
+    one reduced Groebner basis, in the ring's order, that basis's prepared
+    form and the graded quotient R/I; the Hilbert series once known; and
+    what intersections read of I_d^⊥ (`_complement`) beyond the quotient's
+    normal forms: the closed-form rows of a point ideal, or the parts of an
+    intersection result."""
 
     __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient",
                  "_point_rows", "_parts", "_series")
@@ -497,42 +496,37 @@ class Ideal:
                     raise ValueError(f"non-homogeneous generator: {poly_to_str(g)}")
         self.ring = ring
         self.generators = gens
-        self._gb: dict[str, list[Poly]] = {}
-        self._prepared: dict[str, list] = {}
+        self._gb: list[Poly] | None = None  # the reduced basis, ascending by lead
+        self._prepared: list | None = None
         self._quotient = None  # the GradedQuotient, also a generic operand's complements
         self._point_rows: dict[int, np.ndarray] = {}  # d -> the row of a point ideal, from 0 up
         self._parts: tuple = ()  # an intersection result's: the ideals it is the meet of
         self._series = None  # HS(R/I) as (h, dim), set by hilbert_series or an intersection
 
-    def groebner(self, order: TermOrder | None = None) -> list[Poly]:
-        order = order or self.ring.order
-        key = order.name()
-        gb = self._gb.get(key)
-        if gb is None:
-            gb = self._compute_groebner(order)
-            self._gb[key] = gb
-        return gb
+    @classmethod
+    def _preset(cls, ring: RingSpec, gens, basis: list[Poly] | None, series=None) -> "Ideal":
+        """The ideal of `gens` with what its maker has proven preset: its
+        reduced basis in the ring's order, ascending by lead, unless None,
+        and its Hilbert series, unless None."""
+        I = cls(ring, gens, check=False)
+        I._gb, I._series = basis, series
+        return I
 
-    def _compute_groebner(self, order: TermOrder) -> list[Poly]:
-        """The F4 degree loop on homogeneous generators, its reduced basis
-        sorted by lead, ascending; Buchberger then `reduce_basis` on any
-        others."""
-        gens = [g for g in self.generators if not g.is_zero()]
-        if not gens or not all(g.is_homogeneous() for g in gens):
-            return reduced_groebner_from_gens(gens, order)
-        key = order.key
-        return sorted(_f4(self.ring, gens, order), key=lambda g: key(next(iter(g.terms))))
+    def groebner(self) -> list[Poly]:
+        """The reduced basis in the ring's order, ascending by lead: the F4
+        degree loop on the non-zero generators, run once."""
+        if self._gb is None:
+            key = self.ring.order.key
+            gens = [g for g in self.generators if not g.is_zero()]
+            self._gb = sorted(_f4(self.ring, gens), key=lambda g: key(next(iter(g.terms))))
+        return self._gb
 
-    def prepared(self, order: TermOrder | None = None) -> list:
+    def prepared(self) -> list:
         """The reduced GB as [(lead_exps, terms_dict), ...], the form
         `_nf_terms` divides by; the reduced GB is already monic."""
-        order = order or self.ring.order
-        key = order.name()
-        got = self._prepared.get(key)
-        if got is None:
-            got = [(g.leading(order)[0], g.terms) for g in self.groebner(order)]
-            self._prepared[key] = got
-        return got
+        if self._prepared is None:
+            self._prepared = [(g.leading()[0], g.terms) for g in self.groebner()]
+        return self._prepared
 
     def quotient(self):
         """The GradedQuotient R/I in the ring's order; it lives as long as I."""
@@ -541,17 +535,16 @@ class Ideal:
             self._quotient = GradedQuotient(self)
         return self._quotient
 
-    def leading_monomials(self, order: TermOrder | None = None) -> list[Exponents]:
-        return [lead for lead, _ in self.prepared(order)]
+    def leading_monomials(self) -> list[Exponents]:
+        return [lead for lead, _ in self.prepared()]
 
-    def contains(self, f: Poly, order: TermOrder | None = None) -> bool:
+    def contains(self, f: Poly) -> bool:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         if f.is_zero():
             return True
-        order = order or self.ring.order
-        basis = self.prepared(order)
-        return bool(basis) and not _nf_terms(f.terms, basis, order, self.ring.field)
+        basis = self.prepared()
+        return bool(basis) and not _nf_terms(f.terms, basis, self.ring)
 
     def min_generator_degree(self) -> int:
         """Smallest degree among reduced-GB elements (the initial degree)."""
@@ -586,8 +579,8 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-def reduced_groebner(I: Ideal, order: TermOrder | None = None) -> list[Poly]:
-    return I.groebner(order)
+def reduced_groebner(I: Ideal) -> list[Poly]:
+    return I.groebner()
 
 
 def ideal_membership(f: Poly, I: Ideal) -> bool:
@@ -685,11 +678,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     HS(R/I) + HS(R/J) - HS(R/(I+J)), which proves them the leads of I ∩ J
     (module docstring); every dimension of (I ∩ J)_d must match that
     series, else VerificationError. The generators are the reduced grevlex
-    basis, ascending by lead; the result keeps its parts, whose
-    complements stack to its own, and the series for the next
-    intersection. dim I_d and dim J_d, the initial degrees and whether an
-    operand is 0 come from the operands' series, so either may also be a
-    node of the points oracle (`_series_meet`), whose sums are Artinian."""
+    basis, ascending by lead, also the result's basis in a grevlex ring;
+    the result keeps its parts, whose complements stack to its own, and
+    the series for the next intersection. dim I_d and dim J_d, the
+    initial degrees and whether an operand is 0 come from the operands'
+    series, so either may also be a node of the points oracle
+    (`_series_meet`), whose sums are Artinian."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -751,10 +745,10 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
                 _reduced(numerator(leads.tolist()), nvars) == _reduced(target, nvars):
             break
         d += 1
-    result = Ideal(ring, found, check=False)
+    # the meet's columns are grevlex, so `found` is the ring's basis only there
+    result = Ideal._preset(ring, found, found if ring.order == _GREVLEX else None,
+                           _reduced(target, nvars))
     result._parts = (I._parts or (I,)) + (J._parts or (J,))
-    result._gb[_GREVLEX.name()] = found
-    result._series = _reduced(target, nvars)
     return result
 
 
@@ -880,36 +874,21 @@ def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     return _intersect_all(colons)
 
 
-def leading_term_ideal(I: Ideal, order: TermOrder | None = None,
-                       source: str = "gb") -> Ideal:
-    """Monomial ideal of leading monomials, from the reduced GB or from the
-    generators as given."""
-    order = order or I.ring.order
-    if source == "gb":
-        polys = I.groebner(order)
-    elif source == "given_generators":
-        polys = list(I.generators)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    if not polys:
-        return Ideal(I.ring, [], check=False)
-    leads = sorted({g.leading(order)[0] for g in polys}, key=order.key)
-    minimal: list[Exponents] = []
-    for e in leads:
-        if not any(mono_divides(m, e) for m in minimal):
-            minimal.append(e)
-    field = I.ring.field
-    return Ideal(I.ring, [Poly(I.ring, {e: field.one}) for e in minimal], check=False)
+def leading_term_ideal(I: Ideal) -> Ideal:
+    """in(I) in the ring's order, generated by the leads of I's reduced
+    basis, ascending; they are its minimal generators."""
+    one = I.ring.field.one
+    return Ideal(I.ring, [Poly(I.ring, {e: one}) for e in I.leading_monomials()], check=False)
 
 
-def is_groebner_basis(G: list[Poly], order: TermOrder | None = None) -> bool:
-    """Buchberger certificate: every S-polynomial reduces to zero."""
+def is_groebner_basis(G: list[Poly]) -> bool:
+    """Buchberger certificate in the ring's order: every S-polynomial
+    reduces to zero."""
     live = [g for g in G if not g.is_zero()]
     if len(live) <= 1:
         return True
-    order = order or live[0].ring.order
     for j in range(len(live)):
         for i in range(j):
-            if not normal_form(s_polynomial(live[i], live[j], order), live, order).is_zero():
+            if not normal_form(s_polynomial(live[i], live[j]), live).is_zero():
                 return False
     return True

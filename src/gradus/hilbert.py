@@ -45,7 +45,7 @@ class GradedQuotient:
 
     def __init__(self, I: Ideal):
         self.ring = I.ring
-        self._gb = I.prepared()
+        self._prepared = I.prepared()
         self._basis: dict[int, list[Exponents]] = {}
         self.nf: dict[Exponents, np.ndarray] = {}
         self._degree, self._index = -1, {}  # nf's degree, and basis(d) -> position
@@ -61,7 +61,7 @@ class GradedQuotient:
         if d < 0:
             return []
         if d not in self._basis:
-            leads = {lead for lead, _ in self._gb}
+            leads = {lead for lead, _ in self._prepared}
             for k in range(d + 1):
                 if k not in self._basis:
                     self._basis[k] = self._next_basis(k, leads)
@@ -102,7 +102,7 @@ class GradedQuotient:
         for k, e in enumerate(monos):
             if e not in nf:
                 vec = nf[e] = _zeros(fld, 1, len(index))[0]
-                for m, c in _nf_terms({e: fld.one}, self._gb, self.ring.order, fld).items():
+                for m, c in _nf_terms({e: fld.one}, self._prepared, self.ring).items():
                     vec[index[m]] = c
             out[k] = nf[e]
         return out.T

@@ -381,10 +381,7 @@ def vanishing_ideal(X: PointSet) -> Ideal:
     else:
         raise VerificationError("vanishing ideal: the block leads miss the points' Hilbert "
                                 "series; this is a bug")
-    I = Ideal(ring, gens, check=False)
-    I._gb[ring.order.name()] = basis
-    I._series = series
-    return I
+    return Ideal._preset(ring, gens, basis, series)
 
 
 def _block_basis(ring: RingSpec, K, d: int, dim: int, leads: list, basis: list) -> np.ndarray:
@@ -427,10 +424,7 @@ def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
     x = [tuple(int(u == v) for u in range(ring.nvars)) for v in range(ring.nvars)]
     gens = [Poly(ring, {x[k]: f.one, x[l]: f.neg(f.mul(p[k], inv))})
             for k in reversed(range(ring.nvars)) if k != l]
-    I = Ideal(ring, gens, check=False)
-    I._gb[ring.order.name()] = gens
-    I._series = ((1,), 1)
-    return I
+    return Ideal._preset(ring, gens, gens, ((1,), 1))
 
 
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:

@@ -74,7 +74,7 @@ def order_from_string(text: str) -> TermOrder:
     if text in (GREVLEX, LEX):
         return TermOrder(text)
     m = re.fullmatch(r"elim(\d+)", text)
-    if m:
+    if m and int(m.group(1)):  # elimination needs a block boundary >= 1
         return TermOrder(ELIM, int(m.group(1)))
     raise ParseError(f"unknown term order {text!r}")
 
@@ -307,18 +307,18 @@ class Poly:
         f = self.ring.field
         return Poly(self.ring, {mono_mul(e, e2): f.mul(c, c2) for e2, c2 in self.terms.items()})
 
-    def leading(self, order: TermOrder | None = None) -> tuple[Exponents, object]:
-        """(monomial, coefficient) of the order-maximal term. Errors on zero."""
+    def leading(self) -> tuple[Exponents, object]:
+        """(monomial, coefficient) of the term maximal in the ring's order.
+        Errors on zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        order = order or self.ring.order
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=self.ring.order.key)
         return e, self.terms[e]
 
-    def monic(self, order: TermOrder | None = None) -> "Poly":
+    def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        _, c = self.leading(order)
+        _, c = self.leading()
         return self.scale(self.ring.field.inv(c))
 
     def evaluate(self, coords: tuple) -> object:
@@ -359,8 +359,8 @@ class Poly:
         return poly_to_str(self)
 
 
-def leading_term(f: Poly, order: TermOrder | None = None) -> tuple[Exponents, object]:
-    return f.leading(order)
+def leading_term(f: Poly) -> tuple[Exponents, object]:
+    return f.leading()
 
 
 def poly_arith(f: Poly, g: Poly, op: str) -> Poly:

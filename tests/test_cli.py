@@ -312,6 +312,22 @@ def test_ideal_file_the_constructors_refuse_exits_2(tmp_path, capsys, command, p
     assert err == f"gradus: parse error: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["ideal-gens", "parse-check", "ideal-file"])
+def test_elimination_order_with_empty_block_exits_2(tmp_path, capsys, source):
+    """elim0 eliminates no variable: malformed input, not a failed computation."""
+    if source == "ideal-file":
+        src = tmp_path / "ideal.json"
+        src.write_text(json.dumps({**IDEAL_OK, "ring": {**IDEAL_OK["ring"], "order": "elim0"}}))
+        argv = ["betti", "--ideal", str(src)]
+    elif source == "ideal-gens":
+        argv = ["ideal", "--gens", "x0", "--order", "elim0"]
+    else:
+        argv = ["parse-check", "--poly", "x0", "--order", "elim0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "gradus: parse error: unknown term order 'elim0'\n"
+
+
 def test_compute_error_exits_1(capsys):
     code, _, err = run(capsys, "ideal", "--gens", "x0^2+x1")
     assert code == 1

@@ -187,9 +187,6 @@ def test_leading_term_ideal():
         assert len(g.terms) == 1
     # a monomial ideal is its own leading-term ideal
     assert equal_ideals(leading_term_ideal(L), L)
-    # source=given_generators uses the generators as written
-    L2 = leading_term_ideal(A, source="given_generators")
-    assert equal_ideals(L2, I("x0^2", "x1^2"))
 
 
 def test_macaulay_hilbert_invariance():
@@ -292,13 +289,13 @@ def _random_poly(ring, rng, nterms, max_deg):
     return Poly(ring, terms)
 
 
-def _monic_basis(ring, order, rng, size):
+def _monic_basis(ring, rng, size):
     basis = []
     while len(basis) < size:
         g = _random_poly(ring, rng, rng.randrange(1, 5), 3)
         if not g.is_zero():
-            g = g.monic(order)
-            basis.append((g.leading(order)[0], g.terms))
+            g = g.monic()
+            basis.append((g.leading()[0], g.terms))
     return basis
 
 
@@ -309,14 +306,13 @@ def test_nf_terms_matches_reference_reducer(fld, order):
     for nvars in (3, 4):
         ring = RingSpec(nvars, fld, order)
         for _ in range(12):
-            basis = _monic_basis(ring, order, rng, rng.randrange(1, 5))
+            basis = _monic_basis(ring, rng, rng.randrange(1, 5))
             f = _random_poly(ring, rng, rng.randrange(1, 12), 6)
             terms = dict(f.terms)
             terms[(0,) * nvars] = fld.zero  # a zero entry, as S-polynomials have
-            assert _nf_terms(terms, basis, order, fld) == \
-                _reference_nf_terms(terms, basis, order, fld)
+            assert _nf_terms(terms, basis, ring) == _reference_nf_terms(terms, basis, order, fld)
             got_q, want_q = [{} for _ in basis], [{} for _ in basis]
-            rem = _nf_terms(terms, basis, order, fld, got_q)
+            rem = _nf_terms(terms, basis, ring, got_q)
             assert rem == _reference_nf_terms(terms, basis, order, fld, want_q)
             assert got_q == want_q
             keys = [order.key(e) for e in rem]
@@ -350,15 +346,15 @@ def test_reduce_basis_on_non_monic_redundant_input_with_zeros():
             ring = RingSpec(3, fld, order)
             gens = [ring.random_form(rng.randrange(1, 4), rng) for _ in range(3)]
             gens = [g for g in gens if not g.is_zero()]
-            want = reduced_groebner_from_gens(gens, order)
-            G = buchberger(gens, order)
+            want = reduced_groebner_from_gens(gens)
+            G = buchberger(gens)
             messy = [g.scale(fld.random(rng) or fld.one) for g in G]  # not monic
             messy += [G[0] * ring.random_form(1, rng), G[-1], ring.zero()]  # redundant
             messy.insert(1, ring.zero())
             rng.shuffle(messy)
-            got = reduce_basis(messy, order)
+            got = reduce_basis(messy)
             assert got == want
-            leads = [g.leading(order) for g in got]
+            leads = [g.leading() for g in got]
             assert all(c == fld.one for _, c in leads)
             assert [order.key(e) for e, _ in leads] == sorted(order.key(e) for e, _ in leads)
     assert reduce_basis([]) == []
@@ -383,19 +379,19 @@ def _sum_cases(ring, rng):
 def test_ideal_sum_groebner_matches_raw_generators(order):
     rng = random.Random(17)
     for fld in (PrimeField(32003), RationalField()):
-        ring = RingSpec(3, fld)
+        ring = RingSpec(3, fld, order)
         for cached in itertools.product((False, True), repeat=2):
             for A, B in _sum_cases(ring, rng):
                 for S, want_cached in zip((A, B), cached):
                     if want_cached:
-                        S.groebner(order)
-                held = [dict(S._gb) for S in (A, B)]
+                        S.groebner()
+                held = [S._gb for S in (A, B)]
                 total = ideal_sum(A, B)
                 assert total.generators == A.generators + B.generators
-                want = reduced_groebner_from_gens(list(total.generators), order)
-                assert total.groebner(order) == want
+                want = reduced_groebner_from_gens(list(total.generators))
+                assert total.groebner() == want
                 # the sum never computes its summands' bases
-                assert [dict(S._gb) for S in (A, B)] == held
+                assert [S._gb for S in (A, B)] == held
 
 
 # -- the F4 degree loop of Ideal.groebner against plain Buchberger ---------
@@ -473,18 +469,56 @@ def test_degree_wise_groebner_matches_buchberger(fld, order):
     for gens in cases:
         gens = [g for g in gens if not g.is_zero()]  # a sum may cancel
         got = Ideal(gens[0].ring, gens).groebner()
-        assert got == reduce_basis(buchberger(gens, order), order), gens
-        assert is_groebner_basis(got, order)
+        assert got == reduce_basis(buchberger(gens)), gens
+        assert is_groebner_basis(got)
 
 
 def test_degree_wise_groebner_special_ideals():
-    x0, x1, x2 = (R.variable(i) for i in range(3))
-    assert I("x0", "x1^2*x2^10").groebner() == [x0, P("x1^2*x2^10")]
+    assert I("x0", "x1^2*x2^10").groebner() == [R.variable(0), P("x1^2*x2^10")]
     assert Ideal(R, [R.one(), P("x0^2")]).groebner() == [R.one()]
-    # non-homogeneous generators go to Buchberger and still get their basis
-    mixed = [x0 * x1 - x2, x1 * x1 - R.one()]
-    assert Ideal(R, mixed, check=False).groebner() == reduced_groebner_from_gens(mixed)
     assert Ideal(R, [], check=False).groebner() == []
+
+
+@pytest.mark.parametrize("order", [TermOrder(LEX), TermOrder(ELIM, 1)], ids=lambda o: o.name())
+def test_one_basis_per_ideal_in_the_rings_order(monkeypatch, order):
+    """Every read of an ideal's basis (its reduced basis, prepared form,
+    leads, membership, leading-term ideal and Hilbert series) reads the one
+    basis F4 makes once, in the ring's order, which is Buchberger's. An
+    intersection in a ring that is not grevlex presets no basis: its
+    generators are the reduced grevlex basis, and F4 of them gives its own
+    on first use."""
+    import gradus.groebner as gb_module
+    from gradus.hilbert import hilbert_series
+    ring = RingSpec(3, order=order)
+    plain_f4, runs = gb_module._f4, []
+
+    def counting_f4(r, gens):
+        runs.append(list(gens))
+        return plain_f4(r, gens)
+
+    monkeypatch.setattr(gb_module, "_f4", counting_f4)
+    gens = ("x0^2-x1*x2", "x1^3-x0*x2^2", "x0*x1-x2^2")
+    A = I(*gens, ring=ring)
+    want = reduce_basis(buchberger(list(A.generators)))
+    assert want != I(*gens).groebner(), "the instance should depend on the order"
+    runs.clear()
+    assert A.groebner() == want and A.groebner() is A.groebner()
+    assert A.prepared() == [(g.leading()[0], g.terms) for g in want]
+    assert A.leading_monomials() == [g.leading()[0] for g in want]
+    assert all(A.contains(g) for g in want + list(A.generators))
+    assert not A.contains(P("x2^2", ring))
+    assert [g.terms for g in leading_term_ideal(A).generators] == \
+        [{g.leading()[0]: 1} for g in want]
+    assert hilbert_series(A) == hilbert_series(I(*gens))  # HS(R/I) = HS(R/in(I)) in any order
+    assert len([gs for gs in runs if gs == list(A.generators)]) == 1
+
+    M = ideal_intersection(I("x0^2-x1*x2", "x1^2", ring=ring), I("x1^2-x0*x2", "x0*x1", ring=ring))
+    assert M._gb is None
+    runs.clear()
+    got = M.groebner()
+    assert runs == [list(M.generators)]
+    assert got == sorted(plain_f4(ring, list(M.generators)), key=lambda g: order.key(g.leading()[0]))
+    assert got == reduce_basis(buchberger(list(M.generators)))
 
 
 def test_homogeneous_groebner_runs_no_buchberger(monkeypatch):
@@ -536,10 +570,9 @@ def test_f4_output_is_already_reduced(fld):
     down to the order of each element's terms, and it is what
     `Ideal.groebner` returns."""
     for ring, gens in _f4_cases(fld):
-        order = ring.order
-        G = _f4(ring, gens, order)
-        got = sorted(G, key=lambda g: order.key(g.leading(order)[0]))
-        want = reduce_basis(G, order)
+        G = _f4(ring, gens)
+        got = sorted(G, key=lambda g: ring.order.key(g.leading()[0]))
+        want = reduce_basis(G)
         assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
         assert Ideal(ring, gens).groebner() == got
 
@@ -576,7 +609,7 @@ def test_f4_over_q_with_large_coefficients_matches_buchberger(order):
     cases.append([Poly(ring4, {e: _large_rational(rng) for e in g.terms}) for g in gap])
     for gens in cases:
         got = Ideal(gens[0].ring, gens).groebner()
-        assert got == reduced_groebner_from_gens(gens, order), gens
+        assert got == reduced_groebner_from_gens(gens), gens
     assert Ideal(ring4, scaled).groebner() == Ideal(ring4, gap).groebner()
 
 
@@ -595,9 +628,9 @@ def _intersection_by_buchberger(I, J):
         return Poly(ext, {(0,) + e: c for e, c in f.terms.items()})
 
     gens = [t * up(f) for f in I.groebner()] + [(ext.one() - t) * up(g) for g in J.groebner()]
-    gb = reduced_groebner_from_gens(gens, ext.order)
+    gb = reduced_groebner_from_gens(gens)
     return [Poly(ring, {e[1:]: c for e, c in g.terms.items()})
-            for g in gb if g.leading(ext.order)[0][0] == 0]
+            for g in gb if g.leading()[0][0] == 0]
 
 
 def _assert_intersection_matches_reference(A, B):
@@ -606,7 +639,7 @@ def _assert_intersection_matches_reference(A, B):
     # the same generators in the same order, each listing its lead first
     assert list(M.generators) == want
     grevlex = TermOrder(GREVLEX)
-    assert all(next(iter(g.terms)) == g.leading(grevlex)[0] for g in M.generators)
+    assert all(next(iter(g.terms)) == max(g.terms, key=grevlex.key) for g in M.generators)
     assert M.groebner() == Ideal(A.ring, want).groebner()
 
 
@@ -797,9 +830,9 @@ def test_intersection_by_degree_matches_buchberger_on_both_stops(monkeypatch, fl
         sums.append((A, B))
         return plain_sum(A, B)
 
-    def recording_f4(r, gens, o):
+    def recording_f4(r, gens):
         f4_rings.append(r.nvars)
-        return plain_f4(r, gens, o)
+        return plain_f4(r, gens)
 
     for name, A, B, artinian in _meet_cases(fld, ring):
         want = _intersection_by_buchberger(A, B)
@@ -902,7 +935,8 @@ def test_point_complement_is_the_perp_of_the_shift_built_basis(fld):
                         got = gb_module._complement(ideal, d)
                         assert d in ideal._point_rows, (p, d)
                         assert got.tolist() == want, (p, d, order.name())
-                assert set(mixed._gb) == {order.name()}
+                # its one basis is the one in the ring's order
+                assert mixed._gb == reduced_groebner_from_gens(list(mixed.generators))
             line = I(*[f"x{k}" for k in range(n - 1)], ring=ring)
             squared = I("x0^2", *[f"x{k}" for k in range(1, n)], ring=ring)
             assert gb_module._point_of(line) is gb_module._point_of(squared) is None
@@ -933,7 +967,8 @@ def test_generic_complement_spans_the_complement_in_every_order(fld):
             B = operands[rng.randrange(len(operands))]
             M = ideal_intersection(A, B)
             assert M.groebner() == Ideal(ring, _intersection_by_buchberger(A, B)).groebner()
-            assert set(A._gb) == set(B._gb) == {order.name()}, order.name()
+            for X in (A, B):
+                assert X._gb == reduced_groebner_from_gens(list(X.generators)), order.name()
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())

@@ -95,10 +95,12 @@ def test_coords_and_mult_match_normal_form_scatter(fld):
 def test_prepared_basis_matches_groebner(fld):
     for I in _ideals(fld):
         for order in (TermOrder(GREVLEX), TermOrder(LEX)):
-            want = [(g.leading(order)[0], g.monic(order).terms) for g in I.groebner(order)]
-            assert I.prepared(order) == want
-            assert I.leading_monomials(order) == [lead for lead, _ in want]
-            assert all(terms[lead] == fld.one for lead, terms in I.prepared(order))
+            ring = RingSpec(3, fld, order)
+            J = I if I.ring == ring else Ideal(ring, [Poly(ring, g.terms) for g in I.generators])
+            want = [(g.leading()[0], g.monic().terms) for g in J.groebner()]
+            assert J.prepared() == want
+            assert J.leading_monomials() == [lead for lead, _ in want]
+            assert all(terms[lead] == fld.one for lead, terms in J.prepared())
 
 
 def test_quotient_and_memo_die_with_their_ideal():

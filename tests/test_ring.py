@@ -66,7 +66,7 @@ def test_mixed_ring_rejected():
 
 def test_leading_term_examples():
     assert leading_term(P("x0^2+x1*x2")) == ((2, 0, 0), 1)
-    e, _ = leading_term(P("x1^5+x0*x2^4"), TermOrder("lex"))
+    e, _ = leading_term(P("x1^5+x0*x2^4", RingSpec(3, order=TermOrder("lex"))))
     assert e == (1, 0, 4)
     assert leading_term(P("x0^5")) == ((5, 0, 0), 1)
     with pytest.raises(ValueError):
