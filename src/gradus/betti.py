@@ -21,8 +21,8 @@ from math import comb
 import numpy as np
 
 from .field import rank
-from .groebner import Ideal
-from .hilbert import GradedQuotient, is_artinian, socle_degree
+from .groebner import GradedQuotient, Ideal
+from .hilbert import is_artinian, socle_degree
 from .ring import GREVLEX, Poly, RingSpec, mono_lcm
 
 

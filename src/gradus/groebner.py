@@ -39,6 +39,15 @@ as L*row - b*reducer, which is then divided by its content. The final
 RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
 new elements' coefficients and are stored back as integer rows.
 
+What is read off the basis lives beside it. `GradedQuotient` is R/I,
+degree by degree over its standard monomials, and
+`GradedQuotient.normal_forms` is the one normal-form map: the matrix of
+the normal forms of a list of monomials. The multiplication maps Betti
+reads are sums of its column selections, and it gives the intersections'
+generic operands their complements (`_complement`). `hilbert_series`
+reads HS(R/I) off the leads (`gradus.ring._numerator`) and keeps it on
+the ideal.
+
 Ideal intersections and colons take no auxiliary variable: I ∩ J is
 found in k[x] itself, one degree d at a time, by linear algebra, and it
 reads only complements. (I ∩ J)_d is the kernel of I_d^⊥ + J_d^⊥, so all
@@ -58,9 +67,9 @@ AAECC 4, 1993), and three kinds of ideal supply these rows:
   the result keeps them for as long as it lives itself.
 - Any other ideal: the normal forms of the degree-d monomials modulo its
   reduced basis in the ring's order, one column each
-  (`GradedQuotient.normal_forms`, `gradus.hilbert`). The normal form is
-  a linear map R_d -> (R/I)_d with kernel I_d, so the rows of its matrix
-  span I_d^⊥ whatever the order.
+  (`GradedQuotient.normal_forms`). The normal form is a linear map
+  R_d -> (R/I)_d with kernel I_d, so the rows of its matrix span I_d^⊥
+  whatever the order.
 
 None of the three eliminates. The meet is the kernel
 (`gradus.field._kernel`) of the two complements stacked, with the
@@ -127,7 +136,6 @@ target series comes from the Artinian sum too, never from F4 of I + J.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 from math import comb
 from operator import add, itemgetter, le, neg, sub
 
@@ -142,13 +150,21 @@ from .ring import (
     Poly,
     RingSpec,
     TermOrder,
+    _coefficient,
+    _columns,
+    _form,
+    _minus,
+    _numerator,
+    _reduced,
+    _shift,
+    _times_one_minus_t,
+    _unit,
     expect_json,
     json_key,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomials_of_degree,
     parse_poly,
     poly_to_str,
 )
@@ -373,29 +389,6 @@ def reduced_groebner_from_gens(gens: list[Poly]) -> list[Poly]:
     return reduce_basis(buchberger(gens))
 
 
-def _frozen(A: np.ndarray) -> np.ndarray:
-    A.flags.writeable = False  # cached, so shared by every caller
-    return A
-
-
-@lru_cache(maxsize=8192)
-def _columns(nvars: int, order: TermOrder, d: int):
-    """The degree-d monomials in descending order, as a tuple, an array and
-    a column index; callers must not mutate the index."""
-    monos = tuple(monomials_of_degree(nvars, d, order))
-    return monos, _frozen(np.array(monos, dtype=np.int64).reshape(len(monos), nvars)), \
-        {e: j for j, e in enumerate(monos)}
-
-
-@lru_cache(maxsize=8192)
-def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
-    """Column map of "times q" from degree d to degree d + deg q: entry j is
-    the column of q times the j-th degree-d monomial."""
-    col = _columns(nvars, order, d + sum(q))[2]
-    return _frozen(np.array([col[tuple(map(add, e, q))] for e in _columns(nvars, order, d)[0]],
-                            dtype=np.intp))
-
-
 def _f4(ring: RingSpec, gens: list[Poly]) -> list[Poly]:
     """The reduced Groebner basis in the ring's order of the ideal of the
     non-zero homogeneous forms `gens`, one degree at a time (module
@@ -528,10 +521,9 @@ class Ideal:
             self._prepared = [(g.leading()[0], g.terms) for g in self.groebner()]
         return self._prepared
 
-    def quotient(self):
+    def quotient(self) -> GradedQuotient:
         """The GradedQuotient R/I in the ring's order; it lives as long as I."""
         if self._quotient is None:
-            from .hilbert import GradedQuotient  # hilbert imports this module
             self._quotient = GradedQuotient(self)
         return self._quotient
 
@@ -579,6 +571,107 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+class GradedQuotient:
+    """R/I degree by degree over its standard monomials; built by
+    `Ideal.quotient` and alive as long as I. Every map is read from the
+    normal forms of single monomials, each reduced once against I's prepared
+    GB; a normal form modulo a GB is unique, so they equal `normal_form`
+    followed by a scatter. The memo `nf`, monomial -> coordinates over
+    basis(d), keeps one degree, since every call works in one degree: an
+    ideal that outlives its work (one a caller holds, or one kept as an
+    intersection's part) keeps one degree's normal forms, not all it ever
+    used.
+    """
+
+    def __init__(self, I: Ideal):
+        self.ring = I.ring
+        self._prepared = I.prepared()
+        self._basis: dict[int, list[Exponents]] = {}
+        self.nf: dict[Exponents, np.ndarray] = {}
+        self._degree, self._index = -1, {}  # nf's degree, and basis(d) -> position
+
+    def basis(self, d: int) -> list[Exponents]:
+        """Degree-d monomials outside the leading-term ideal, descending in
+        the order; empty for d < 0.
+
+        The standard monomials form an order ideal: e is standard iff it is
+        no lead and every e/x_v is standard (a lead dividing e properly
+        divides some e/x_v). So each degree is built from the one below.
+        """
+        if d < 0:
+            return []
+        if d not in self._basis:
+            leads = {lead for lead, _ in self._prepared}
+            for k in range(d + 1):
+                if k not in self._basis:
+                    self._basis[k] = self._next_basis(k, leads)
+        return self._basis[d]
+
+    def _next_basis(self, k: int, leads: set) -> list[Exponents]:
+        """basis(k), given basis(k - 1) and the set of leads."""
+        n = self.ring.nvars
+        below = self._basis[k - 1] if k else []
+        prev = set(below)
+        standard = {(0,) * n} - leads if k == 0 else set()
+        for b in below:
+            # e = b * x_v with v >= the last variable of b reaches each e once
+            top = max((v for v in range(n) if b[v]), default=0)
+            for v in range(top, n):
+                e = b[:v] + (b[v] + 1,) + b[v + 1:]
+                if e in leads:
+                    continue
+                if all(e[:u] + (e[u] - 1,) + e[u + 1:] in prev for u in range(v) if e[u]):
+                    standard.add(e)
+        if not standard:
+            return []
+        # the shared, sorted monomials give the order and the tuples to keep:
+        # an ideal that outlives its work holds no monomials of its own
+        return [e for e in _columns(n, self.ring.order, k)[0] if e in standard]
+
+    def normal_forms(self, monos, d: int):
+        """The map R_d -> (R/I)_d on the degree-d monomials `monos`, shape
+        (len basis(d), len monos), in the field's matrix format; column k
+        is the coordinates of monos[k]. On all of R_d the map's kernel is
+        I_d, so its rows span the orthogonal complement of I_d."""
+        fld = self.ring.field
+        if self._degree != d:
+            self.nf, self._degree = {}, d
+            self._index = {e: k for k, e in enumerate(self.basis(d))}
+        nf, index = self.nf, self._index
+        out = _zeros(fld, len(monos), len(index))
+        for k, e in enumerate(monos):
+            if e not in nf:
+                vec = nf[e] = _zeros(fld, 1, len(index))[0]
+                for m, c in _nf_terms({e: fld.one}, self._prepared, self.ring).items():
+                    vec[index[m]] = c
+            out[k] = nf[e]
+        return out.T
+
+    def mult(self, form: Poly, d: int):
+        """Multiplication by `form`: (R/I)_d -> (R/I)_{d + deg form}, shape
+        (len basis(d + deg form), len basis(d)), in the field's matrix
+        format; column k is the image of basis(d)[k]: the sum over the
+        terms c * m of `form` of c times the normal forms of basis(d)
+        shifted by m."""
+        top, fld = d + form.degree(), self.ring.field
+        out = _zeros(fld, len(self.basis(top)), len(self.basis(d)))
+        for m, c in form.terms.items():
+            N = self.normal_forms([mono_mul(b, m) for b in self.basis(d)], top)
+            # a product of residues stays below 2^62; reduce it before summing
+            out += fld.reduce(c * N)
+        return fld.reduce(out)
+
+
+def hilbert_series(I: Ideal) -> tuple[tuple[int, ...], int]:
+    """(h, dim) with HS(R/I) = h(t) / (1 - t)^dim and h(1) != 0, h constant
+    term first; dim is the Krull dimension of R/I. The zero ring R/(1) gives
+    ((0,), 0). Kept on I, where an intersection also leaves the series it
+    proved."""
+    if I._series is None:
+        I._series = _reduced(_numerator(I.leading_monomials()), I.ring.nvars)
+    return I._series
+
+
 def reduced_groebner(I: Ideal) -> list[Poly]:
     return I.groebner()
 
@@ -603,15 +696,6 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 _GREVLEX = TermOrder(GREVLEX)
 
 
-def _degree(g: Poly) -> int:
-    return sum(next(iter(g.terms)))
-
-
-@lru_cache(maxsize=64)
-def _unit(nvars: int, v: int) -> Exponents:
-    return tuple(int(u == v) for u in range(nvars))
-
-
 def _point_of(I: Ideal) -> list | None:
     """The point c, with c_l = 1, when I's reduced basis is nvars - 1 linear
     forms: their leads are nvars - 1 distinct variables and their tails
@@ -621,7 +705,7 @@ def _point_of(I: Ideal) -> list | None:
     least index and the basis the same in each. None for any other ideal."""
     ring = I.ring
     G = I.groebner()
-    if not G or len(G) != ring.nvars - 1 or any(_degree(g) != 1 for g in G):
+    if not G or len(G) != ring.nvars - 1 or any(g.degree() != 1 for g in G):
         return None
     field = ring.field
     leads = [min(e.index(1) for e in g.terms) for g in G]
@@ -687,8 +771,6 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    from .hilbert import (
-        _coefficient, _minus, _numerator, _reduced, _times_one_minus_t, hilbert_series)
     field, nvars = ring.field, ring.nvars
 
     def numerator(leads) -> list[int]:  # HS(R/(leads)) = numerator / (1 - t)^nvars
@@ -720,9 +802,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         dims.append(len(K))
         new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
         leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
-        for r in reversed(new):
-            nz = K[r].nonzero()[0]
-            found.append(Poly(ring, dict(zip([monos[j] for j in nz.tolist()], K[r, nz].tolist()))))
+        found += [_form(ring, monos, K[r]) for r in reversed(new)]
         if target is None:
             if not _sum_hf(both, nvars, d, dims[d]):  # (I + J)_e = R_e from here on
                 target = _meet_series(both, dims, nvars)
@@ -755,7 +835,6 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 def _initial_degree(series: tuple, nvars: int) -> int:
     """The least d with I_d != 0, that is HF(R/I)_d < dim R_d, for a
     non-zero I with HS(R/I) = `series`."""
-    from .hilbert import _coefficient
     d = 0
     while _coefficient(*series, d) == comb(nvars - 1 + d, nvars - 1):
         d += 1
@@ -764,7 +843,6 @@ def _initial_degree(series: tuple, nvars: int) -> int:
 
 def _sides(both: list, nvars: int) -> list[int]:
     """HS(R/I) + HS(R/J) times (1 - t)^nvars, for `both` their two series."""
-    from .hilbert import _minus, _times_one_minus_t
     K_I, K_J = (_times_one_minus_t(h, nvars - dim) for h, dim in both)
     return _minus(K_I, [-c for c in K_J])
 
@@ -772,7 +850,6 @@ def _sides(both: list, nvars: int) -> list[int]:
 def _sum_hf(both: list, nvars: int, e: int, meet: int) -> int:
     """HF(R/(I+J))_e = HF(R/I)_e + HF(R/J)_e - dim R_e + dim (I ∩ J)_e, for
     `both` the series of R/I and R/J and `meet` = dim (I ∩ J)_e."""
-    from .hilbert import _coefficient
     return sum(_coefficient(*hs, e) for hs in both) - comb(nvars - 1 + e, nvars - 1) + meet
 
 
@@ -781,7 +858,6 @@ def _meet_series(both: list, dims: list[int], nvars: int) -> list[int]:
     e >= d = len(dims) - 1, by the exact sequence: HS(R/I) + HS(R/J) less
     HS(R/(I+J)), the polynomial of the `_sum_hf` of degrees 0 to d, where
     dims[e] = dim (I ∩ J)_e."""
-    from .hilbert import _minus, _times_one_minus_t
     return _minus(_sides(both, nvars), _times_one_minus_t(
         [_sum_hf(both, nvars, e, meet) for e, meet in enumerate(dims)], nvars))
 
@@ -811,7 +887,6 @@ def _series_meet(I, J) -> _Meet:
     reaches 0, by degree a + b - 1 at the latest, where HF of the a + b
     points is a + b, and (I + J)_e = R_e from there on: the series is
     `_meet_series` of the degrees met."""
-    from .hilbert import _reduced, hilbert_series
     ring = I.ring
     field, nvars = ring.field, ring.nvars
     both = [hilbert_series(X) for X in (I, J)]

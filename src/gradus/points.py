@@ -72,9 +72,11 @@ from .field import (
     DEFAULT_PRIME, Field, PrimeField, _echelon, _kernel, _matrix, _zeros, field_from_string, rank,
     rank_profile,
 )
-from .groebner import Ideal, _columns, _series_meet, _shift, _unit, ideal_intersection
-from .hilbert import SocleReport, _numerator, _reduced
-from .ring import Poly, RingSpec, expect_json, json_key
+from .groebner import Ideal, _series_meet, ideal_intersection
+from .hilbert import SocleReport
+from .ring import (
+    Poly, RingSpec, _columns, _form, _numerator, _reduced, _shift, _unit, expect_json, json_key,
+)
 
 
 def normalize_point(field: Field, coords) -> tuple:
@@ -320,13 +322,6 @@ def evaluation_matrix(X: PointSet, d: int) -> list[list]:
     return X.evaluation_array(d).tolist()
 
 
-def _form(ring: RingSpec, monos: tuple, row: np.ndarray) -> Poly:
-    """The form with coefficient row[j] on monos[j], read off the row's
-    non-zero entries."""
-    nz = np.flatnonzero(row)
-    return Poly._nonzero(ring, dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist())))
-
-
 def _kernel_polys(X: PointSet, d: int) -> list[tuple[Poly, np.ndarray]]:
     """The kernel of ev_d, (I_X)_d, in ascending reduced echelon form
     (`field._kernel`), each row with its form."""
@@ -420,10 +415,9 @@ def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
     basis is the same in each."""
     f = ring.field
     l = max(k for k, c in enumerate(p) if not f.is_zero(c))
-    inv = f.inv(p[l])
-    x = [tuple(int(u == v) for u in range(ring.nvars)) for v in range(ring.nvars)]
-    gens = [Poly(ring, {x[k]: f.one, x[l]: f.neg(f.mul(p[k], inv))})
-            for k in reversed(range(ring.nvars)) if k != l]
+    inv, n = f.inv(p[l]), ring.nvars
+    gens = [Poly(ring, {_unit(n, k): f.one, _unit(n, l): f.neg(f.mul(p[k], inv))})
+            for k in reversed(range(n)) if k != l]
     return Ideal._preset(ring, gens, gens, ((1,), 1))
 
 

@@ -4,13 +4,23 @@ Monomials are exponent tuples; a polynomial is a dict {exponents: coeff}
 tagged with its ring. Term orders provide a sort key, so "larger monomial"
 always means "larger key". Everything is treated as immutable after
 construction.
+
+It also owns the monomial combinatorics the layers above share: the
+columns, `_columns(nvars, order, d)`, the one cache of the degree-d
+monomials (`monomials_of_degree` reads it), with `_shift`, their map
+through "times q", and `_form`, which reads a row over them as a form;
+and the numerators, K(t) with HS(k[x]/M) = K(t) / (1 - t)^nvars for a
+monomial ideal M (`_numerator`), with the series arithmetic on them.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, zip_longest
 from math import comb
 from operator import add, le, neg, sub
+
+import numpy as np
 
 from .errors import ParseError
 from .field import DEFAULT_PRIME, Field, PrimeField, field_from_string
@@ -122,10 +132,6 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def mono_degree(e: Exponents) -> int:
-    return sum(e)
-
-
 class RingSpec:
     """k[x0..xn] with deg(xi) = 1, a coefficient field, and a term order."""
 
@@ -137,9 +143,6 @@ class RingSpec:
         self.nvars = nvars
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self.order = order if order is not None else TermOrder(GREVLEX)
-
-    def variable_names(self) -> list[str]:
-        return [f"x{i}" for i in range(self.nvars)]
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -154,9 +157,6 @@ class RingSpec:
         e = [0] * self.nvars
         e[i] = 1
         return Poly(self, {tuple(e): self.field.one})
-
-    def monomials_of_degree(self, d: int) -> list[Exponents]:
-        return monomials_of_degree(self.nvars, d, self.order)
 
     def random_form(self, d: int, rng) -> "Poly":
         """Dense homogeneous form of degree d with uniform random coefficients."""
@@ -203,22 +203,21 @@ class RingSpec:
         return f"RingSpec(nvars={self.nvars}, field={self.field!r}, order={self.order!r})"
 
 
+def _frozen(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False  # cached, so shared by every caller
+    return A
+
+
 @lru_cache(maxsize=8192)
-def _monomials_sorted(nvars: int, d: int, kind: str, block: int) -> tuple[Exponents, ...]:
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], d, nvars)
-    assert len(out) == comb(nvars - 1 + d, d)
-    order = TermOrder(kind, block) if kind == ELIM else TermOrder(kind)
-    out.sort(key=order.key, reverse=True)
-    return tuple(out)
+def _columns(nvars: int, order: TermOrder, d: int):
+    """The degree-d monomials in descending order, as a tuple, an array and
+    a column index; callers must not mutate the index. There are
+    comb(nvars - 1 + d, d) of them, one per multiset of d variables."""
+    monos = sorted((tuple(map(vs.count, range(nvars)))
+                    for vs in combinations_with_replacement(range(nvars), d)),
+                   key=order.key, reverse=True)
+    return tuple(monos), _frozen(np.array(monos, dtype=np.int64).reshape(len(monos), nvars)), \
+        {e: j for j, e in enumerate(monos)}
 
 
 def monomials_of_degree(nvars: int, d: int, order: TermOrder | None = None) -> list[Exponents]:
@@ -230,7 +229,29 @@ def monomials_of_degree(nvars: int, d: int, order: TermOrder | None = None) -> l
         raise ValueError("degree must be non-negative")
     if order is None:
         order = TermOrder(GREVLEX)
-    return list(_monomials_sorted(nvars, d, order.kind, order.block))
+    return list(_columns(nvars, order, d)[0])
+
+
+@lru_cache(maxsize=8192)
+def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
+    """Column map of "times q" from degree d to degree d + deg q: entry j is
+    the column of q times the j-th degree-d monomial."""
+    col = _columns(nvars, order, d + sum(q))[2]
+    return _frozen(np.array([col[tuple(map(add, e, q))] for e in _columns(nvars, order, d)[0]],
+                            dtype=np.intp))
+
+
+@lru_cache(maxsize=64)
+def _unit(nvars: int, v: int) -> Exponents:
+    """The exponent tuple of the variable x_v."""
+    return tuple(int(u == v) for u in range(nvars))
+
+
+def _form(ring: RingSpec, monos: tuple, row: np.ndarray) -> Poly:
+    """The form with coefficient row[j] on monos[j], read off the row's
+    non-zero entries."""
+    nz = np.flatnonzero(row)
+    return Poly._nonzero(ring, dict(zip([monos[j] for j in nz.tolist()], row[nz].tolist())))
 
 
 class Poly:
@@ -372,6 +393,75 @@ def poly_arith(f: Poly, g: Poly, op: str) -> Poly:
     if op == "mul":
         return f * g
     raise ValueError(f"unknown op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Series numerators: a polynomial in t is its list of integer coefficients,
+# constant term first; a series h(t) / (1 - t)^dim is the pair (h, dim).
+# ---------------------------------------------------------------------------
+
+
+def _minus(a: list[int], b: list[int]) -> list[int]:
+    """a - b, for polynomials in t as coefficient lists, constant term first."""
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _numerator(leads: list[Exponents]) -> list[int]:
+    """K(t) with HS(k[x]/(leads)) = K(t) / (1 - t)^nvars, for M the ideal
+    of the monomials `leads`.
+
+    Pairwise coprime minimal generators give the product of the
+    (1 - t^deg g). Otherwise M splits on a pivot p = x_v^k (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 119, 1997): x_v is the
+    variable in the most minimal generators, and k the median exponent of
+    x_v among those that are not pure powers of x_v. The exact sequence
+    0 -> R/(M : p)(-k) -> R/M -> R/(M + p) -> 0 gives
+    K(M) = K(M + p) + t^k * K(M : p). x_v lies in two generators, at most
+    one of them a power x_v^a, and every other has its x_v-exponent below
+    a, so p is not in M: both sides are strictly larger monomial ideals,
+    and the recursion ends."""
+    gens: list[Exponents] = []
+    for e in sorted(set(leads), key=sum):  # the minimal generators
+        if not any(all(map(le, g, e)) for g in gens):
+            gens.append(e)
+    counts = [len(column) - column.count(0) for column in zip(*gens)] or [0]
+    v = counts.index(max(counts))
+    if counts[v] <= 1:
+        K = [1]
+        for g in gens:  # pairwise coprime: the product of the (1 - t^deg g)
+            K = _minus(K, [0] * sum(g) + K)
+        return K
+    exps = sorted(g[v] for g in gens if 0 < g[v] < sum(g))
+    k = exps[len(exps) // 2]
+    p = tuple(k if u == v else 0 for u in range(len(gens[0])))
+    colon = [g[:v] + (max(g[v] - k, 0),) + g[v + 1:] for g in gens]
+    return _minus(_numerator(gens + [p]), [0] * k + [-c for c in _numerator(colon)])
+
+
+def _reduced(K: list[int], nvars: int) -> tuple[tuple[int, ...], int]:
+    """(h, dim) with K(t) / (1 - t)^nvars = h(t) / (1 - t)^dim and h(1) != 0,
+    trailing zeros dropped; ((0,), 0) for the zero series."""
+    h, dim = list(K), nvars
+    while len(h) > 1 and h[-1] == 0:
+        h.pop()
+    while any(h) and sum(h) == 0:  # divide by 1 - t
+        h, dim = list(accumulate(h))[:-1], dim - 1
+    return (tuple(h), dim) if any(h) else ((0,), 0)
+
+
+def _times_one_minus_t(h, k: int) -> list[int]:
+    """h(t) * (1 - t)^k, constant term first."""
+    h = list(h)
+    for _ in range(k):
+        h = _minus(h, [0] + h)
+    return h
+
+
+def _coefficient(h, dim: int, d: int) -> int:
+    """The coefficient of t^d in h(t) / (1 - t)^dim."""
+    if dim == 0:
+        return h[d] if d < len(h) else 0
+    return sum(c * comb(dim - 1 + d - i, dim - 1) for i, c in enumerate(h[:d + 1]))
 
 
 # ---------------------------------------------------------------------------
