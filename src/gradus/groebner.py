@@ -40,7 +40,9 @@ RREF goes through `gradus.field.rref`, whose monic Fraction rows are the
 new elements' coefficients and are stored back as integer rows.
 
 What is read off the basis lives beside it. `GradedQuotient` is R/I,
-degree by degree over its standard monomials, and
+degree by degree over its standard monomials, the cached columns that no
+lead divides (`gradus.ring._divides`, the one lead test F4, the meets and
+the points' kernel blocks share), and
 `GradedQuotient.normal_forms` is the one normal-form map: the matrix of
 the normal forms of a list of monomials. The multiplication maps Betti
 reads are sums of its column selections, and it gives the intersections'
@@ -60,7 +62,8 @@ AAECC 4, 1993), and three kinds of ideal supply these rows:
   nvars - 1 linear forms x_k - c_k * x_l in every order of the ring. The
   normal form of a monomial m is c^m * x_l^d, so I_d^⊥ is the one row
   (c^m)_m, made from the row of degree d - 1 as c_v times it scattered
-  through "times x_v". The point is read off the basis, not off a flag.
+  through "times x_v". `_point_ideal` builds the ideal with its rows of
+  degree 0 and 1, (1) and c, from the point's coordinates.
 - An intersection result: (I ∩ J)_d^⊥ = I_d^⊥ + J_d^⊥, so its complement
   is its parts' complements stacked. The parts are the ideals met to
   make it, an intersection operand being replaced by its own parts, and
@@ -152,6 +155,7 @@ from .ring import (
     TermOrder,
     _coefficient,
     _columns,
+    _divides,
     _form,
     _minus,
     _numerator,
@@ -417,7 +421,7 @@ def _f4(ring: RingSpec, gens: list[Poly]) -> list[Poly]:
         monos, M, col = _columns(nvars, order, d)
         # (LT G)_d, the monomials some lead divides, and for each of them
         # the first basis element whose lead does
-        divides = (np.array(leads, dtype=np.int64).reshape(-1, nvars) <= M[:, None, :]).all(axis=2)
+        divides = _divides(leads, M)
         reducible = divides.any(axis=1)
         first = divides.argmax(axis=1).tolist() if leads else []
         halves: dict[tuple[int, Exponents], None] = {}
@@ -572,13 +576,14 @@ class Ideal:
 
 
 class GradedQuotient:
-    """R/I degree by degree over its standard monomials; built by
-    `Ideal.quotient` and alive as long as I. Every map is read from the
-    normal forms of single monomials, each reduced once against I's prepared
-    GB; a normal form modulo a GB is unique, so they equal `normal_form`
-    followed by a scatter. The memo `nf`, monomial -> coordinates over
-    basis(d), keeps one degree, since every call works in one degree: an
-    ideal that outlives its work (one a caller holds, or one kept as an
+    """R/I degree by degree over its standard monomials, each degree the
+    cached columns that no lead of I divides; built by `Ideal.quotient`
+    and alive as long as I. Every map is read from the normal forms of
+    single monomials, each reduced once against I's prepared GB; a normal
+    form modulo a GB is unique, so they equal `normal_form` followed by a
+    scatter. The memo `nf`, monomial -> coordinates over basis(d), keeps
+    one degree, since every call works in one degree: an ideal that
+    outlives its work (one a caller holds, or one kept as an
     intersection's part) keeps one degree's normal forms, not all it ever
     used.
     """
@@ -586,47 +591,23 @@ class GradedQuotient:
     def __init__(self, I: Ideal):
         self.ring = I.ring
         self._prepared = I.prepared()
+        self._leads = np.array(I.leading_monomials(), dtype=np.int64).reshape(-1, I.ring.nvars)
         self._basis: dict[int, list[Exponents]] = {}
         self.nf: dict[Exponents, np.ndarray] = {}
         self._degree, self._index = -1, {}  # nf's degree, and basis(d) -> position
 
     def basis(self, d: int) -> list[Exponents]:
         """Degree-d monomials outside the leading-term ideal, descending in
-        the order; empty for d < 0.
-
-        The standard monomials form an order ideal: e is standard iff it is
-        no lead and every e/x_v is standard (a lead dividing e properly
-        divides some e/x_v). So each degree is built from the one below.
-        """
+        the order; empty for d < 0: the cached degree-d columns that no lead
+        divides. They are the shared tuples of `_columns`, so an ideal that
+        outlives its work holds no monomials of its own."""
         if d < 0:
             return []
         if d not in self._basis:
-            leads = {lead for lead, _ in self._prepared}
-            for k in range(d + 1):
-                if k not in self._basis:
-                    self._basis[k] = self._next_basis(k, leads)
+            monos, M, _ = _columns(self.ring.nvars, self.ring.order, d)
+            standard = np.flatnonzero(~_divides(self._leads, M).any(axis=1)).tolist()
+            self._basis[d] = [monos[j] for j in standard]
         return self._basis[d]
-
-    def _next_basis(self, k: int, leads: set) -> list[Exponents]:
-        """basis(k), given basis(k - 1) and the set of leads."""
-        n = self.ring.nvars
-        below = self._basis[k - 1] if k else []
-        prev = set(below)
-        standard = {(0,) * n} - leads if k == 0 else set()
-        for b in below:
-            # e = b * x_v with v >= the last variable of b reaches each e once
-            top = max((v for v in range(n) if b[v]), default=0)
-            for v in range(top, n):
-                e = b[:v] + (b[v] + 1,) + b[v + 1:]
-                if e in leads:
-                    continue
-                if all(e[:u] + (e[u] - 1,) + e[u + 1:] in prev for u in range(v) if e[u]):
-                    standard.add(e)
-        if not standard:
-            return []
-        # the shared, sorted monomials give the order and the tuples to keep:
-        # an ideal that outlives its work holds no monomials of its own
-        return [e for e in _columns(n, self.ring.order, k)[0] if e in standard]
 
     def normal_forms(self, monos, d: int):
         """The map R_d -> (R/I)_d on the degree-d monomials `monos`, shape
@@ -696,45 +677,39 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 _GREVLEX = TermOrder(GREVLEX)
 
 
-def _point_of(I: Ideal) -> list | None:
-    """The point c, with c_l = 1, when I's reduced basis is nvars - 1 linear
-    forms: their leads are nvars - 1 distinct variables and their tails
-    standard, so each is x_k - c_k * x_l for the one variable x_l that is
-    no lead, and I is the ideal of c. Every order of the ring ranks
-    x_0 > ... > x_{nvars-1} in degree 1, so the lead is the variable of
-    least index and the basis the same in each. None for any other ideal."""
-    ring = I.ring
-    G = I.groebner()
-    if not G or len(G) != ring.nvars - 1 or any(g.degree() != 1 for g in G):
-        return None
-    field = ring.field
-    leads = [min(e.index(1) for e in g.terms) for g in G]
-    l = (set(range(ring.nvars)) - set(leads)).pop()
-    c = [field.zero] * ring.nvars
-    c[l] = field.one
-    for k, g in zip(leads, G):
-        c[k] = field.neg(g.terms.get(_unit(ring.nvars, l), field.zero))
-    return c
+def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
+    """The ideal of the one point p, with its reduced basis, its Hilbert
+    series 1 / (1 - t) and its complement's rows of degree 0 and 1 preset:
+    for l the last index with p_l != 0 and c = p / p_l, the basis is the
+    x_k - c_k * x_l for k != l, ascending by lead, and the rows are (1)
+    and c. Grevlex, lex and the elimination orders all rank
+    x_0 > ... > x_n in degree 1, so the basis is the same in each."""
+    f = ring.field
+    l = max(k for k, x in enumerate(p) if not f.is_zero(x))
+    inv, n = f.inv(p[l]), ring.nvars
+    c = [f.mul(x, inv) for x in p]
+    gens = [Poly(ring, {_unit(n, k): f.one, _unit(n, l): f.neg(c[k])})
+            for k in reversed(range(n)) if k != l]
+    I = Ideal._preset(ring, gens, gens, ((1,), 1))
+    I._point_rows[0], I._point_rows[1] = f.array([[f.one]]), f.array([c])
+    return I
 
 
 def _complement(I: Ideal, d: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of I_d, over the degree-d
     monomials in descending grevlex order: for an intersection result or
     a node of the points oracle its parts' complements stacked; for the
-    ideal of a point c the one row (c^m)_m, the normal form modulo I_d,
-    built from the row of degree d - 1 as c_v times it scattered through
-    "times x_v"; for any other ideal the matrix of its normal forms, from
-    `I.quotient()`. The row of degree 1 is c itself."""
+    ideal of a point c, made by `_point_ideal` with its rows of degree 0
+    and 1, the one row (c^m)_m, the normal form modulo I_d, built from the
+    row of degree d - 1 as c_v times it scattered through "times x_v";
+    for any other ideal the matrix of its normal forms, from
+    `I.quotient()`."""
     if I._parts:
         return np.concatenate([_complement(X, d) for X in I._parts])
     rows = I._point_rows
     field, nvars = I.ring.field, I.ring.nvars
     if not rows:
-        c = _point_of(I)
-        if c is None:
-            return I.quotient().normal_forms(_columns(nvars, _GREVLEX, d)[0], d)
-        rows[0], rows[1] = _zeros(field, 1, 1), field.array([c])
-        rows[0][0, 0] = field.one
+        return I.quotient().normal_forms(_columns(nvars, _GREVLEX, d)[0], d)
     c = rows[1][0]
     for e in range(len(rows), d + 1):
         below, row = rows[e - 1][0], _zeros(field, 1, len(_columns(nvars, _GREVLEX, e)[0]))
@@ -773,9 +748,6 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     field, nvars = ring.field, ring.nvars
 
-    def numerator(leads) -> list[int]:  # HS(R/(leads)) = numerator / (1 - t)^nvars
-        return _numerator([tuple(e) for e in leads])
-
     def check(degrees) -> None:
         for e in degrees:
             if dims[e] != comb(nvars - 1 + e, nvars - 1) - _coefficient(target, nvars, e):
@@ -795,21 +767,20 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     target = None
     dims = [0] * d  # dims[e] = dim (I ∩ J)_e
     found: list[Poly] = []
-    leads = np.zeros((0, nvars), dtype=np.int64)
+    leads: list[Exponents] = []
     while True:
         monos, M, _ = _columns(nvars, _GREVLEX, d)
         K, pivots = _meet_in_degree(field, _complement(I, d), _complement(J, d), len(monos))
         dims.append(len(K))
-        new = np.flatnonzero(~(leads <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
-        leads = np.concatenate([leads, M[[pivots[r] for r in new]]])
+        new = np.flatnonzero(~_divides(leads, M[pivots]).any(axis=1)).tolist()
+        leads += [monos[pivots[r]] for r in new]
         found += [_form(ring, monos, K[r]) for r in reversed(new)]
         if target is None:
             if not _sum_hf(both, nvars, d, dims[d]):  # (I + J)_e = R_e from here on
                 target = _meet_series(both, dims, nvars)
             # a node has no generators to sum, and its sums are Artinian
             elif new and not isinstance(I, _Meet) and not isinstance(J, _Meet) and \
-                    _could_be_complete(_reduced(_minus(sides, numerator(leads.tolist())), nvars),
-                                       bound):
+                    _could_be_complete(_reduced(_minus(sides, _numerator(leads)), nvars), bound):
                 h, dim = hilbert_series(ideal_sum(I, J))
                 target = _minus(sides, _times_one_minus_t(h, nvars - dim))
             if target is not None:
@@ -820,9 +791,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         # the leads' count in degree d + 1 is a cheap necessary condition
         M = _columns(nvars, _GREVLEX, d + 1)[1]
         if target is not None and new and \
-                (leads <= M[:, None]).all(axis=2).any(axis=1).sum() == \
+                _divides(leads, M).any(axis=1).sum() == \
                 len(M) - _coefficient(target, nvars, d + 1) and \
-                _reduced(numerator(leads.tolist()), nvars) == _reduced(target, nvars):
+                _reduced(_numerator(leads), nvars) == _reduced(target, nvars):
             break
         d += 1
     # the meet's columns are grevlex, so `found` is the ring's basis only there

@@ -12,8 +12,8 @@ so both are always returned.
 The series and the graded quotient R/I are read off the ideal's one
 reduced basis, so they live beside it in `gradus.groebner`
 (`hilbert_series`, `GradedQuotient`), and the series arithmetic on
-numerators lives in `gradus.ring`; this module re-exports them. Hom works
-on the points' values (`gradus.points.PointValues`).
+numerators lives in `gradus.ring`. Hom works on the points' values
+(`gradus.points.PointValues`).
 """
 from __future__ import annotations
 
@@ -22,11 +22,8 @@ from fractions import Fraction
 
 from .errors import GradusError
 from .field import rank
-# GradedQuotient, _minus, _numerator, _reduced and _times_one_minus_t are
-# unused here but stay importable from gradus.hilbert, where tests read them
-from .groebner import GradedQuotient, Ideal, hilbert_series  # noqa: F401
-from .ring import (  # noqa: F401
-    _coefficient, _minus, _numerator, _reduced, _times_one_minus_t, monomials_of_degree)
+from .groebner import Ideal, hilbert_series
+from .ring import _coefficient, monomials_of_degree
 
 
 def standard_monomials(I: Ideal, d: int) -> list:

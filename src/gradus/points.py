@@ -39,17 +39,18 @@ With a point on x_n = 0 the stop can pass delta_X + 1; there a block is
 the x_v times the block below, whose rank proves (F)_d = (I_X)_d.
 
 An independent oracle builds each single-point ideal in closed form
-instead, x_k minus (p_k / p_l) * x_l for k != l and l the last index with
-p_l != 0, with its reduced basis and its Hilbert series 1/(1 - t) preset,
-and meets them in a balanced tree, so that no meet below the root carries
-more than half of the points. Its meets are linear algebra in k[x], which read a leaf only
+instead (`gradus.groebner._point_ideal`), x_k minus c_k * x_l for k != l,
+l the last index with p_l != 0 and c = p / p_l, with its reduced basis,
+its Hilbert series 1/(1 - t) and the row c preset, and meets them in a
+balanced tree, so that no meet below the root carries more than half of
+the points. Its meets are linear algebra in k[x], which read a leaf only
 through the complement of its degree-d part: the normal form modulo the
-point ideal, the one row (c^m)_m for c = p / p_l, read off the ideal's
-reduced basis. Below the root a node keeps only its parts, whose rows
-stack to its complement, and its Hilbert series, proven from one rank of
-those rows per degree (`gradus.groebner._series_meet`) up to the degree
-where the sum of its two sides' ideals is Artinian, as two disjoint sets
-of distinct points have no common zero. Only the root is an
+point ideal, the one row (c^m)_m, grown from c one degree at a time.
+Below the root a node keeps only its parts, whose rows stack to its
+complement, and its Hilbert series, proven from one rank of those rows
+per degree (`gradus.groebner._series_meet`) up to the degree where the
+sum of its two sides' ideals is Artinian, as two disjoint sets of
+distinct points have no common zero. Only the root is an
 `ideal_intersection`, one kernel per degree and the one reduced basis
 built. So the oracle takes no `evaluation_array`, no kernel of it and no
 F4.
@@ -72,10 +73,11 @@ from .field import (
     DEFAULT_PRIME, Field, PrimeField, _echelon, _kernel, _matrix, _zeros, field_from_string, rank,
     rank_profile,
 )
-from .groebner import Ideal, _series_meet, ideal_intersection
+from .groebner import Ideal, _point_ideal, _series_meet, ideal_intersection
 from .hilbert import SocleReport
 from .ring import (
-    Poly, RingSpec, _columns, _form, _numerator, _reduced, _shift, _unit, expect_json, json_key,
+    Poly, RingSpec, _columns, _divides, _form, _numerator, _reduced, _shift, _unit, expect_json,
+    json_key,
 )
 
 
@@ -201,19 +203,18 @@ class PointSet:
             d += 1
         return d
 
-    def is_general_position(self, up_to: int | None = None) -> bool:
-        """Check rank = min(C(n+d, n), s) for every degree d <= up_to (default s).
+    def is_general_position(self) -> bool:
+        """Check rank = min(C(n+d, n), s) in every degree d.
 
         Two ranks decide it (module docstring): full rank C(n+d, n) at
-        d = min(d* - 1, up_to), and rank s at d* if d* <= up_to. HF_X is
-        non-decreasing because over an infinite extension field some linear
-        form vanishes at no point and so is a non-zero divisor on R_X, and
-        rank does not change under field extension, so this holds over F_p
-        too. Degree 0 needs no check: its rank is 1 = min(1, s).
+        d* - 1, and rank s at d*. HF_X is non-decreasing because over an
+        infinite extension field some linear form vanishes at no point and
+        so is a non-zero divisor on R_X, and rank does not change under
+        field extension, so this holds over F_p too. Degree 0 needs no
+        check: its rank is 1 = min(1, s).
         """
-        top = self.s if up_to is None else up_to
         d_star = self._d_star()
-        for d in sorted({min(d_star - 1, top), min(d_star, top)}):
+        for d in (d_star - 1, d_star):
             if d >= 1 and self.rank_at(d) != min(comb(self.n + d, self.n), self.s):
                 return False
         return True
@@ -390,8 +391,7 @@ def _block_basis(ring: RingSpec, K, d: int, dim: int, leads: list, basis: list) 
     if len(pivots) != dim:
         raise VerificationError(f"vanishing ideal: a block of degree {d} has rank {len(pivots)}, "
                                 f"not dim (I_X)_{d} = {dim}; this is a bug")
-    low = np.array(leads, dtype=np.int64).reshape(len(leads), ring.nvars)
-    new = np.flatnonzero(~(low <= M[pivots][:, None]).all(axis=2).any(axis=1)).tolist()
+    new = np.flatnonzero(~_divides(leads, M[pivots]).any(axis=1)).tolist()
     leads += [monos[pivots[r]] for r in new]
     basis += [_form(ring, monos, R[r]) for r in reversed(new)]
     return R[:dim]
@@ -407,30 +407,16 @@ def _times_variables(ring: RingSpec, K: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
-    """The ideal of the one point p, with its reduced basis and its
-    Hilbert series 1 / (1 - t) preset: for l the last index with p_l != 0,
-    the x_k - (p_k / p_l) * x_l for k != l, ascending by lead. Grevlex, lex
-    and the elimination orders all rank x_0 > ... > x_n in degree 1, so the
-    basis is the same in each."""
-    f = ring.field
-    l = max(k for k, c in enumerate(p) if not f.is_zero(c))
-    inv, n = f.inv(p[l]), ring.nvars
-    gens = [Poly(ring, {_unit(n, k): f.one, _unit(n, l): f.neg(f.mul(p[k], inv))})
-            for k in reversed(range(n)) if k != l]
-    return Ideal._preset(ring, gens, gens, ((1,), 1))
-
-
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
     """Independent route: meet the single-point ideals, each in closed form
     (`_point_ideal`), in a balanced tree by linear algebra in k[x], with no
     `evaluation_array`, no kernel of it and no F4 of the points. A leaf's
     complement in degree d is the normal form modulo its point ideal, one
-    row read off the reduced basis, and a node's is its parts' rows
-    stacked. Each node below the root keeps only those parts and its
-    proven series (`_series_meet`, one rank per degree); the root is the
-    one `ideal_intersection`, one kernel per degree, and builds the one
-    reduced basis."""
+    row grown from the point's own row c = p / p_l, and a node's is its
+    parts' rows stacked. Each node below the root keeps only those parts
+    and its proven series (`_series_meet`, one rank per degree); the root
+    is the one `ideal_intersection`, one kernel per degree, and builds the
+    one reduced basis."""
     ring = X.ring()
     level = [_point_ideal(ring, p) for p in X.points]
     while len(level) > 2:

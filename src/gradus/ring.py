@@ -8,8 +8,9 @@ construction.
 It also owns the monomial combinatorics the layers above share: the
 columns, `_columns(nvars, order, d)`, the one cache of the degree-d
 monomials (`monomials_of_degree` reads it), with `_shift`, their map
-through "times q", and `_form`, which reads a row over them as a form;
-and the numerators, K(t) with HS(k[x]/M) = K(t) / (1 - t)^nvars for a
+through "times q", `_form`, which reads a row over them as a form, and
+`_divides`, the one test of which leads divide which of them; and the
+numerators, K(t) with HS(k[x]/M) = K(t) / (1 - t)^nvars for a
 monomial ideal M (`_numerator`), with the series arithmetic on them.
 """
 from __future__ import annotations
@@ -150,9 +151,6 @@ class RingSpec:
     def one(self) -> "Poly":
         return Poly(self, {(0,) * self.nvars: self.field.one})
 
-    def constant(self, c) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: c})
-
     def variable(self, i: int) -> "Poly":
         e = [0] * self.nvars
         e[i] = 1
@@ -245,6 +243,13 @@ def _shift(nvars: int, order: TermOrder, d: int, q: Exponents) -> np.ndarray:
 def _unit(nvars: int, v: int) -> Exponents:
     """The exponent tuple of the variable x_v."""
     return tuple(int(u == v) for u in range(nvars))
+
+
+def _divides(leads, M: np.ndarray) -> np.ndarray:
+    """Entry (i, k) is whether lead k divides the monomial M[i], for leads
+    given as exponent tuples or as an array; shape (len(M), len(leads))."""
+    L = np.asarray(leads, dtype=np.int64).reshape(-1, M.shape[1])
+    return (L <= M[:, None]).all(axis=2)
 
 
 def _form(ring: RingSpec, monos: tuple, row: np.ndarray) -> Poly:

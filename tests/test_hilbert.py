@@ -9,10 +9,6 @@ from gradus.experiments import reference_J
 from gradus.field import field_from_string
 from gradus.groebner import Ideal, ideal_sum, leading_term_ideal
 from gradus.hilbert import (
-    _minus,
-    _numerator,
-    _reduced,
-    _times_one_minus_t,
     delta_X,
     hilbert_function,
     hilbert_polynomial,
@@ -24,7 +20,10 @@ from gradus.hilbert import (
     standard_monomials,
 )
 from gradus.points import random_general_points, vanishing_ideal
-from gradus.ring import Poly, RingSpec, monomials_of_degree, order_from_string, parse_poly
+from gradus.ring import (
+    Poly, RingSpec, _minus, _numerator, _reduced, _times_one_minus_t, monomials_of_degree,
+    order_from_string, parse_poly,
+)
 
 R = RingSpec(3)
 

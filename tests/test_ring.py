@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,8 +11,10 @@ from gradus.ring import (
     Poly,
     RingSpec,
     TermOrder,
+    _divides,
     compare_monomials,
     leading_term,
+    mono_divides,
     mono_mul,
     monomials_of_degree,
     parse_poly,
@@ -62,6 +65,24 @@ def test_mixed_ring_rejected():
         P("x0") + parse_poly(RingSpec(2), "x0")
     with pytest.raises(ValueError):
         P("x0") * P("x0", RQ)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_divides_is_mono_divides_on_every_pair(nvars):
+    """Entry (i, k) of `_divides(leads, M)` is mono_divides(leads[k], M[i]),
+    with the leads as tuples or as an array: random exponents, no lead,
+    a lead equal to a monomial, and the zero monomial."""
+    rng = random.Random(f"divides/{nvars}")
+    for _ in range(20):
+        M = np.array([[rng.randrange(4) for _ in range(nvars)]
+                      for _ in range(rng.randrange(1, 8))] + [[0] * nvars], dtype=np.int64)
+        leads = [tuple(rng.randrange(3) for _ in range(nvars)) for _ in range(rng.randrange(6))]
+        leads.append(tuple(M[0].tolist()))
+        for given in ([], leads, np.array(leads, dtype=np.int64)):
+            got = _divides(given, M)
+            assert got.shape == (len(M), len(given))
+            assert got.tolist() == [[mono_divides(tuple(lead), tuple(m)) for lead in given]
+                                    for m in M.tolist()]
 
 
 def test_leading_term_examples():
