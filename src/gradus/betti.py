@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
-from .field import rank
+from .field import _zeros, rank
 from .groebner import GradedQuotient, Ideal
 from .hilbert import is_artinian, socle_degree
 from .ring import GREVLEX, Poly, RingSpec, mono_lcm
@@ -90,9 +88,7 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
     rows = len(dst_sets) * len(dst_basis)
     cols = len(src_sets) * len(src_basis)
     fld = Q.ring.field
-    # int64 residues over F_p; over Q Python-int zeros, which `rank` takes
-    # mixed with the Fraction blocks
-    D = np.zeros((rows, cols), dtype=np.int64 if fld.kind == "prime" else object)
+    D = _zeros(fld, rows, cols)
     for sk, S in enumerate(src_sets):
         c0 = sk * len(src_basis)
         for r, v in enumerate(S):
@@ -103,7 +99,7 @@ def _koszul_rank(Q: GradedQuotient, blocks: dict, i: int, j: int) -> int:
                 D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] += block
             else:
                 D[r0:r0 + len(dst_basis), c0:c0 + len(src_basis)] -= block
-    return rank(fld, fld.reduce(D))
+    return rank(fld, D)
 
 
 def _section(I: Ideal) -> Ideal | None:

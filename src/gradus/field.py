@@ -11,20 +11,17 @@ residues in [0, p) over F_p and an object array of Fractions over Q, and
 (A % p over F_p, nothing over Q). Callers build, add and multiply matrices
 in that format without asking which field they hold; a matrix product of
 residues, whose inner sums overflow int64 at large p, goes through
-`matmul`. One elimination routine, `_echelon`, row-reduces both; `rank`,
-`rank_profile`, `rref`, `kernel_basis` and `row_space_basis` accept lists
-or arrays and return an int, a list of column indices or lists of
-canonical field elements.
-
-`rref`, `kernel_basis` and `row_space_basis` run full Gauss-Jordan, and
-`kernel_basis` reads the kernel off the RREF with `_perp`. `_kernel`
-gives that kernel as an array, with its free columns, to the vanishing
-ideal's degree-d forms and the values' annihilators (`gradus.points`),
-theta's colon kernels (`gradus.hom`) and the meets of
-`ideal_intersection` (`gradus.groebner`). `rank` and `rank_profile` run
+`matmul`. One elimination routine, `_echelon`, row-reduces both, and the
+library hands it arrays in that format. F4 (`gradus.groebner`) and the
+vanishing ideal's kernel blocks (`gradus.points`) read its RREF, and
+`_kernel` gives the kernel `_perp` reads off the RREF, as an array with
+its free columns, to the points' forms and annihilators, theta's colon
+kernels (`gradus.hom`) and the meets of `ideal_intersection`. `rank` and `rank_profile` run
 `_echelon`'s rank mode, which eliminates below the pivots only: row
 operations change neither the rank nor which columns depend on the ones
-left of them.
+left of them. `rref`, `kernel_basis` and `row_space_basis` are the list
+API for tests and users: they take lists or arrays and return lists of
+canonical field elements.
 
 On int64 residues a step takes two pivots when the leading 2 x 2 block of
 the trailing matrix is invertible mod p: its inverse, adj/det on Python
@@ -134,7 +131,8 @@ class PrimeField:
         return np.array(rows, dtype=np.int64) % self.p
 
     def reduce(self, A: np.ndarray) -> np.ndarray:
-        """Residues of an int64 array whose entries lie in (-2^63, 2^63)."""
+        """Residues of an int64 array whose entries lie in (-2^63, 2^63), or
+        of a Python int."""
         return A % self.p
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -266,14 +266,15 @@ class PointSet:
 
 _DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
+# draws of a point set before giving up on general position
+SAMPLE_TRIES = 60
 
-def random_general_points(s: int, n: int, seed: int,
-                          field: Field | None = None,
-                          max_tries: int = 60) -> PointSet:
+
+def random_general_points(s: int, n: int, seed: int, field: Field | None = None) -> PointSet:
     """s distinct random points of P^n certified in general position.
 
     Deterministic in (s, n, seed, field); degenerate draws are resampled up
-    to the retry budget, which only runs out over tiny fields.
+    to `SAMPLE_TRIES` times, which only runs out over tiny fields.
     """
     if s < 1:
         raise ValueError("need at least one point")
@@ -283,7 +284,7 @@ def random_general_points(s: int, n: int, seed: int,
         raise ValueError(f"P^0 has one point; cannot sample {s}")
     field = field or _DEFAULT_FIELD
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         pts: set[tuple] = set()
         stall = 0
         while len(pts) < s and stall < 200:
@@ -304,7 +305,7 @@ def random_general_points(s: int, n: int, seed: int,
         if X.is_general_position():
             return X
     raise GeneralPositionError(
-        f"no general-position sample of {s} points in P^{n} after {max_tries} tries"
+        f"no general-position sample of {s} points in P^{n} after {SAMPLE_TRIES} tries"
     )
 
 
@@ -440,7 +441,7 @@ def values_of(f: Poly, X: PointSet) -> np.ndarray:
         return fld.array([fld.zero] * X.s)
     d = f.degree()
     index = _columns(X.n + 1, X.ring().order, d)[2]
-    coeffs = np.zeros(len(index), dtype=np.int64 if fld.kind == "prime" else object)
+    coeffs = _zeros(fld, 1, len(index))[0]
     coeffs[[index[e] for e in f.terms]] = list(f.terms.values())
     return fld.reduce(fld.reduce(X.evaluation_array(d) * coeffs).sum(axis=1))
 

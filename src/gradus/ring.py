@@ -351,21 +351,12 @@ class Poly:
         """Evaluate at affine coordinates (one scalar per variable), with one
         power per variable of each term."""
         f = self.ring.field
-        if f.kind == "prime":
-            p = f.p
-            total = 0
-            for e, c in self.terms.items():
-                for x, k in zip(coords, e):
-                    if k:
-                        c = c * pow(x, k, p) % p
-                total += c
-            return total % p
         total = f.zero
         for e, c in self.terms.items():
             for x, k in zip(coords, e):
                 if k:
-                    c = c * x**k
-            total += c
+                    c = f.mul(c, x**k)
+            total = f.add(total, c)
         return total
 
     def __eq__(self, other):
@@ -517,7 +508,7 @@ def parse_poly(ring: RingSpec, text: str) -> Poly:
         raise ParseError("empty polynomial text")
     f = ring.field
     nvars = ring.nvars
-    p = f.p if f.kind == "prime" else 0
+    p = f.p if f.kind == "prime" else 0  # kept for speed: a decimal over F_p skips parse_scalar
     terms: dict = {}
     pos = 0
     for m in _TERM.finditer(text):

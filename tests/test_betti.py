@@ -247,3 +247,16 @@ def test_lex_ring_takes_the_taylor_bound():
     I_lex = Ideal(lex, [Poly(lex, g.terms) for g in I.generators])
     T = _check_against_full_ring(I_lex, "taylor", 0)
     assert T.entries == graded_betti(I).entries
+
+
+def test_graded_betti_refuses_the_unit_ideal():
+    R = RingSpec(3)
+    with pytest.raises(ValueError, match="needs a proper ideal"):
+        graded_betti(Ideal(R, [R.one()]))
+
+
+def test_render_betti_of_an_empty_and_of_a_truncated_table():
+    assert render_betti(BettiTable()) == "(empty)"
+    R = RingSpec(3)
+    I = Ideal(R, [parse_poly(R, f"x{v}^2") for v in range(3)])
+    assert render_betti(graded_betti(I, max_degree=2)).splitlines()[-1] == "(truncated at degree 2)"

@@ -496,3 +496,14 @@ def test_ideal_of_points_runs_no_f4(capsys, monkeypatch, tmp_path, oracle, field
     assert not calls
     run(capsys, "ideal", "--gens", "x0^2-x1*x2", "x1^2", "--nvars", "3")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideal"],
+    ["hom", "--points", str(GOLDEN_DIR / "points_s4.json"),
+     "--ideal", str(GOLDEN_DIR / "J_lin.json"), "--range", "abc"],
+], ids=["ideal-without-points-or-gens", "hom-unreadable-range"])
+def test_request_the_parser_cannot_read_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("gradus: parse error:")

@@ -1040,3 +1040,31 @@ def test_oracle_eliminates_once_per_meet(monkeypatch):
         assert columns == [comb(d + 2, 2) for d in range(start, start + len(columns))]
     assert callers == Counter({("_series_meet", True): sum(map(len, nodes)),
                                ("_meet_in_degree", False): len(meets)})
+
+
+def test_intersection_with_the_zero_ideal_is_that_operand():
+    R = RingSpec(3)
+    I, Z = Ideal(R, [parse_poly(R, "x0*x1")]), Ideal(R, [])
+    assert ideal_intersection(I, Z) is Z and ideal_intersection(Z, I) is Z
+
+
+def test_colon_by_the_zero_ideal_is_refused():
+    R = RingSpec(3)
+    with pytest.raises(ValueError, match="colon by the zero ideal"):
+        ideal_quotient(Ideal(R, [parse_poly(R, "x0")]), Ideal(R, []))
+
+
+@pytest.mark.parametrize("call", [ideal_sum, equal_ideals, ideal_intersection, ideal_quotient,
+                                  lambda I, J: I.contains(J.generators[0])],
+                         ids=["ideal_sum", "equal_ideals", "ideal_intersection",
+                              "ideal_quotient", "Ideal.contains"])
+def test_an_operand_from_another_ring_is_refused(call):
+    R, S = RingSpec(3), RingSpec(3, RationalField())
+    I, J = Ideal(R, [parse_poly(R, "x0")]), Ideal(S, [parse_poly(S, "x0")])
+    with pytest.raises(ValueError, match="different ring"):
+        call(I, J)
+
+
+def test_the_zero_ideal_has_no_min_generator_degree():
+    with pytest.raises(ValueError, match="zero ideal"):
+        Ideal(RingSpec(3), []).min_generator_degree()

@@ -395,3 +395,9 @@ def test_theta_takes_a_rank_only_where_g_vanishes(monkeypatch):
     sep = _separator(X)
     assert any(theta_kernel_dims(Ideal(ring, [g0, sep]), sep, X, degrees).values())
     assert calls
+
+
+def test_hom_refuses_the_zero_ideal():
+    X = random_general_points(4, 2, seed=3)
+    with pytest.raises(ValueError, match="nonzero ideal"):
+        hom_graded_dims(Ideal(X.ring(), []), X, range(3))

@@ -2,7 +2,7 @@
 hilbert -> points / betti -> hom -> experiments -> cli: a module imports
 at its top, never inside a function or method, and only from the layers
 below it, so each module can be imported first, in an interpreter of its
-own."""
+own. Outside `gradus.field` only two functions ask which field they hold."""
 import ast
 import os
 import pathlib
@@ -51,3 +51,34 @@ def test_a_module_imports_first_in_a_fresh_interpreter(module):
     proc = subprocess.run([sys.executable, "-c", f"import {name}"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# a field's own methods and its matrix format hide which field it is; these
+# two places still ask, each kept for a measured speed-up
+FIELD_KIND_ALLOWED = {"groebner._f4", "ring.parse_poly"}
+
+
+def _kind_tests(module: str) -> list[str]:
+    """The functions (module.qualified.name) of `module` that compare a
+    `.kind` with "prime" or "rational"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in sides)
+                    and any(isinstance(x, ast.Constant) and x.value in ("prime", "rational")
+                            for x in sides)):
+                found.append(".".join([module, *scope]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_tree(module), [])
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "field"])
+def test_only_the_field_asks_which_field_it_is(module):
+    assert [name for name in _kind_tests(module) if name not in FIELD_KIND_ALLOWED] == []

@@ -73,18 +73,19 @@ def test_sampler_without_a_field_shares_one_default_field():
     assert a == random_general_points(5, 2, seed=1, field=PrimeField(32003))
 
 
-def test_sampler_certificate_and_tiny_field_exhaustion():
+def test_sampler_certificate_and_tiny_field_exhaustion(monkeypatch):
     X = random_general_points(1, 2, seed=0)
     assert X.is_general_position()
     # F_5 has only 31 points in P^2 and collinearity is unavoidable for 30
+    monkeypatch.setattr(gradus.points, "SAMPLE_TRIES", 3)
     with pytest.raises(GeneralPositionError):
-        random_general_points(30, 2, seed=0, field=PrimeField(5), max_tries=3)
+        random_general_points(30, 2, seed=0, field=PrimeField(5))
 
 
 @pytest.mark.parametrize("s, n", [(0, 2), (-3, 2), (3, -1), (3, 0), (2, 0)])
 def test_sampler_refuses_bad_sizes_before_sampling(s, n):
     with pytest.raises(ValueError):
-        random_general_points(s, n, seed=1, max_tries=1)
+        random_general_points(s, n, seed=1)
 
 
 def test_sampler_takes_the_one_point_of_p0():
@@ -458,8 +459,9 @@ def test_general_position_early_stop_matches_full_check(monkeypatch):
         return got
 
     monkeypatch.setattr(PointSet, "is_general_position", compare)
+    monkeypatch.setattr(gradus.points, "SAMPLE_TRIES", 3)
     with pytest.raises(GeneralPositionError):
-        random_general_points(30, 2, seed=0, field=F5, max_tries=3)
+        random_general_points(30, 2, seed=0, field=F5)
     assert checked == [False] * 3
 
 

@@ -17,6 +17,7 @@ from gradus.ring import (
     mono_divides,
     mono_mul,
     monomials_of_degree,
+    order_from_string,
     parse_poly,
     poly_arith,
     poly_to_str,
@@ -214,3 +215,8 @@ def test_evaluate():
     fld = R.field
     val = f.evaluate((1, 2, 3))
     assert val == fld.normalize(1 + 6 - 27)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_order_from_string_reads_the_elimination_block(block):
+    assert order_from_string(f"elim{block}") == TermOrder("elim", block)

@@ -14,6 +14,7 @@ import pytest
 import gradus.experiments
 import gradus.field
 import gradus.groebner
+import gradus.hilbert
 import gradus.points
 from gradus.experiments import build_scan_J, socle_group_scan
 from gradus.field import PrimeField, RationalField, rank, row_space_basis
@@ -384,3 +385,28 @@ def test_values_filtration_matches_ranks_per_degree(fld):
                 assert (fast.artinian, fast.socle_degree, fast.initial_degree) == (True, None, 0)
             if kind != "zero" and k % 4 == 0:
                 _assert_matches_groebner(X, J)
+
+
+@pytest.mark.parametrize("call", [lambda X, I: gradus.hilbert.hilbert_function(I, -1),
+                                  lambda X, I: evaluation_matrix(X, -1),
+                                  lambda X, I: PointValues(X, I).hilbert_function(-1)],
+                         ids=["hilbert_function", "evaluation_matrix",
+                              "PointValues.hilbert_function"])
+def test_a_negative_degree_is_refused(call):
+    X = random_general_points(4, 2, seed=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        call(X, Ideal(X.ring(), [parse_poly(X.ring(), "x0")]))
+
+
+@pytest.mark.parametrize("call", [values_of, is_nonzerodivisor])
+def test_a_non_homogeneous_form_is_refused(call):
+    X = random_general_points(4, 2, seed=3)
+    with pytest.raises(ValueError, match="homogeneous"):
+        call(parse_poly(X.ring(), "x0^2+x1"), X)
+
+
+def test_point_values_refuse_j_from_another_ring():
+    X = random_general_points(4, 2, seed=3)
+    other = RingSpec(4, X.field)
+    with pytest.raises(ValueError, match="different rings"):
+        PointValues(X, Ideal(other, [parse_poly(other, "x0")]))
