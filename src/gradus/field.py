@@ -16,12 +16,12 @@ library hands it arrays in that format. F4 (`gradus.groebner`) and the
 vanishing ideal's kernel blocks (`gradus.points`) read its RREF, and
 `_kernel` gives the kernel `_perp` reads off the RREF, as an array with
 its free columns, to the points' forms and annihilators, theta's colon
-kernels (`gradus.hom`) and the meets of `ideal_intersection`. `rank` and `rank_profile` run
-`_echelon`'s rank mode, which eliminates below the pivots only: row
-operations change neither the rank nor which columns depend on the ones
-left of them. `rref`, `kernel_basis` and `row_space_basis` are the list
-API for tests and users: they take lists or arrays and return lists of
-canonical field elements.
+kernels (`gradus.hom`) and the meets of `ideal_intersection`. `rank` and
+`rank_profile` run `_echelon`'s rank mode, which eliminates below the
+pivots only: row operations change neither the rank nor which columns
+depend on the ones left of them. `rref`, `kernel_basis` and
+`row_space_basis` are the list API for tests and users: they take lists
+or arrays and return lists of canonical field elements.
 
 On int64 residues a step takes two pivots when the leading 2 x 2 block of
 the trailing matrix is invertible mod p: its inverse, adj/det on Python
@@ -550,5 +550,5 @@ def row_space_basis(field: Field, rows, ncols: int | None = None) -> list[list]:
     """Basis (in rref form) of the span of the given rows."""
     if not len(rows):
         return []
-    R, pivots = rref(field, rows, ncols)
-    return R[:len(pivots)]
+    R, pivots = _echelon(_matrix(field, rows, ncols), field)
+    return R[:len(pivots)].tolist()

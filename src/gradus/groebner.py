@@ -399,7 +399,7 @@ def _f4(ring: RingSpec, gens: list[Poly]) -> list[Poly]:
     terms in descending order, and no lead divides another lead or a tail
     term."""
     field, nvars, order = ring.field, ring.nvars, ring.order
-    # kept for speed: integer rows make a P^2 s = 7 basis over Q 3.6x faster than Fractions
+    # kept for speed: integer rows build P^2 bases over Q (s = 7 to 40) 2x faster than Fractions
     exact = field.kind == "rational"
     by_degree: dict[int, list[Poly]] = {}
     for g in gens:

@@ -2,7 +2,7 @@
 hilbert -> points / betti -> hom -> experiments -> cli: a module imports
 at its top, never inside a function or method, and only from the layers
 below it, so each module can be imported first, in an interpreter of its
-own. Outside `gradus.field` only two functions ask which field they hold."""
+own."""
 import ast
 import os
 import pathlib
