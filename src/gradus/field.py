@@ -126,6 +126,9 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p
 
+    def power(self, a: int, k: int) -> int:
+        return pow(a, k, self.p)
+
     def array(self, rows) -> np.ndarray:
         """Rows (lists or an array) as a fresh int64 array of residues."""
         return np.array(rows, dtype=np.int64) % self.p
@@ -224,6 +227,9 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return Fraction(a) / b
+
+    def power(self, a, k: int):
+        return a**k
 
     def array(self, rows) -> np.ndarray:
         """Rows (lists or an array) as a fresh object array of Fractions."""

@@ -349,13 +349,13 @@ class Poly:
 
     def evaluate(self, coords: tuple) -> object:
         """Evaluate at affine coordinates (one scalar per variable), with one
-        power per variable of each term."""
+        field power per variable of each term."""
         f = self.ring.field
         total = f.zero
         for e, c in self.terms.items():
             for x, k in zip(coords, e):
                 if k:
-                    c = f.mul(c, x**k)
+                    c = f.mul(c, f.power(x, k))
             total = f.add(total, c)
         return total
 
@@ -508,7 +508,6 @@ def parse_poly(ring: RingSpec, text: str) -> Poly:
         raise ParseError("empty polynomial text")
     f = ring.field
     nvars = ring.nvars
-    p = f.p if f.kind == "prime" else 0  # kept for speed: a decimal over F_p skips parse_scalar
     terms: dict = {}
     pos = 0
     for m in _TERM.finditer(text):
@@ -518,12 +517,7 @@ def parse_poly(ring: RingSpec, text: str) -> Poly:
         signs, coeff, mono = m.groups()
         if pos and not signs:
             raise ParseError(f"expected '+' or '-' between terms at {text[pos:]!r}")
-        if coeff is None:
-            c = f.one
-        elif p and "/" not in coeff:
-            c = int(coeff) % p
-        else:
-            c = f.parse_scalar(coeff)
+        c = f.one if coeff is None else f.parse_scalar(coeff)
         e, nums = _monomial(nvars, mono)
         for num in nums:
             c = f.mul(c, f.parse_scalar(num))

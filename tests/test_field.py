@@ -50,6 +50,19 @@ def test_rational_examples():
         Q.div(Q.one, Q.zero)
 
 
+@pytest.mark.parametrize("field, a, k, expected", [
+    (F7, 3, 6, 1),
+    (F7, 0, 0, 1),
+    (PrimeField(2**31 - 1), 5, 2**31 - 2, 1),  # Fermat, with no power of 5 built first
+    (PrimeField(2**31 - 1), 2, 31, 1),
+    (Q, Fraction(-2, 3), 3, Fraction(-8, 27)),
+    (Q, Fraction(5), 0, Fraction(1)),
+])
+def test_power_is_a_canonical_field_element(field, a, k, expected):
+    value = field.power(a, k)
+    assert value == expected and type(value) is type(field.one)
+
+
 def test_scalar_wrapper_checks_fields():
     a = Scalar(F7, 3)
     b = Scalar(F7, 5)

@@ -53,9 +53,9 @@ def test_a_module_imports_first_in_a_fresh_interpreter(module):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-# a field's own methods and its matrix format hide which field it is; these
-# two places still ask, each kept for a measured speed-up
-FIELD_KIND_ALLOWED = {"groebner._f4", "ring.parse_poly"}
+# a field's own methods and its matrix format hide which field it is; only
+# F4 still asks, for its integer rows over Q, kept for a measured speed-up
+FIELD_KIND_ALLOWED = {"groebner._f4"}
 
 
 def _kind_tests(module: str) -> list[str]:
