@@ -58,12 +58,11 @@ monomials in descending grevlex order (`_complement`). An ideal of points
 is known by the functionals that vanish on it (Marinari, Möller and Mora,
 AAECC 4, 1993), and three kinds of ideal supply these rows:
 
-- The ideal of a point c, with c_l = 1, whose reduced basis is the
-  nvars - 1 linear forms x_k - c_k * x_l in every order of the ring. The
-  normal form of a monomial m is c^m * x_l^d, so I_d^⊥ is the one row
-  (c^m)_m, made from the row of degree d - 1 as c_v times it scattered
-  through "times x_v". `_point_ideal` builds the ideal with its rows of
-  degree 0 and 1, (1) and c, from the point's coordinates.
+- A node of the points oracle (`_Meet`), the ideal of k distinct points:
+  the k rows (c^m)_m, one per point c = p / p_l with p_l its last
+  non-zero coordinate, the normal form of m modulo the point's ideal
+  being c^m * x_l^d. Degree d is made from degree d - 1 for all k points
+  at once, as c_v times it scattered through "times x_v".
 - An intersection result: (I ∩ J)_d^⊥ = I_d^⊥ + J_d^⊥, so its complement
   is its parts' complements stacked. The parts are the ideals met to
   make it, an intersection operand being replaced by its own parts, and
@@ -90,10 +89,10 @@ HF(R/(I+J))_e is HF(R/I)(e) + HF(R/J)(e) - dim R_e, read off the two
 series with no meet. Those series are kept on the ideals, where
 `hilbert_series` reads them: an intersection leaves the series it proved
 on its result, so in a tree only the leaves' series are computed from
-their leads, and a single-point ideal has 1/(1 - t) preset; any other
-operand's comes from its leads in the ring's order, the basis its normal
-forms divide by. In the loop's degrees too, dim I_d and dim J_d are read
-off the two series, not off a basis.
+their leads, and a node of the points oracle proves its own from ranks;
+any other operand's comes from its leads in the ring's order, the basis
+its normal forms divide by. In the loop's degrees too, dim I_d and
+dim J_d are read off the two series, not off a basis.
 
 The loop stops on a Hilbert series. The exact sequence
 0 -> R/(I ∩ J) -> R/I ⊕ R/J -> R/(I+J) -> 0 gives HS(R/(I ∩ J)) =
@@ -124,17 +123,14 @@ intersection fewer than the list is long, but below the root none meets
 more than half of the list, where a left fold carries all it has met into
 each one.
 
-The points oracle (`gradus.points.vanishing_ideal_oracle`) pairs its
-single-point ideals in the same tree, but builds one reduced basis only,
-at the root. What the next meet reads of a node is its complement, its
-parts' rows stacked, and its series, so a node below the root keeps only
-those (`_Meet`) and proves its series from ranks alone (`_series_meet`):
-from the larger initial degree, HF(R/(I ∩ J))_d is the rank of the
-complements stacked, with no kernel, no leads and no polynomial, until
-HF(R/(I+J))_d = 0, and the series is then `_meet_series`, the same
-arithmetic as the Artinian stop above. The root is the one
-`ideal_intersection`; a node has no generators to sum, so there its
-target series comes from the Artinian sum too, never from F4 of I + J.
+The points oracle (`gradus.points.vanishing_ideal_oracle`) meets two
+nodes, each the ideal of one half of the points (`_Meet`), in the one
+`ideal_intersection` and builds the one reduced basis there. A node is
+read only through its rows and its series, which it proves from one rank
+of its rows per degree: HF of a point set is the rank of their values,
+never decreases and never exceeds the point count. The sum of the two
+halves' ideals has no zero, so it is Artinian, and the root's target
+series comes from that sum, never from F4 of I + J.
 """
 from __future__ import annotations
 
@@ -472,13 +468,11 @@ def _f4(ring: RingSpec, gens: list[Poly]) -> list[Poly]:
 class Ideal:
     """Homogeneous ideal: generator list plus, each built on first use, its
     one reduced Groebner basis, in the ring's order, that basis's prepared
-    form and the graded quotient R/I; the Hilbert series once known; and
-    what intersections read of I_d^⊥ (`_complement`) beyond the quotient's
-    normal forms: the closed-form rows of a point ideal, or the parts of an
-    intersection result."""
+    form and the graded quotient R/I; the Hilbert series once known; and,
+    for an intersection result, its parts, whose complements stack to its
+    own (`_complement`)."""
 
-    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient",
-                 "_point_rows", "_parts", "_series")
+    __slots__ = ("ring", "generators", "_gb", "_prepared", "_quotient", "_parts", "_series")
 
     def __init__(self, ring: RingSpec, generators, check: bool = True):
         gens = tuple(generators)
@@ -495,7 +489,6 @@ class Ideal:
         self._gb: list[Poly] | None = None  # the reduced basis, ascending by lead
         self._prepared: list | None = None
         self._quotient = None  # the GradedQuotient, also a generic operand's complements
-        self._point_rows: dict[int, np.ndarray] = {}  # d -> the row of a point ideal, from 0 up
         self._parts: tuple = ()  # an intersection result's: the ideals it is the meet of
         self._series = None  # HS(R/I) as (h, dim), set by hilbert_series or an intersection
 
@@ -676,46 +669,37 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 _GREVLEX = TermOrder(GREVLEX)
 
 
-def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
-    """The ideal of the one point p, with its reduced basis, its Hilbert
-    series 1 / (1 - t) and its complement's rows of degree 0 and 1 preset:
-    for l the last index with p_l != 0 and c = p / p_l, the basis is the
-    x_k - c_k * x_l for k != l, ascending by lead, and the rows are (1)
-    and c. Grevlex, lex and the elimination orders all rank
-    x_0 > ... > x_n in degree 1, so the basis is the same in each."""
-    f = ring.field
+def _chart(f, p: tuple) -> tuple[int, list]:
+    """(l, c) for l the last index with p_l != 0 and c = p / p_l."""
     l = max(k for k, x in enumerate(p) if not f.is_zero(x))
-    inv, n = f.inv(p[l]), ring.nvars
-    c = [f.mul(x, inv) for x in p]
+    inv = f.inv(p[l])
+    return l, [f.mul(x, inv) for x in p]
+
+
+def _point_ideal(ring: RingSpec, p: tuple) -> Ideal:
+    """The ideal of the one point p, with its reduced basis and its Hilbert
+    series 1 / (1 - t) preset: for (l, c) the point's `_chart`, the basis
+    is the x_k - c_k * x_l for k != l, ascending by lead. Grevlex, lex and
+    the elimination orders all rank x_0 > ... > x_n in degree 1, so the
+    basis is the same in each."""
+    f, n = ring.field, ring.nvars
+    l, c = _chart(f, p)
     gens = [Poly(ring, {_unit(n, k): f.one, _unit(n, l): f.neg(c[k])})
             for k in reversed(range(n)) if k != l]
-    I = Ideal._preset(ring, gens, gens, ((1,), 1))
-    I._point_rows[0], I._point_rows[1] = f.array([[f.one]]), f.array([c])
-    return I
+    return Ideal._preset(ring, gens, gens, ((1,), 1))
 
 
-def _complement(I: Ideal, d: int) -> np.ndarray:
+def _complement(I, d: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of I_d, over the degree-d
-    monomials in descending grevlex order: for an intersection result or
-    a node of the points oracle its parts' complements stacked; for the
-    ideal of a point c, made by `_point_ideal` with its rows of degree 0
-    and 1, the one row (c^m)_m, the normal form modulo I_d, built from the
-    row of degree d - 1 as c_v times it scattered through "times x_v";
-    for any other ideal the matrix of its normal forms, from
-    `I.quotient()`."""
+    monomials in descending grevlex order: for an intersection result its
+    parts' complements stacked; for a node of the points oracle its rows
+    (`_Meet.rows`); for any other ideal the matrix of its normal forms,
+    from `I.quotient()`."""
     if I._parts:
         return np.concatenate([_complement(X, d) for X in I._parts])
-    rows = I._point_rows
-    field, nvars = I.ring.field, I.ring.nvars
-    if not rows:
-        return I.quotient().normal_forms(_columns(nvars, _GREVLEX, d)[0], d)
-    c = rows[1][0]
-    for e in range(len(rows), d + 1):
-        below, row = rows[e - 1][0], _zeros(field, 1, len(_columns(nvars, _GREVLEX, e)[0]))
-        for v in range(nvars):
-            row[0, _shift(nvars, _GREVLEX, e - 1, _unit(nvars, v))] = field.reduce(c[v] * below)
-        rows[e] = row
-    return rows[d]
+    if isinstance(I, _Meet):
+        return I.rows(d)
+    return I.quotient().normal_forms(_columns(I.ring.nvars, _GREVLEX, d)[0], d)
 
 
 def _meet_in_degree(field, A: np.ndarray, B: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
@@ -740,8 +724,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     the result keeps its parts, whose complements stack to its own, and
     the series for the next intersection. dim I_d and dim J_d, the
     initial degrees and whether an operand is 0 come from the operands'
-    series, so either may also be a node of the points oracle
-    (`_series_meet`), whose sums are Artinian."""
+    series, so either may also be a node of the points oracle (`_Meet`),
+    the ideal of points no other operand shares, so its sums are
+    Artinian."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
@@ -833,44 +818,48 @@ def _meet_series(both: list, dims: list[int], nvars: int) -> list[int]:
 
 
 class _Meet:
-    """A node of the points oracle's tree below the root: the ideal of a
-    set of points known only by what the next meet reads of it, its parts
-    (the point ideals whose complements stack to its own, `_complement`)
-    and its proven Hilbert series (`hilbert_series`). It is no `Ideal`,
-    which with no generators would be the zero ideal, and no public
-    function returns one."""
+    """The ideal of k distinct points, for the points oracle, known only by
+    what a meet reads of it: its complement in each degree d, the k rows
+    (c^m)_m of its points' charts (`_chart`), the values of the degree-d
+    monomials at them, and its Hilbert series. Row block d is grown from
+    block d - 1 for all k points at once, as c_v times it scattered
+    through "times x_v", one scatter per variable. The series is proven
+    from one rank of the rows per degree, HF of the points, from degree 0
+    until it is k: HF of a point set never decreases (a linear form over
+    an extension field misses every point) and never exceeds k, so it is
+    k from there on and HS = ΔHF / (1 - t). HF reaches k by degree k - 1,
+    else VerificationError. It is no `Ideal`, which with no generators
+    would be the zero ideal, and no public function returns one."""
 
-    __slots__ = ("ring", "_parts", "_series")
+    __slots__ = ("ring", "_rows", "_series")
+    _parts = ()  # it is not an intersection result
 
-    def __init__(self, ring: RingSpec, parts: tuple):
+    def __init__(self, ring: RingSpec, points) -> None:
+        field, nvars, k = ring.field, ring.nvars, len(points)
         self.ring = ring
-        self._parts = parts
-        self._series = None
+        self._rows = [field.array([[field.one]] * k),
+                      field.array([_chart(field, p)[1] for p in points])]
+        hf = []
+        for d in range(k):
+            hf.append(rank(field, self.rows(d), comb(nvars - 1 + d, d)))
+            if hf[-1] == k:
+                self._series = (tuple(b - a for a, b in zip([0] + hf, hf)), 1)
+                return
+        raise VerificationError(f"points oracle: HF of {k} points is {hf[-1]} in degree "
+                                f"{k - 1}, not {k}; this is a bug")
 
-
-def _series_meet(I, J) -> _Meet:
-    """I ∩ J for the ideals (or nodes) of two disjoint sets of distinct
-    points, of a and b points, by its Hilbert series alone: no kernel, no
-    leads, no basis. From the larger initial degree, HF(R/(I ∩ J))_d is the
-    rank of the meet's complement, I_d^⊥ + J_d^⊥ stacked, so
-    dim (I ∩ J)_d is dim R_d less it. V(I + J) is empty, so HF(R/(I+J))
-    reaches 0, by degree a + b - 1 at the latest, where HF of the a + b
-    points is a + b, and (I + J)_e = R_e from there on: the series is
-    `_meet_series` of the degrees met."""
-    ring = I.ring
-    field, nvars = ring.field, ring.nvars
-    both = [hilbert_series(X) for X in (I, J)]
-    meet = _Meet(ring, (I._parts or (I,)) + (J._parts or (J,)))
-    start = max(_initial_degree(hs, nvars) for hs in both)
-    dims = [0] * start
-    for d in range(start, sum(both[0][0]) + sum(both[1][0])):
-        n = comb(nvars - 1 + d, nvars - 1)
-        dims.append(n - rank(field, _complement(meet, d), n))
-        if not _sum_hf(both, nvars, d, dims[d]):
-            meet._series = _reduced(_meet_series(both, dims, nvars), nvars)
-            return meet
-    raise VerificationError("points oracle: the sum of two disjoint point sets' ideals "
-                            "is not Artinian by their regularity; this is a bug")
+    def rows(self, d: int) -> np.ndarray:
+        """The k rows (c^m)_m over the degree-d monomials, descending in
+        grevlex, grown from the highest degree held."""
+        field, nvars, rows = self.ring.field, self.ring.nvars, self._rows
+        c = rows[1]
+        for e in range(len(rows), d + 1):
+            block = _zeros(field, len(c), comb(nvars - 1 + e, e))
+            for v in range(nvars):
+                block[:, _shift(nvars, _GREVLEX, e - 1, _unit(nvars, v))] = \
+                    field.reduce(c[:, v, None] * rows[e - 1])
+            rows.append(block)
+        return rows[d]
 
 
 def _could_be_complete(series: tuple, bound: int) -> bool:
@@ -883,10 +872,11 @@ def _could_be_complete(series: tuple, bound: int) -> bool:
 
 
 def _intersect_all(ideals: list[Ideal]) -> Ideal:
-    """The intersection of a non-empty list of ideals in a balanced tree:
-    each level intersects neighbours pairwise and carries an odd last one
-    over, so len(ideals) - 1 `ideal_intersection` calls in all, and below
-    the root no node meets more than half of the list."""
+    """The intersection of a non-empty list of ideals, the colons of
+    `ideal_quotient`, in a balanced tree: each level intersects neighbours
+    pairwise and carries an odd last one over, so len(ideals) - 1
+    `ideal_intersection` calls in all, and below the root no node meets
+    more than half of the list."""
     level = list(ideals)
     while len(level) > 1:
         paired = [ideal_intersection(a, b) for a, b in zip(level[::2], level[1::2])]

@@ -38,22 +38,18 @@ proves the basis: in(G) = in(I_X) with G in the span of the generators.
 With a point on x_n = 0 the stop can pass delta_X + 1; there a block is
 the x_v times the block below, whose rank proves (F)_d = (I_X)_d.
 
-An independent oracle builds each single-point ideal in closed form
-instead (`gradus.groebner._point_ideal`), x_k minus c_k * x_l for k != l,
-l the last index with p_l != 0 and c = p / p_l, with its reduced basis,
-its Hilbert series 1/(1 - t) and the row c preset, and meets them in a
-balanced tree, so that no meet below the root carries more than half of
-the points. Its meets are linear algebra in k[x], which read a leaf only
-through the complement of its degree-d part: the normal form modulo the
-point ideal, the one row (c^m)_m, grown from c one degree at a time.
-Below the root a node keeps only its parts, whose rows stack to its
-complement, and its Hilbert series, proven from one rank of those rows
-per degree (`gradus.groebner._series_meet`) up to the degree where the
-sum of its two sides' ideals is Artinian, as two disjoint sets of
-distinct points have no common zero. Only the root is an
-`ideal_intersection`, one kernel per degree and the one reduced basis
-built. So the oracle takes no `evaluation_array`, no kernel of it and no
-F4.
+An independent oracle meets the ideals of two halves of X instead, by
+linear algebra in k[x] (Marinari, Moller & Mora, AAECC 4, 1993). Each
+half is a `gradus.groebner._Meet`, read only through the complement of
+its degree-d part: one closed-form row (c^m)_m per point, c = p / p_l
+for l the last index with p_l != 0, the normal form of m modulo the
+point's ideal, grown from c one degree at a time for all its points at
+once. Each half proves its own Hilbert series from one rank of its rows
+per degree, until the rank is its point count. The one
+`ideal_intersection` of the two halves takes one kernel per degree and
+builds the one reduced basis; a single point's ideal is the closed form
+x_k - c_k * x_l for k != l (`gradus.groebner._point_ideal`). So the
+oracle takes no `evaluation_array`, no kernel of it and no F4.
 `PointValues` computes in R_X and R_X / J R_X by linear algebra in k^s, with
 no Groebner basis, on ndarrays in the field's matrix format. V_u is spanned
 by the monomials' value vectors for every set, independent or not, so its
@@ -73,7 +69,7 @@ from .field import (
     DEFAULT_PRIME, Field, PrimeField, _echelon, _kernel, _matrix, _zeros, field_from_string, rank,
     rank_profile,
 )
-from .groebner import Ideal, _point_ideal, _series_meet, ideal_intersection
+from .groebner import Ideal, _Meet, _point_ideal, ideal_intersection
 from .hilbert import SocleReport
 from .ring import (
     Poly, RingSpec, _columns, _divides, _form, _numerator, _reduced, _shift, _unit, expect_json,
@@ -409,21 +405,18 @@ def _times_variables(ring: RingSpec, K: np.ndarray, d: int) -> np.ndarray:
 
 
 def vanishing_ideal_oracle(X: PointSet) -> Ideal:
-    """Independent route: meet the single-point ideals, each in closed form
-    (`_point_ideal`), in a balanced tree by linear algebra in k[x], with no
-    `evaluation_array`, no kernel of it and no F4 of the points. A leaf's
-    complement in degree d is the normal form modulo its point ideal, one
-    row grown from the point's own row c = p / p_l, and a node's is its
-    parts' rows stacked. Each node below the root keeps only those parts
-    and its proven series (`_series_meet`, one rank per degree); the root
-    is the one `ideal_intersection`, one kernel per degree, and builds the
-    one reduced basis."""
-    ring = X.ring()
-    level = [_point_ideal(ring, p) for p in X.points]
-    while len(level) > 2:
-        paired = [_series_meet(a, b) for a, b in zip(level[::2], level[1::2])]
-        level = paired + level[2 * len(paired):]
-    return ideal_intersection(*level) if len(level) == 2 else level[0]
+    """Independent route: the one `ideal_intersection` of the ideals of the
+    two halves of X's points, by linear algebra in k[x], with no
+    `evaluation_array`, no kernel of it and no F4 of the points. Each half
+    is a `_Meet`, whose complement in degree d is its points' closed-form
+    rows (c^m)_m and whose series it proves from one rank of them per
+    degree; the intersection takes one kernel per degree and builds the
+    one reduced basis. One point's ideal is its closed form
+    (`_point_ideal`)."""
+    ring, half = X.ring(), X.s // 2
+    if not half:
+        return _point_ideal(ring, X.points[0])
+    return ideal_intersection(_Meet(ring, X.points[:half]), _Meet(ring, X.points[half:]))
 
 
 def values_of(f: Poly, X: PointSet) -> np.ndarray:

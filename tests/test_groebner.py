@@ -911,32 +911,39 @@ def _assert_complement_of(ideal, S, d, label):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
 def test_point_complement_is_the_perp_of_the_shift_built_basis(fld):
-    """`_complement` of a point ideal is the closed-form row (c^m)_m, built
-    degree by degree; in P^2 and P^3, degrees 1 to 7 and every order of
+    """A node's rows of degree d, built degree by degree for all its
+    points at once, are its complement, and row i is the closed-form row
+    (c^m)_m of point i: in P^2 and P^3, degrees 1 to 7 and every order of
     the ring it equals, entry for entry, the matrix of the normal form
-    modulo the ideal by division, which is the orthogonal complement of
-    I_d. Only `_point_ideal` presets point rows: an ideal given by other
-    generators of the same linear space keeps none, and its complement,
-    the matrix of its normal forms, is the same row."""
+    modulo that point's `_point_ideal` by division, which is the
+    orthogonal complement of I_d. The point ideal's complement, and that
+    of an ideal given by other generators of the same linear space, is
+    the same row, the matrix of its normal forms."""
     import gradus.groebner as gb_module
-    from gradus.points import _point_ideal
+    from gradus.points import _point_ideal, normalize_point
     rng = random.Random(f"point-rows/{fld.spec_string()}")
     for n in (2, 3):
         for order in ORDERS:
             ring = RingSpec(n + 1, fld, order)
-            for p in _points_with_zeros(fld, n, rng):
+            # distinct points, as a node holds
+            pts = {normalize_point(fld, p): p for p in _points_with_zeros(fld, n, rng)}
+            pts = list(pts.values())
+            node = gb_module._Meet(ring, pts)
+            for i, p in enumerate(pts):
                 closed = _point_ideal(ring, p)
                 gens = closed.generators  # mixed: each plus non-zero multiples of the later ones
                 mixed = Ideal(ring, [sum((g.scale(fld.random(rng) or fld.one)
                                           for g in gens[k + 1:]), gens[k]) for k in range(n)])
                 for d in range(1, 8):
                     want = _normal_form_rows(closed, d)
+                    assert node.rows(d)[i:i + 1].tolist() == want, (p, d, order.name())
                     for ideal in (closed, mixed):
                         got = gb_module._complement(ideal, d)
                         assert got.tolist() == want, (p, d, order.name())
-                    assert d in closed._point_rows and not mixed._point_rows, (p, d)
                 # its one basis is the one in the ring's order
                 assert mixed._gb == reduced_groebner_from_gens(list(mixed.generators))
+            for d in range(1, 8):
+                assert gb_module._complement(node, d) is node.rows(d)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.spec_string())
@@ -995,24 +1002,23 @@ def test_stacked_complements_span_the_complement_of_the_meet(monkeypatch, fld):
 
 def test_oracle_eliminates_once_per_meet(monkeypatch):
     """A 20-point oracle makes one elimination per degree met. Each of the
-    s - 2 nodes below the root takes one rank-only elimination of its
-    complement per degree, in `_series_meet`, degree after degree; the
-    root's eliminations are all the `_kernel` of `_meet_in_degree`. None is
-    made for a point ideal's complement (one closed-form row) or a node's
-    (its parts' rows stacked)."""
+    two nodes, one per half of the points, takes one rank-only
+    elimination of its rows per degree, from 0 until the rank is its point
+    count; the root's eliminations are all the `_kernel` of
+    `_meet_in_degree`. None is made for a node's complement (its
+    closed-form rows) or the root's operands stacked."""
     from collections import Counter
     from math import comb
     import sys
 
     import gradus.field as field_module
     import gradus.groebner as gb_module
-    import gradus.points
     from gradus.points import random_general_points, vanishing_ideal_oracle
     X = random_general_points(20, 2, seed=1)
     callers = Counter()
-    meets, nodes = [], []
+    meets, ranks = [], []
     plain_echelon, plain_meet = field_module._echelon, gb_module._meet_in_degree
-    plain_rank, plain_node = gb_module.rank, gradus.points._series_meet
+    plain_rank = gb_module.rank
 
     def attributed(A, field, rank_only=False):
         frame = sys._getframe(1)  # the first caller outside the field and this test
@@ -1021,24 +1027,26 @@ def test_oracle_eliminates_once_per_meet(monkeypatch):
         callers[frame.f_code.co_name, rank_only] += 1
         return plain_echelon(A, field, rank_only)
 
-    def node(A, B):
-        nodes.append([])
-        return plain_node(A, B)
-
     def ranked(field, rows, n):
-        nodes[-1].append(n)
-        return plain_rank(field, rows, n)
+        ranks.append((len(rows), n, plain_rank(field, rows, n)))
+        return ranks[-1][2]
 
     monkeypatch.setattr(field_module, "_echelon", attributed)
     monkeypatch.setattr(gb_module, "_meet_in_degree", lambda *a: meets.append(a) or plain_meet(*a))
     monkeypatch.setattr(gb_module, "rank", ranked)
-    monkeypatch.setattr(gradus.points, "_series_meet", node)
     vanishing_ideal_oracle(X)
-    assert len(nodes) == X.s - 2 and meets
-    for columns in nodes:
-        start = next(d for d in range(X.s) if comb(d + 2, 2) == columns[0])
-        assert columns == [comb(d + 2, 2) for d in range(start, start + len(columns))]
-    assert callers == Counter({("_series_meet", True): sum(map(len, nodes)),
+    assert meets
+    # the nodes rank one after the other, each on the columns of degree 0,
+    # 1, ... until the rank is its point count, 10, and no further
+    nodes = [[]]
+    for rows, n, r in ranks:
+        nodes[-1].append((rows, n))
+        if r == rows:
+            nodes.append([])
+    assert nodes.pop() == [] and len(nodes) == 2
+    for node in nodes:
+        assert node == [(10, comb(d + 2, 2)) for d in range(len(node))]
+    assert callers == Counter({("__init__", True): len(ranks),
                                ("_meet_in_degree", False): len(meets)})
 
 

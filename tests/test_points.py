@@ -197,13 +197,13 @@ def test_point_ideals_in_closed_form_are_the_vanishing_ideals(monkeypatch, fld):
 
 
 def test_oracle_intersects_closed_form_leaves_with_no_kernel_and_no_f4(monkeypatch):
-    """The oracle runs s - 2 series-only meets below the root and one
-    `ideal_intersection` at it, and neither an evaluation kernel, nor
+    """The oracle makes two nodes, one per half of the points, and one
+    `ideal_intersection` of them, and neither an evaluation kernel, nor
     `vanishing_ideal`, nor F4, nor Buchberger."""
     import gradus.groebner
     X = random_general_points(20, 2, seed=1)
     want = vanishing_ideal(X).groebner()
-    calls = {"_series_meet": [], "ideal_intersection": []}
+    calls = {"_Meet": [], "ideal_intersection": []}
     for name, log in calls.items():
         plain = getattr(gradus.points, name)
         monkeypatch.setattr(gradus.points, name,
@@ -212,7 +212,7 @@ def test_oracle_intersects_closed_form_leaves_with_no_kernel_and_no_f4(monkeypat
                          (gradus.groebner, "_f4"), (gradus.groebner, "buchberger")):
         monkeypatch.setattr(module, name, None)
     got = vanishing_ideal_oracle(X)
-    assert len(calls["_series_meet"]) == X.s - 2
+    assert [points for _, points in calls["_Meet"]] == [X.points[:10], X.points[10:]]
     assert len(calls["ideal_intersection"]) == 1
     assert list(got.generators) == want
 
@@ -502,11 +502,11 @@ def test_oracle_is_the_vanishing_ideal_off_general_position(X):
 
 
 def _oracle_tree_sets():
-    """(id, X) for the oracle's property test: s = 1..6 (no meet at s = 1,
-    only the root at s = 2, a node carried over at odd s) and the collinear
-    sets over F_32003, F_(2^31 - 1) and Q; over F_3, s = 1..6 drawn from
-    the plane, three collinear points, all 13 points of P^2(F_3), and 8
-    points of P^3(F_3) with no chart."""
+    """(id, X) for the oracle's property test: s = 1..6 (no node at s = 1,
+    a node of one point at s = 2 and 3) and the collinear sets over
+    F_32003, F_(2^31 - 1) and Q; over F_3, s = 1..6 drawn from the plane,
+    three collinear points, all 13 points of P^2(F_3), and 8 points of
+    P^3(F_3) with no chart."""
     for fld in (F, PrimeField(2**31 - 1), RationalField()):
         for s in range(1, 7):
             yield f"{fld.spec_string()}-s{s}", random_general_points(s, 2, seed=s, field=fld)
@@ -523,27 +523,89 @@ def _oracle_tree_sets():
 
 @pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _oracle_tree_sets()])
 def test_oracle_nodes_carry_the_series_of_their_points(monkeypatch, X):
-    """Every series-only node below the root has the series of the
-    vanishing ideal of its points, and the oracle's basis is that of the
-    full-meet tree (`_intersect_all` of the same point ideals) and of
-    `vanishing_ideal`."""
+    """Each of the two nodes, one per half of the points, has the series of
+    the vanishing ideal of its points, and the oracle's basis is that of
+    the full-meet tree (`_intersect_all` of the single-point ideals) and
+    of `vanishing_ideal`."""
     import gradus.groebner as gb_module
     if X.n == 3:  # the P^3 set has a point on every coordinate hyperplane
         assert X.chart() is None
     nodes = []
-    plain = gradus.points._series_meet
-    monkeypatch.setattr(gradus.points, "_series_meet",
-                        lambda A, B: nodes.append(plain(A, B)) or nodes[-1])
+    plain = gradus.points._Meet
+
+    def node(ring, points):
+        nodes.append((points, plain(ring, points)))
+        return nodes[-1][1]
+
+    monkeypatch.setattr(gradus.points, "_Meet", node)
     got = vanishing_ideal_oracle(X)
-    assert len(nodes) == max(X.s - 2, 0)
-    for node in nodes:
-        points = [P._point_rows[1][0].tolist() for P in node._parts]
-        assert hilbert_series(node) == hilbert_series(vanishing_ideal(PointSet(X.n, X.field, points)))
+    assert [points for points, _ in nodes] == ([X.points[:X.s // 2], X.points[X.s // 2:]]
+                                               if X.s > 1 else [])
+    for points, meet in nodes:
+        assert hilbert_series(meet) == hilbert_series(vanishing_ideal(PointSet(X.n, X.field, points)))
     ring = X.ring()
     tree = gb_module._intersect_all([gradus.points._point_ideal(ring, p) for p in X.points])
     want = vanishing_ideal(X).groebner()
     assert got.groebner() == tree.groebner() == want
     assert list(got.generators) == list(tree.generators)
+
+
+def _half_series_sets():
+    """(id, X) for the halves' series: the 13 points of P^2(F_3), which
+    have no chart; three collinear points and one off their line over F_5,
+    where HF_X stalls below min(dim R_d, s); and general sets over F_32003
+    and Q for s in {1, 2, 3, 20, 60}, and 30 points of P^3 over F_32003."""
+    yield "3-P2-all", PointSet(2, PrimeField(3), _projective_plane(3))
+    yield "5-collinear3-plus-one", PointSet(2, PrimeField(5), COLLINEAR + [[0, 0, 1]])
+    for fld in (F, RationalField()):
+        for s in (1, 2, 3, 20, 60):
+            yield f"{fld.spec_string()}-s{s}", random_general_points(s, 2, seed=s, field=fld)
+    yield "32003-P3-s30", random_general_points(30, 3, seed=30)
+
+
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _half_series_sets()])
+def test_half_rank_series_is_the_series_of_its_points(X):
+    """A half's series, proven from the ranks of its node's rows, is the
+    series of the vanishing ideal of its points (at s = 1 the one half is
+    the whole set)."""
+    ring, half = X.ring(), X.s // 2
+    for points in (X.points[:half], X.points[half:]):
+        if points:
+            want = hilbert_series(vanishing_ideal(PointSet(X.n, X.field, points)))
+            assert hilbert_series(gradus.points._Meet(ring, points)) == want
+
+
+@pytest.mark.parametrize("X", [
+    PointSet(2, PrimeField(3), _projective_plane(3)),
+    PointSet(2, PrimeField(5), COLLINEAR + [[0, 0, 1]]),
+    random_general_points(20, 2, seed=4),
+    random_general_points(7, 3, seed=4, field=RationalField()),
+], ids=("P2-F3", "collinear4-F5", "s20", "P3-s7-Q"))
+def test_oracle_does_not_depend_on_the_split(X):
+    """The oracle's generators, basis and series are the same for X's
+    points reversed and in a seeded shuffle, whose halves hold other
+    points."""
+    want = vanishing_ideal_oracle(X)
+    shuffled = list(X.points)
+    random.Random(7).shuffle(shuffled)
+    for points in (X.points[::-1], shuffled):
+        got = vanishing_ideal_oracle(PointSet(X.n, X.field, points))
+        assert list(got.generators) == list(want.generators) == vanishing_ideal(X).groebner()
+        assert got.groebner() == want.groebner()
+        assert hilbert_series(got) == hilbert_series(want)
+
+
+def test_node_refuses_a_rank_that_stalls_below_its_point_count(monkeypatch):
+    """A node whose rank has not reached its point count by degree k - 1
+    raises: the guard is live."""
+    import gradus.groebner as gb_module
+    X = random_general_points(6, 2, seed=2)
+    plain = gb_module.rank
+    monkeypatch.setattr(gb_module, "rank",
+                        lambda field, rows, n: min(plain(field, rows, n), len(rows) - 1))
+    with pytest.raises(VerificationError,
+                       match="HF of 3 points is 2 in degree 2, not 3; this is a bug"):
+        vanishing_ideal_oracle(X)
 
 
 @pytest.mark.parametrize("X", [
